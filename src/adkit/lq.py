@@ -224,8 +224,10 @@ def riccati_integrate(
     constraint monitoring; halts and records t_blow if D <= guard or
     P >= 0 is about to occur. well_posed means t_lo was reached."""
     require(p)
-    if tol <= 0:
-        raise ParamError("tol > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParamError("tol > 0 and finite")
+    if n_nodes < 2:
+        raise ParamError("n_nodes >= 2")
     if not t_lo < p.T:
         raise ParamError("t_lo < T")
 

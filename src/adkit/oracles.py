@@ -43,7 +43,7 @@ class Grid2D:
         if self.boundary_mode not in ("reflecting", "extrapolating"):
             bad.append("boundary_mode in {reflecting, extrapolating}")
         if bad:
-            raise ParamError(*bad)
+            raise ParamError(bad)
 
     @property
     def dx(self) -> float:

@@ -4,7 +4,10 @@ evaluation of discounted performance functionals.
 Randomness contract: every path owns a counter-based substream keyed by
 (seed, path index), so results are bit-identical no matter how paths are
 blocked or ordered. Normals come from inverse-CDF applied to 53-bit
-uniforms of a keyed Philox generator.
+uniforms of a keyed Philox generator. Normal blocks are read-only, and
+the latest one is kept: asking again for the same (seed, indices, n,
+antithetic) block, as paired comparisons on common random numbers do,
+returns it without drawing. Only one block is held at a time.
 """
 
 from __future__ import annotations
@@ -24,34 +27,50 @@ _TWO53 = float(1 << 53)
 DEFAULT_BLOCK = 4096
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    # int() first: numpy integer inputs overflow on & with a 64-bit mask
-    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def path_normals(seed: int, index: int, n: int) -> np.ndarray:
     """Standard normals of path `index` under `seed`, independent across indices."""
-    g = _substream(seed, index)
-    u = (g.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) / _TWO53
-    return ndtri(u)
+    return block_normals(seed, [index], n)[0]
+
+
+# (key, z) of the latest block_normals call, swapped as one tuple so a key
+# is never seen with another key's block
+_last = None
 
 
 def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.ndarray:
-    """(len(indices), n) matrix of normals, one keyed substream per row.
+    """Read-only (len(indices), n) matrix of normals, one keyed substream per row.
 
     With antithetic=True, paths 2j and 2j+1 share the substream keyed by j
-    and the odd path gets the sign-flipped draws.
+    and the odd path gets the sign-flipped draws. A call with the same
+    arguments as the one before returns that call's array without drawing.
     """
+    global _last
     indices = np.asarray(indices, dtype=np.int64)
-    u = np.empty((indices.size, n))
+    key = (int(seed), indices.tobytes(), int(n), bool(antithetic))
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    _last = None  # let the previous block go before the next is drawn
+    # one generator whose key is reset per row: resetting the state is
+    # cheaper than building a Philox, and the counter restarts at zero
+    bg = np.random.Philox(key=0)
+    gen = np.random.Generator(bg)
+    state = bg.state
+    seed_word = int(seed) & _MASK64
+    z = np.empty((indices.size, n))
     for row, idx in enumerate(indices):
         base = int(idx) >> 1 if antithetic else int(idx)
-        g = _substream(seed, base)
-        u[row] = (g.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) / _TWO53
-    z = ndtri(u)
+        state["state"]["key"] = np.array([seed_word, base & _MASK64], dtype=np.uint64)
+        bg.state = state
+        # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53 for
+        # the 53-bit integer k that integers(0, 2^53) would draw
+        gen.random(out=z[row])
+    z += 0.5 / _TWO53
+    ndtri(z, out=z)
     if antithetic:
         z[(indices & 1) == 1] *= -1.0
+    z.flags.writeable = False
+    _last = (key, z)
     return z
 
 
@@ -171,6 +190,8 @@ def evaluate_policy(
     require(p)
     if n_paths < 1:
         raise ParamError("n_paths >= 1")
+    if not math.isfinite(x):
+        raise ParamError("x finite")
     if not assume_polynomial_growth:
         raise ParamError("reward must be declared of polynomial growth")
     if abs(g.t0 - s) > 1e-12 or abs(g.t_end - p.T) > 1e-12:
@@ -307,6 +328,8 @@ def stopping_cost_report(
     """
     if n_paths < 1:
         raise ParamError("n_paths >= 1")
+    if not math.isfinite(y_start):
+        raise ParamError("y_start finite")
     x0 = float(sol.x0)
     feedback = sol.policy if control is None else control
     dt = g.dt

@@ -180,6 +180,18 @@ def test_tolerance_scales_residual():
     assert float(tight.P[0]) == pytest.approx(P5_P0, abs=1e-11)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_integrate_rejects_bad_tolerance(tol):
+    with pytest.raises(ParamError, match="tol"):
+        riccati_integrate(P5, tol=tol)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 0])
+def test_integrate_rejects_too_few_nodes(n_nodes):
+    with pytest.raises(ParamError, match="n_nodes"):
+        riccati_integrate(P5, n_nodes=n_nodes)
+
+
 def test_partial_window_integration():
     sol = riccati_integrate(P5, t_lo=0.5)
     assert sol.t[0] == pytest.approx(0.5, abs=0)

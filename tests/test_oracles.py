@@ -35,6 +35,12 @@ def test_grid2d_validation():
         Grid2D(0.0, 2.0, 21, 16, boundary_mode="periodic")
 
 
+def test_grid2d_reports_every_violation():
+    with pytest.raises(ParamError) as exc:
+        Grid2D(1.0, 0.0, 1, 0)
+    assert exc.value.violations == ["x_lo < x_hi", "n_x >= 16", "n_t >= 16"]
+
+
 def test_dp_linear_recovers_switch_time():
     r = dp_linear(P_LIN, 10 ** 4)
     sol = solve_linear(P_LIN)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from adkit import (
     ModelParams,
@@ -57,6 +58,70 @@ def test_block_normals_antithetic_pairing():
     np.testing.assert_array_equal(z[2], path_normals(7, 1, 16))
 
 
+def _reference_normals(seed, indices, n, antithetic):
+    # one Philox per row, 53-bit integers mapped to (k + 0.5) / 2^53
+    mask = (1 << 64) - 1
+    rows = []
+    for idx in indices:
+        base = int(idx) >> 1 if antithetic else int(idx)
+        key = np.array([int(seed) & mask, base & mask], dtype=np.uint64)
+        g = np.random.Generator(np.random.Philox(key=key))
+        k = g.integers(0, 1 << 53, size=n, dtype=np.uint64)
+        z = ndtri((k + 0.5) / float(1 << 53))
+        rows.append(-z if antithetic and idx & 1 else z)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize(
+    "seed, indices, n",
+    [
+        (9, [0, 1, 2, 3, 4], 32),
+        (3, [17, 2, 9, 4000, 1], 257),
+        (11, [5, 0, 3], 1),
+        ((1 << 64) - 5, [1, 0, 7], 40),
+        (np.int64(42), [6, 3, 12], 33),
+    ],
+)
+def test_block_normals_bit_identical_to_reference(seed, indices, n, antithetic):
+    z = block_normals(seed, np.array(indices), n, antithetic=antithetic)
+    ref = _reference_normals(seed, indices, n, antithetic)
+    assert z.shape == (len(indices), n)
+    np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
+def test_block_normals_read_only_and_reused_by_key():
+    a_ref = _reference_normals(5, [0, 1, 2], 16, False)
+    b_ref = _reference_normals(5, [0, 1, 2], 16, True)
+    a = block_normals(5, np.arange(3), 16)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    assert block_normals(5, np.arange(3), 16) is a
+    # A-B-A: the second key evicts the first, which is then drawn again
+    b = block_normals(5, np.arange(3), 16, antithetic=True)
+    np.testing.assert_array_equal(b, b_ref)
+    again = block_normals(5, np.arange(3), 16)
+    np.testing.assert_array_equal(again, a_ref)
+    np.testing.assert_array_equal(a, a_ref)
+    # same indices, another length or seed is another block
+    np.testing.assert_array_equal(block_normals(5, np.arange(3), 8),
+                                  _reference_normals(5, [0, 1, 2], 8, False))
+    np.testing.assert_array_equal(block_normals(6, np.arange(3), 16),
+                                  _reference_normals(6, [0, 1, 2], 16, False))
+
+
+def test_repeated_evaluation_gives_identical_samples():
+    pol = Policy.constant(0.5)
+    g = PathGrid(0.0, 1.0, 30)
+    a = evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, 1.0, g, 300, 4,
+                        keep_samples=True)
+    b = evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, 1.0, g, 300, 4,
+                        keep_samples=True)
+    np.testing.assert_array_equal(a.samples, b.samples)
+    assert a.mean == b.mean
+
+
 def test_deterministic_limit_matches_ode():
     # no noise: Euler path converges to x' = -rho x + u
     p = ModelParams(rho=0.5, c=0.0, T=1.0)
@@ -103,6 +168,14 @@ def test_evaluate_policy_negative_loss_rejected():
     g = PathGrid(0.0, 1.0, 10)
     with pytest.raises(ParamError, match="loss"):
         evaluate_policy(P, pol, lambda x: x, lambda u: u - 2.0, 0.0, 1.0, g, 10, 1)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_evaluate_policy_rejects_non_finite_start(x):
+    g = PathGrid(0.0, 1.0, 10)
+    for pol in (Policy.constant(0.5), Policy.bang_bang(0.5, 1.0)):
+        with pytest.raises(ParamError, match="finite"):
+            evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, x, g, 10, 1)
 
 
 def test_zero_noise_value_matches_quadrature():
@@ -205,3 +278,10 @@ def test_stopping_cost_near_value(stop_sol):
     rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=2000, seed=13, **SP_KW)
     v = float(stop_sol.value(y))
     assert abs(rep.mean - v) < 3.0 * rep.std_error + rep.bias_bound
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf])
+def test_stopping_cost_report_rejects_non_finite_start(stop_sol, y):
+    g = PathGrid(0.0, 10.0, 100)
+    with pytest.raises(ParamError, match="finite"):
+        stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=10, seed=0, **SP_KW)
