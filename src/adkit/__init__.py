@@ -11,7 +11,6 @@ cross-checks.
 
 from .errors import (
     AdkitError,
-    InstabilityError,
     ParamError,
     PolicyError,
     SolverError,
@@ -93,7 +92,6 @@ __all__ = [
     "EvalReport",
     "FdHjbResult",
     "Grid2D",
-    "InstabilityError",
     "LinearSolution",
     "ModelParams",
     "ParamError",

@@ -65,7 +65,13 @@ def _num(block, name, where):
     v = block[name]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParamError("%s.%s must be a number" % (where, name))
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ParamError("%s.%s must be finite" % (where, name))
+    return v
 
 
 def _int(block, name, where):
@@ -75,10 +81,14 @@ def _int(block, name, where):
     return int(v)
 
 
+def _reject_constant(name):
+    raise ParamError("config holds %s; numbers must be finite" % name)
+
+
 def load_config(path, output_override=None, format_override=None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as e:
         raise ParamError("cannot read config %s: %s" % (path, e))
     except json.JSONDecodeError as e:
@@ -145,13 +155,18 @@ def _fmt_cell(v):
 
 
 def emit(artifact, fmt, path):
-    """Write one artifact. JSON keeps insertion order; CSV uses CRLF
-    records, minimal quoting, and 17 significant digits."""
+    """Write one artifact. JSON keeps insertion order and is strict
+    RFC 8259: a non-finite float raises SolverError before the file is
+    opened. CSV uses CRLF records, minimal quoting, and 17 significant
+    digits."""
     try:
         if fmt == "json":
+            try:
+                text = json.dumps(artifact, indent=2, allow_nan=False)
+            except ValueError as e:
+                raise SolverError("cannot write %s: %s" % (path, e)) from e
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(artifact, fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
         elif fmt == "csv":
             header, rows = artifact
             with open(path, "w", encoding="utf-8", newline="") as fh:

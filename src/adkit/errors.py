@@ -23,10 +23,6 @@ class SolverError(AdkitError, RuntimeError):
     """A solve started but could not be completed to tolerance."""
 
 
-class InstabilityError(SolverError):
-    """An explicit scheme was asked to run outside its stability bound."""
-
-
 class PolicyError(SolverError):
     """A policy was evaluated outside the interval it was built for."""
 

@@ -127,6 +127,8 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
     if p.c == 0:
         raise ParamError("c > 0")
     bound = spend_bound(p)
+    if not math.isfinite(M):
+        raise ParamError("M finite")
     if M <= 0:
         raise ParamError("M > 0")
     if M > bound:

@@ -1,10 +1,11 @@
 """Brute-force reference solvers.
 
 Nothing here shares code with the closed forms it checks: a switching
-grid search for the linear problem, an explicit monotone upwind scheme
-for the LQ Bellman PDE, and a Markov-chain obstacle iteration for the
-stopping problem. All three are deterministic, so comparisons against
-them reproduce exactly.
+grid search for the linear problem, an implicit (backward-Euler)
+upwind scheme with a lagged brute-force control for the LQ Bellman
+PDE, one banded solve per time step, and a Markov-chain obstacle
+iteration for the stopping problem. All three are deterministic, so
+comparisons against them reproduce exactly.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .errors import InstabilityError, ParamError, SolverError
+from .errors import ParamError, SolverError
 from .model import ModelParams, require
 from .stopping import StoppingParams
-
-CFL_TARGET = 0.95
 
 
 @dataclass(frozen=True)
@@ -111,83 +111,97 @@ def fd_hjb_lq(
     g: Grid2D,
     u_grid,
     terminal: Optional[Callable] = None,
-    substep: bool = True,
 ) -> FdHjbResult:
-    """Explicit upwind scheme for the Bellman PDE, maximized pointwise
-    over the discretized control set, marched backward from the
-    terminal payoff gamma*x^2 (absolute-discount convention: the
+    """Backward-Euler upwind scheme for the Bellman PDE, marched from
+    the terminal payoff gamma*x^2 (absolute-discount convention: the
     terminal weight is already inside gamma, the running cost carries
-    exp(-c*t)).
+    exp(-c*t)) to t = 0, one implicit step per reporting interval of g.
 
-    The reporting grid is g; when the monotonicity bound requires a
-    smaller step, each reporting interval is substepped uniformly and
-    the running-cost weight is taken at each substep's left endpoint.
+    Step k (from n_t-2 down to 0) first picks each node's control as
+    the argmax over u_grid of the discrete Hamiltonian
+    A^u v - exp(-c*t_k)*u^2 evaluated at v^{k+1}, then solves
+    (I - dt*A^u) v^k = v^{k+1} - dt*exp(-c*t_k)*u^2 as one (2,2)-banded
+    system, the boundary ghosts folded into the band. The control is
+    lagged rather than re-optimized against v^k: with the cubic ghost
+    rows the matrix is not an M-matrix, and policy iteration can cycle
+    between two controls near the right edge.
+
+    substeps counts the implicit solves (n_t - 1). cfl_ratio is the
+    explicit monotonicity ratio dt*max(sigma^2/dx^2 + |b|/dx) of the grid;
+    the implicit step does not need it below 1, so it is reported as
+    information only. cap_hit is True when any step's argmax lands on
+    the largest control.
     """
     require(p)
     u = np.asarray(u_grid, dtype=float).reshape(-1)
     if u.size < 1 or np.any(u < 0):
         raise ParamError("u_grid nonempty, nonnegative")
     x = g.x_nodes()
+    n = g.n_x
     dx = g.dx
     dt = p.T / (g.n_t - 1)
 
     b = u[:, None] - p.rho * x[None, :]
-    bp = np.maximum(b, 0.0)
-    bm = np.maximum(-b, 0.0)
     sig = p.sigma0 + p.sigma1 * np.abs(x)[None, :] + p.sigma2 * u[:, None]
     s2h = 0.5 * sig * sig
-    usq = (u * u)[:, None]
-
+    usq = u * u
     ratio = float(dt * np.max(2.0 * s2h / dx ** 2 + np.abs(b) / dx))
-    if ratio > 1.0 and not substep:
-        raise InstabilityError(
-            "explicit step violates the monotonicity bound (ratio %.3g); "
-            "enable substepping or refine the grid" % ratio
-        )
-    n_sub = max(1, int(math.ceil(ratio / CFL_TARGET))) if substep else 1
-    dt_sub = dt / n_sub
+
+    # A^u v_i = up_i (v_{i+1} - v_i) + lo_i (v_{i-1} - v_i)
+    up = np.maximum(b, 0.0) / dx + s2h / (dx * dx)
+    lo = np.maximum(-b, 0.0) / dx + s2h / (dx * dx)
 
     if terminal is None:
         v = p.gamma * x * x
     else:
         v = np.asarray(terminal(x), dtype=float).copy()
 
-    cand = np.empty_like(b)
+    ham = np.empty_like(b)
     tmp = np.empty_like(b)
-    rhs = np.empty_like(x)
+    ab = np.zeros((5, n))
+    nodes = np.arange(n)
     cap_hit = False
     reflect = g.boundary_mode == "reflecting"
 
     for k in range(g.n_t - 2, -1, -1):
-        t_right = (k + 1) * dt
-        for j in range(1, n_sub + 1):
-            t_left = t_right - j * dt_sub
-            w = math.exp(-p.c * t_left)
-            if reflect:
-                lo_ghost = v[1]
-                hi_ghost = v[-2]
-            else:
-                lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
-                hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
-            ve = np.concatenate(([lo_ghost], v, [hi_ghost]))
-            dp_ = (ve[2:] - ve[1:-1]) / dx
-            dm_ = (ve[1:-1] - ve[:-2]) / dx
-            d2_ = (ve[2:] - 2.0 * ve[1:-1] + ve[:-2]) / (dx * dx)
-            np.multiply(bp, dp_, out=cand)
-            np.multiply(bm, dm_, out=tmp)
-            cand -= tmp
-            np.multiply(s2h, d2_, out=tmp)
-            cand += tmp
-            cand -= w * usq
-            np.maximum.reduce(cand, axis=0, out=rhs)
-            v = v + dt_sub * rhs
+        w = math.exp(-p.c * k * dt)
+        if reflect:
+            lo_ghost = v[1]
+            hi_ghost = v[-2]
+        else:
+            lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
+            hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
+        ve = np.concatenate(([lo_ghost], v, [hi_ghost]))
+        np.multiply(up, ve[2:] - v, out=ham)
+        np.multiply(lo, ve[:-2] - v, out=tmp)
+        ham += tmp
+        ham -= (w * usq)[:, None]
+        pick = np.argmax(ham, axis=0)
         if u.size > 1 and not cap_hit:
-            # cap audit at reporting cadence: the argmax should stay
-            # interior to the control grid
-            cap_hit = bool(np.any(np.argmax(cand, axis=0) == u.size - 1))
+            cap_hit = bool(np.any(pick == u.size - 1))
+
+        # band of I - dt*A^u: ab[2 + i - j, j] holds entry (i, j)
+        a_up = dt * up[pick, nodes]
+        a_lo = dt * lo[pick, nodes]
+        ab[2] = 1.0 + a_up + a_lo
+        ab[1, 1:] = -a_up[:-1]
+        ab[3, :-1] = -a_lo[1:]
+        if reflect:
+            # mirror ghosts v_{-1} = v_1, v_n = v_{n-2}
+            ab[1, 1] -= a_lo[0]
+            ab[3, n - 2] -= a_up[-1]
+        else:
+            # cubic ghosts v_{-1} = 3v_0 - 3v_1 + v_2, and mirrored at n
+            ab[2, 0] -= 3.0 * a_lo[0]
+            ab[1, 1] += 3.0 * a_lo[0]
+            ab[0, 2] = -a_lo[0]
+            ab[2, -1] -= 3.0 * a_up[-1]
+            ab[3, n - 2] += 3.0 * a_up[-1]
+            ab[4, n - 3] = -a_up[-1]
+        v = solve_banded((2, 2), ab, v - dt * w * usq[pick], check_finite=False)
 
     return FdHjbResult(
-        x=x, v0=v, cfl_ratio=ratio, substeps=(g.n_t - 1) * n_sub, cap_hit=cap_hit
+        x=x, v0=v, cfl_ratio=ratio, substeps=g.n_t - 1, cap_hit=cap_hit
     )
 
 

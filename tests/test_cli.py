@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from adkit.cli import load_config, main
+from adkit import SolverError
+from adkit.cli import emit, load_config, main
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
 
@@ -81,6 +82,27 @@ def test_budget_artifacts(tmp_path):
     assert data["lambda_star"] == pytest.approx(0.8003430548500416)
     assert abs(data["discrepancy"]["spend_gap"]) <= 1e-12
     assert data["discrepancy"]["spend_gap_alt"] > 0.1
+
+
+def test_budget_non_finite_M_exit2(tmp_path, capsys):
+    out = tmp_path / "out"
+    for i, M in enumerate(("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)):
+        path = tmp_path / ("nan%d.json" % i)
+        path.write_text(
+            '{"problem": "budget", "model": %s, "output_dir": %s, '
+            '"formats": ["json"], "budget": {"M": %s}}'
+            % (json.dumps(BASE_MODEL), json.dumps(str(out)), M)
+        )
+        assert main(["budget", "--config", str(path), "--quiet"]) == 2, M
+        assert "finite" in capsys.readouterr().err
+    assert not (out / "budget.json").exists()
+
+
+def test_emit_rejects_non_finite_json(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(SolverError):
+        emit({"x": float("nan")}, "json", str(path))
+    assert not path.exists()
 
 
 def test_lq_artifacts(tmp_path):

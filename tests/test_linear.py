@@ -167,6 +167,12 @@ def test_budget_rejects_infeasible():
         solve_budget(P, spend_bound(P) * 1.01)
 
 
+def test_budget_rejects_non_finite():
+    for M in (float("nan"), float("inf")):
+        with pytest.raises(ParamError, match="M finite"):
+            solve_budget(P, M)
+
+
 def test_budget_boundary_budget_gives_zero_switch():
     # spending the whole feasible budget means advertising from the start
     sol = solve_budget(P, spend_bound(P))

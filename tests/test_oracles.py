@@ -5,7 +5,6 @@ import pytest
 
 from adkit import (
     Grid2D,
-    InstabilityError,
     ModelParams,
     ParamError,
     StoppingParams,
@@ -70,10 +69,27 @@ def test_fd_hjb_lq_coarse_agreement():
     assert res.substeps >= 500
 
 
-def test_fd_hjb_lq_instability_guard():
+def test_fd_hjb_lq_large_step():
+    # explicit ratio ~699: the implicit step needs no substeps
+    sol = riccati_integrate(P_LQ)
     g = Grid2D(0.0, 4.0, 201, 20)
-    with pytest.raises(InstabilityError):
-        fd_hjb_lq(P_LQ, g, np.linspace(0.0, 3.0, 21), substep=False)
+    res = fd_hjb_lq(P_LQ, g, np.linspace(0.0, 3.0, 21))
+    assert res.cfl_ratio > 600
+    assert res.substeps == 19
+    assert np.all(np.isfinite(res.v0))
+    assert not res.cap_hit
+    ref = -float(sol.P[0]) * P_LQ.x_init ** 2
+    assert res.value_at(P_LQ.x_init) == pytest.approx(ref, rel=0.02)
+
+
+def test_fd_hjb_lq_reflecting_maximum_principle():
+    # no control cost, mirror ghosts: each step solves with an M-matrix
+    # whose rows sum to 1, so the value stays within the terminal's range
+    p = ModelParams(rho=0.5, c=0.3, T=1.0, sigma0=0.3, sigma1=0.2)
+    g = Grid2D(0.0, 4.0, 201, 20, boundary_mode="reflecting")
+    res = fd_hjb_lq(p, g, [0.0], terminal=lambda x: np.sin(3.0 * x))
+    assert res.substeps == 19
+    assert float(np.max(np.abs(res.v0))) <= 1.0
 
 
 def test_fd_hjb_lq_custom_terminal():
