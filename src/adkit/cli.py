@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import ParamError, SolverError
+from .errors import ParamError, SolverError, StableRangeError
 from .linear import linear_policy, solve_budget, solve_linear, spend_bound
 from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
 from .model import ModelParams, require
@@ -38,6 +38,10 @@ TOP_KEYS = ("problem", "model", "output_dir", "formats")
 MODEL_KEYS = ("rho", "c", "T", "sigma0", "sigma1", "sigma2", "m", "gamma0", "x_init")
 MODEL_REQUIRED = ("rho", "c", "T")
 FORMATS = ("json", "csv")
+# largest grid, path count or step count a config may ask for: numpy
+# cannot allocate arrays near 2^63 elements, and far below that they
+# no longer fit in memory
+MAX_SIZE = 10 ** 7
 
 BLOCK_SCHEMAS = {
     "linear": {"required": (), "optional": ("n_grid",)},
@@ -79,6 +83,18 @@ def _int(block, name, where):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParamError("%s.%s must be an integer" % (where, name))
     return int(v)
+
+
+def _size(block, name, where, lo):
+    """An array length from the config, lo <= v <= MAX_SIZE."""
+    v = _int(block, name, where)
+    if not lo <= v <= MAX_SIZE:
+        raise ParamError("%s.%s in [%d, %d]" % (where, name, lo, MAX_SIZE))
+    return v
+
+
+def _n_grid(block, where, default):
+    return _size(block, "n_grid", where, 2) if "n_grid" in block else default
 
 
 def _reject_constant(name):
@@ -215,7 +231,7 @@ def _say(quiet, msg):
 
 def _run_linear(cfg: RunConfig, quiet) -> int:
     p = cfg.params
-    n_grid = _int(cfg.block, "n_grid", "linear") if "n_grid" in cfg.block else 201
+    n_grid = _n_grid(cfg.block, "linear", 201)
     sol = solve_linear(p)
     pol = linear_policy(sol)
     t = np.linspace(0.0, p.T, n_grid)
@@ -240,7 +256,7 @@ def _run_linear(cfg: RunConfig, quiet) -> int:
 def _run_budget(cfg: RunConfig, quiet) -> int:
     p = cfg.params
     M = _num(cfg.block, "M", "budget")
-    n_grid = _int(cfg.block, "n_grid", "budget") if "n_grid" in cfg.block else 201
+    n_grid = _n_grid(cfg.block, "budget", 201)
     sol = solve_budget(p, M)
     t = np.linspace(0.0, p.T, n_grid)
     u_vals = [float(sol.policy(tk, 0.0)) for tk in t]
@@ -264,9 +280,13 @@ def _run_lq(cfg: RunConfig, quiet) -> int:
     p = cfg.params
     t_lo = _num(cfg.block, "t_lo", "lq") if "t_lo" in cfg.block else 0.0
     tol = _num(cfg.block, "tol", "lq") if "tol" in cfg.block else 1e-8
-    n_grid = _int(cfg.block, "n_grid", "lq") if "n_grid" in cfg.block else 2001
+    n_grid = _n_grid(cfg.block, "lq", 2001)
     sol = riccati_integrate(p, t_lo=t_lo, tol=tol, n_nodes=n_grid)
     p0 = float(sol.P[0])
+    try:
+        value = -p0 * p.x_init ** 2
+    except OverflowError:
+        raise StableRangeError("lq: value at x_init = %g overflows" % p.x_init) from None
     payload = {
         "problem": "lq",
         "model": _model_dict(p),
@@ -274,7 +294,7 @@ def _run_lq(cfg: RunConfig, quiet) -> int:
         "case_label": sol.case_label,
         "t_blow": None if sol.t_blow is None else float(sol.t_blow),
         "P0": p0,
-        "value_at_x_init": -p0 * p.x_init ** 2,
+        "value_at_x_init": value,
         "max_midpoint_residual": sol.max_midpoint_residual,
     }
     if sol.classification is not None:
@@ -318,7 +338,7 @@ def _run_stop(cfg: RunConfig, quiet) -> int:
     k = _num(cfg.block, "k", "stop")
     gamma1 = _num(cfg.block, "gamma1", "stop")
     gamma2 = _num(cfg.block, "gamma2", "stop")
-    n_grid = _int(cfg.block, "n_grid", "stop") if "n_grid" in cfg.block else 2001
+    n_grid = _n_grid(cfg.block, "stop", 2001)
     sp = StoppingParams(k=k, rho=p.rho, gamma1=gamma1, gamma2=gamma2)
     x0, _ = free_boundary(sp)
     grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), n_grid)
@@ -374,8 +394,8 @@ def _run_simulate(cfg: RunConfig, quiet) -> int:
     kind = block["policy"]
     if kind not in ("linear", "budget", "lq"):
         raise ParamError("simulate.policy in {linear, budget, lq}")
-    n_paths = _int(block, "n_paths", "simulate")
-    n_steps = _int(block, "n_steps", "simulate")
+    n_paths = _size(block, "n_paths", "simulate", 1)
+    n_steps = _size(block, "n_steps", "simulate", 1)
     seed = _int(block, "seed", "simulate")
     x_start = _num(block, "x_start", "simulate") if "x_start" in block else p.x_init
     antithetic = block.get("antithetic", False)

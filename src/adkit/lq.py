@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ParamError, PolicyError, SolverError
+from .errors import ParamError, PolicyError, SolverError, StableRangeError
 from .model import ControlSet, ModelParams, Policy, require
 
 # relative slack under which zeta is treated as exactly zero
@@ -63,10 +63,18 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
     if a4 <= 0:
         raise ParamError("1 - gamma0*sigma2^2 > 0")
     inv = 1.0 / p.sigma2
-    a1 = -2.0 * p.rho - 2.0 * p.sigma1 * inv - inv * inv
-    a2 = 2.0 * p.rho + p.sigma1 ** 2 + 2.0 * inv * inv + 4.0 * p.sigma1 * inv
-    a3 = -((p.sigma1 + inv) ** 2)
-    zeta = a2 * a2 - 4.0 * a1 * a3
+    try:
+        a1 = -2.0 * p.rho - 2.0 * p.sigma1 * inv - inv * inv
+        a2 = 2.0 * p.rho + p.sigma1 ** 2 + 2.0 * inv * inv + 4.0 * p.sigma1 * inv
+        a3 = -((p.sigma1 + inv) ** 2)
+        zeta = a2 * a2 - 4.0 * a1 * a3
+    except OverflowError:
+        zeta = math.inf
+    if not math.isfinite(zeta):
+        raise StableRangeError(
+            "Riccati coefficients overflow (rho=%g, sigma1=%g, sigma2=%g)"
+            % (p.rho, p.sigma1, p.sigma2)
+        )
     s = math.sqrt(max(zeta, 0.0))
     qq = -(a2 + s) / 2.0  # a2 > 0, so this half never cancels
     xi_large = qq / a1

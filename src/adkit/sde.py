@@ -8,6 +8,12 @@ uniforms of a keyed Philox generator. Normal blocks are read-only, and
 the latest one is kept: asking again for the same (seed, indices, n,
 antithetic) block, as paired comparisons on common random numbers do,
 returns it without drawing. Only one block is held at a time.
+
+Blocks are stored time-major: block_normals returns its (paths, steps)
+matrix z as the transpose of a C-ordered (steps, paths) array, so z[:, k],
+the normals of step k across the block, is one contiguous row. The step
+kernels read it that way and update their state vectors in place;
+simulate_path and simulate_stopped are their one-path case.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ParamError, PolicyError
-from .model import ModelParams, Policy, diffusion, drift, require
+from .errors import ParamError, PolicyError, SolverError
+from .model import MEMBERSHIP_TOL, ModelParams, Policy, require
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
 DEFAULT_BLOCK = 4096
+# paths drawn row by row into one buffer before it is transposed into the
+# block; small enough to stay in cache at a few thousand steps
+_ROW_CHUNK = 64
 
 
 def path_normals(seed: int, index: int, n: int) -> np.ndarray:
@@ -40,9 +49,11 @@ _last = None
 def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.ndarray:
     """Read-only (len(indices), n) matrix of normals, one keyed substream per row.
 
-    With antithetic=True, paths 2j and 2j+1 share the substream keyed by j
-    and the odd path gets the sign-flipped draws. A call with the same
-    arguments as the one before returns that call's array without drawing.
+    The matrix is the transpose of a C-ordered (n, len(indices)) array, so
+    each column z[:, k] is contiguous. With antithetic=True, paths 2j and
+    2j+1 share the substream keyed by j and the odd path gets the
+    sign-flipped draws. A call with the same arguments as the one before
+    returns that call's array without drawing.
     """
     global _last
     indices = np.asarray(indices, dtype=np.int64)
@@ -57,19 +68,25 @@ def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.nd
     gen = np.random.Generator(bg)
     state = bg.state
     seed_word = int(seed) & _MASK64
-    z = np.empty((indices.size, n))
-    for row, idx in enumerate(indices):
-        base = int(idx) >> 1 if antithetic else int(idx)
-        state["state"]["key"] = np.array([seed_word, base & _MASK64], dtype=np.uint64)
-        bg.state = state
-        # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53 for
-        # the 53-bit integer k that integers(0, 2^53) would draw
-        gen.random(out=z[row])
-    z += 0.5 / _TWO53
-    ndtri(z, out=z)
-    if antithetic:
-        z[(indices & 1) == 1] *= -1.0
-    z.flags.writeable = False
+    zt = np.empty((n, indices.size))
+    buf = np.empty((min(_ROW_CHUNK, indices.size), n))
+    for r0 in range(0, indices.size, _ROW_CHUNK):
+        rows = indices[r0 : r0 + _ROW_CHUNK]
+        chunk = buf[: rows.size]
+        for row, idx in enumerate(rows):
+            base = int(idx) >> 1 if antithetic else int(idx)
+            state["state"]["key"] = np.array([seed_word, base & _MASK64], dtype=np.uint64)
+            bg.state = state
+            # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53
+            # for the 53-bit integer k that integers(0, 2^53) would draw
+            gen.random(out=chunk[row])
+        chunk += 0.5 / _TWO53
+        ndtri(chunk, out=chunk)
+        if antithetic:
+            chunk[(rows & 1) == 1] *= -1.0
+        zt[:, r0 : r0 + rows.size] = chunk.T
+    zt.flags.writeable = False
+    z = zt.T
     _last = (key, z)
     return z
 
@@ -140,25 +157,101 @@ def _check_controls(pol: Policy, u: np.ndarray) -> None:
         )
 
 
+def _estimate(samples: np.ndarray, what: str):
+    """(mean, standard error) of the samples; SolverError unless both are
+    finite, which they are exactly when every sample is (and no sum
+    overflows)."""
+    n = samples.size
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise SolverError(
+            "%s: non-finite Monte Carlo estimate (mean %r, std_error %r)" % (what, mean, se)
+        )
+    return mean, se
+
+
+def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: float,
+                 z: np.ndarray, path=None):
+    """Step the paths of normal block z (paths, steps) from x over g.
+
+    Returns (state, j, min_state): the states at t_end, minus the
+    discounted left-endpoint integrals of loss(u), and the smallest state
+    seen (x included). path, for a one-path block, is a pair of arrays of
+    length n_steps + 1 that receive x_{k+1} and u_k at every step.
+
+    The update is model.drift and model.diffusion evaluated in place with
+    the same association order, so the result is bit-identical to
+    state + drift*dt + diffusion*sqrt(dt)*z_k.
+    """
+    dt = g.dt
+    sq = math.sqrt(dt)
+    t_nodes = g.nodes()
+    disc = np.exp(-p.c * t_nodes[:-1])
+    rho_n, sigma0, sigma1, sigma2 = -p.rho, p.sigma0, p.sigma1, p.sigma2
+    # ControlSet.contains as two reductions: NaN propagates through min
+    # and max, and an infinite upper bound admits every finite control
+    lower = pol.control_set.lower - MEMBERSHIP_TOL
+    upper = pol.control_set.upper + MEMBERSHIP_TOL
+    zt = z.T
+    nb = zt.shape[1]
+    state = np.full(nb, float(x))
+    j = np.zeros(nb)
+    a = np.empty(nb)
+    b = np.empty(nb)
+    min_state = float(x)
+    for k in range(g.n_steps):
+        u = np.asarray(pol(t_nodes[k], state), dtype=float)
+        if u.shape != state.shape:
+            u = np.broadcast_to(u, state.shape)
+        umin, umax = u.min(), u.max()
+        if not (math.isfinite(umin) and math.isfinite(umax)
+                and umin >= lower and umax <= upper):
+            _check_controls(pol, u)
+        lo = np.asarray(loss(u), dtype=float)
+        if not lo.min() >= -1e-12:
+            raise ParamError("loss >= 0")
+        if path is not None:
+            path[1][k : k + 1] = u
+        np.multiply(lo, disc[k], out=a)
+        a *= dt
+        j -= a
+        # diffusion before drift and both before state moves: u may be
+        # the state array itself
+        np.abs(state, out=b)
+        b *= sigma1
+        b += sigma0
+        np.multiply(u, sigma2, out=a)
+        b += a
+        b *= sq
+        b *= zt[k]
+        np.multiply(state, rho_n, out=a)
+        a += u
+        a *= dt
+        state += a
+        state += b
+        mn = state.min()
+        if mn < min_state:
+            min_state = float(mn)
+        if path is not None:
+            path[0][k + 1 : k + 2] = state
+    return state, j, min_state
+
+
 def simulate_path(
     p: ModelParams, pol: Policy, g: PathGrid, x_start: float, seed: int
 ) -> Trajectory:
     """One Euler-Maruyama path with left-endpoint control evaluation."""
     require(p)
-    dt = g.dt
-    sq = math.sqrt(dt)
-    z = path_normals(seed, 0, g.n_steps)
+    if not math.isfinite(x_start):
+        raise ParamError("x_start finite")
     t = g.nodes()
     x = np.empty(g.n_steps + 1)
     u = np.empty(g.n_steps + 1)
     x[0] = x_start
-    state = np.array([float(x_start)])
-    for k in range(g.n_steps):
-        uk = np.asarray(pol(t[k], state), dtype=float).reshape(1)
-        _check_controls(pol, uk)
-        u[k] = uk[0]
-        state = state + drift(state, uk, p) * dt + diffusion(state, uk, p) * sq * z[k]
-        x[k + 1] = state[0]
+    z = block_normals(seed, [0], g.n_steps)
+    # a trajectory carries no running cost: step it with a zero loss
+    state, _, _ = _euler_block(p, pol, np.zeros_like, g, x_start, z, path=(x, u))
     u_end = np.asarray(pol(t[-1], state), dtype=float).reshape(1)
     _check_controls(pol, u_end)
     u[-1] = u_end[0]
@@ -185,11 +278,14 @@ def evaluate_policy(
 
     The cost integral is left-endpoint quadrature on g with exact
     e^{-c t_k} weights. reward must have polynomial growth (caller's
-    assertion via the flag); loss values must be nonnegative.
+    assertion via the flag); loss values must be nonnegative. A
+    non-finite sample raises SolverError.
     """
     require(p)
     if n_paths < 1:
         raise ParamError("n_paths >= 1")
+    if block_size < 1:
+        raise ParamError("block_size >= 1")
     if not math.isfinite(x):
         raise ParamError("x finite")
     if not assume_polynomial_growth:
@@ -197,12 +293,7 @@ def evaluate_policy(
     if abs(g.t0 - s) > 1e-12 or abs(g.t_end - p.T) > 1e-12:
         raise ParamError("grid must span [s, T]")
 
-    dt = g.dt
-    sq = math.sqrt(dt)
-    t_nodes = g.nodes()
-    disc = np.exp(-p.c * t_nodes[:-1])
     disc_T = math.exp(-p.c * p.T)
-
     samples = np.empty(n_paths)
     min_state = float(x)
     done = 0
@@ -210,27 +301,13 @@ def evaluate_policy(
         nb = min(block_size, n_paths - done)
         idx = np.arange(done, done + nb)
         z = block_normals(seed, idx, g.n_steps, antithetic=antithetic)
-        state = np.full(nb, float(x))
-        j = np.zeros(nb)
-        for k in range(g.n_steps):
-            u = np.asarray(pol(t_nodes[k], state), dtype=float)
-            if u.shape != state.shape:
-                u = np.broadcast_to(u, state.shape)
-            _check_controls(pol, u)
-            lo = np.asarray(loss(u), dtype=float)
-            if np.any(lo < -1e-12):
-                raise ParamError("loss >= 0")
-            j -= disc[k] * lo * dt
-            state = state + drift(state, u, p) * dt + diffusion(state, u, p) * sq * z[:, k]
-            mn = float(state.min())
-            if mn < min_state:
-                min_state = mn
+        state, j, mn = _euler_block(p, pol, loss, g, x, z)
+        min_state = min(min_state, mn)
         j += disc_T * np.asarray(reward(state), dtype=float)
         samples[done : done + nb] = j
         done += nb
 
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    mean, se = _estimate(samples, "evaluate_policy")
     return EvalReport(
         mean=mean,
         std_error=se,
@@ -249,6 +326,74 @@ def _stopping_bias_bound(gamma1: float, gamma2: float, x0: float, dt: float) -> 
     return (gamma2 + gamma1 * u_b * u_b + 2.0 * abs(x0)) * math.sqrt(dt)
 
 
+def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: float,
+                   feedback: Callable, dt: float, y_start: float, z: np.ndarray,
+                   path=None):
+    """Step the paths of normal block z (paths, steps) from y_start until
+    each first ends a step at or below x0.
+
+    Returns (cost, truncated, min_state, steps): per-path costs, the
+    number of paths still running at the last node, the smallest y seen
+    and the number of steps taken. Only running paths are kept, in
+    compacted arrays that shrink on the steps where some path stops.
+    path, for a one-path block, is a pair of arrays of length
+    n_steps + 1 that receive y_{k+1} and u_k at every step.
+    """
+    sq = math.sqrt(dt)
+    zt = z.T
+    n, nb = zt.shape
+    y0 = float(y_start)
+    cost = np.empty(nb)
+    if not y0 > x0:
+        cost.fill(y0 * y0)
+        return cost, 0, y0, 0
+    act = np.arange(nb)  # block positions of the running paths
+    y = np.full(nb, y0)
+    acc = np.zeros(nb)
+    a = np.empty(nb)
+    b = np.empty(nb)
+    min_state = y0
+    steps = n
+    for k in range(n):
+        u = np.asarray(feedback(y), dtype=float)
+        if not (u.min() >= -1e-12 and math.isfinite(u.max())):
+            raise PolicyError("stopping control must be nonnegative and finite")
+        if path is not None:
+            path[1][k : k + 1] = u
+        np.multiply(u, gamma1, out=a)
+        a *= u
+        a += gamma2
+        a *= dt
+        acc += a
+        if act.size == nb:
+            np.multiply(zt[k], sq, out=b)
+        else:
+            np.take(zt[k], act, out=b)
+            b *= sq
+        np.multiply(y, rho, out=a)
+        np.subtract(mu, a, out=a)
+        a -= u
+        a *= dt
+        y += a
+        y += b
+        mn = y.min()
+        if mn < min_state:
+            min_state = float(mn)
+        if path is not None:
+            path[0][k + 1 : k + 2] = y
+        keep = y > x0
+        if not keep.all():
+            stop = ~keep
+            cost[act[stop]] = acc[stop] + y[stop] ** 2
+            act, y, acc = act[keep], y[keep], acc[keep]
+            a, b = a[: act.size], b[: act.size]
+            if act.size == 0:
+                steps = k + 1
+                break
+    cost[act] = acc + y ** 2
+    return cost, act.size, min_state, steps
+
+
 def simulate_stopped(
     mu: float,
     rho: float,
@@ -261,6 +406,8 @@ def simulate_stopped(
 ) -> StoppedPathResult:
     """One path of dy = (mu - rho*y - u) dt + dw under sol's feedback,
     stopped at the first grid node with y <= sol.x0."""
+    if not math.isfinite(y_start):
+        raise ParamError("y_start finite")
     x0 = float(sol.x0)
     if y_start <= x0:
         arr = np.array([y_start])
@@ -272,36 +419,21 @@ def simulate_stopped(
             cost=y_start * y_start,
             truncated=False,
         )
-    dt = g.dt
-    sq = math.sqrt(dt)
-    z = path_normals(seed, 0, g.n_steps)
     t = g.nodes()
-    y_list = [float(y_start)]
-    u_list = []
-    cost = 0.0
-    y = float(y_start)
-    tau = g.t_end
-    truncated = True
-    for k in range(g.n_steps):
-        u = float(sol.policy(y))
-        u_list.append(u)
-        cost += (gamma1 * u * u + gamma2) * dt
-        y = y + (mu - rho * y - u) * dt + sq * z[k]
-        y_list.append(y)
-        if y <= x0:
-            tau = t[k + 1]
-            truncated = False
-            break
-    u_list.append(float(sol.policy(y)))
-    cost += y * y
-    n = len(y_list)
+    y = np.empty(g.n_steps + 1)
+    u = np.empty(g.n_steps + 1)
+    y[0] = y_start
+    z = block_normals(seed, [0], g.n_steps)
+    cost, truncated, _, steps = _stopped_block(
+        mu, rho, gamma1, gamma2, x0, sol.policy, g.dt, y_start, z, path=(y, u))
+    u[steps] = float(sol.policy(y[steps]))
     return StoppedPathResult(
-        t_path=t[:n],
-        y_path=np.asarray(y_list),
-        u_path=np.asarray(u_list),
-        tau=tau,
-        cost=cost,
-        truncated=truncated,
+        t_path=t[: steps + 1],
+        y_path=y[: steps + 1],
+        u_path=u[: steps + 1],
+        tau=g.t_end if truncated else t[steps],
+        cost=cost[0],
+        truncated=bool(truncated),
     )
 
 
@@ -323,17 +455,19 @@ def stopping_cost_report(
     """Monte Carlo mean cost of the stopped problem started at y_start.
 
     control defaults to sol.policy; pass another feedback y -> u to probe
-    suboptimal controls against the same stopping rule. The report's
-    bias_bound documents the O(sqrt(dt)) grid-crossing bias.
+    suboptimal controls against the same stopping rule. A control that is
+    negative or non-finite raises PolicyError, a non-finite sample
+    SolverError. The report's bias_bound documents the O(sqrt(dt))
+    grid-crossing bias.
     """
     if n_paths < 1:
         raise ParamError("n_paths >= 1")
+    if block_size < 1:
+        raise ParamError("block_size >= 1")
     if not math.isfinite(y_start):
         raise ParamError("y_start finite")
     x0 = float(sol.x0)
     feedback = sol.policy if control is None else control
-    dt = g.dt
-    sq = math.sqrt(dt)
 
     samples = np.empty(n_paths)
     truncated = 0
@@ -343,41 +477,21 @@ def stopping_cost_report(
         nb = min(block_size, n_paths - done)
         idx = np.arange(done, done + nb)
         z = block_normals(seed, idx, g.n_steps)
-        y = np.full(nb, float(y_start))
-        cost = np.zeros(nb)
-        alive = y > x0
-        cost[~alive] = y[~alive] ** 2
-        for k in range(g.n_steps):
-            if not alive.any():
-                break
-            ya = y[alive]
-            u = np.asarray(feedback(ya), dtype=float)
-            if np.any(u < -1e-12):
-                raise PolicyError("stopping control must be nonnegative")
-            cost[alive] += (gamma1 * u * u + gamma2) * dt
-            ya = ya + (mu - rho * ya - u) * dt + sq * z[alive, k]
-            y[alive] = ya
-            mn = float(ya.min())
-            if mn < min_state:
-                min_state = mn
-            crossed = alive & (y <= x0)
-            cost[crossed] += y[crossed] ** 2
-            alive &= y > x0
-        if alive.any():
-            cost[alive] += y[alive] ** 2
-            truncated += int(alive.sum())
+        cost, trunc, mn, _ = _stopped_block(
+            mu, rho, gamma1, gamma2, x0, feedback, g.dt, y_start, z)
         samples[done : done + nb] = cost
+        truncated += trunc
+        min_state = min(min_state, mn)
         done += nb
 
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    mean, se = _estimate(samples, "stopping_cost_report")
     return EvalReport(
         mean=mean,
         std_error=se,
         n_paths=n_paths,
         seed=seed,
         min_state=min_state,
-        bias_bound=_stopping_bias_bound(gamma1, gamma2, x0, dt),
+        bias_bound=_stopping_bias_bound(gamma1, gamma2, x0, g.dt),
         truncated_fraction=truncated / n_paths,
         samples=samples.copy() if keep_samples else None,
     )

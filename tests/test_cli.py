@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adkit import SolverError
-from adkit.cli import emit, load_config, main
+from adkit.cli import BLOCK_SCHEMAS, MAX_SIZE, MODEL_KEYS, emit, load_config, main
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
 
@@ -301,10 +308,38 @@ def test_config_error_matrix(tmp_path):
          "formats": []},
         # unknown problem name
         {"problem": "ode", "model": model, "output_dir": out},
+        # grid sizes below 2 or past the size limit
+        {"problem": "linear", "model": model, "output_dir": out,
+         "linear": {"n_grid": -1}},
+        {"problem": "linear", "model": model, "output_dir": out,
+         "linear": {"n_grid": 10 ** 400}},
     ]
     for i, body in enumerate(cases):
         cfg = write_cfg(tmp_path, body, name="bad%d.json" % i)
         assert main(["linear", "--config", cfg]) == 2, body
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", [
+    # 1/sigma2 squared leaves the float range
+    {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 1e-247},
+    # finite solution, infinite value at x_init
+    {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 0.5, "x_init": 1e300},
+])
+def test_lq_overflow_exit3(tmp_path, model):
+    cfg = write_cfg(tmp_path, {"problem": "lq", "model": model,
+                               "output_dir": str(tmp_path / "out"), "lq": {}})
+    assert main(["lq", "--config", cfg, "--quiet"]) == 3
+    assert not (tmp_path / "out" / "lq.json").exists()
+
+
+def test_simulate_sizes_past_limit_exit2(tmp_path):
+    for field in ("n_paths", "n_steps"):
+        block = {"policy": "linear", "n_paths": 10, "n_steps": 10, "seed": 1}
+        block[field] = MAX_SIZE + 1
+        cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL),
+                                   "output_dir": str(tmp_path / "out"), "simulate": block})
+        assert main(["simulate", "--config", cfg]) == 2
 
 
 def test_seed_must_be_integer(tmp_path):
@@ -334,3 +369,109 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.params.gamma0 == 1.2
     assert cfg.formats == ("json", "csv")
     assert cfg.block == {"n_grid": 11}
+
+
+# --- property: every config ends in an exit code, never a traceback ---
+
+# values that replace a field of a valid config: edges, out-of-range and
+# non-finite numbers (NaN/Infinity in the file, or an integer too large
+# for a float), sizes past the CLI's limit, and values of the wrong type
+BAD_VALUES = st.sampled_from([
+    0, -1, 0.0, -0.0, 1e-300, 1e-9, 50.0, 1e300, math.nan, math.inf, -math.inf,
+    10 ** 400, MAX_SIZE + 1, 2 ** 62, None, True, "1.0", [], {}, 1.5,
+])
+MISSING = object()
+
+
+def _unit(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+@st.composite
+def _valid_config(draw, problem):
+    """A config the solvers accept, with small MC and grid sizes."""
+    model = {"rho": draw(_unit(0.1, 2.0)), "T": draw(_unit(0.1, 3.0)),
+             "c": 0.0 if problem == "stop" else draw(_unit(0.01, 1.0))}
+    if problem in ("lq", "simulate"):
+        # LQ needs sigma2 > 0 and 1 - gamma0*sigma2^2 > 0
+        model.update(sigma1=draw(_unit(0.0, 0.5)), sigma2=draw(_unit(0.05, 0.9)),
+                     gamma0=draw(_unit(0.1, 1.0)), x_init=draw(_unit(0.0, 2.0)))
+    n_grid = draw(st.integers(2, 60))
+    if problem == "linear":
+        block = {"n_grid": n_grid}
+    elif problem == "budget":
+        bound = (1.0 - math.exp(-model["c"] * model["T"])) / model["c"]
+        block = {"M": draw(_unit(0.05, 0.95)) * bound, "n_grid": n_grid}
+    elif problem == "lq":
+        block = {"t_lo": draw(_unit(-1.0, 0.5 * model["T"])), "tol": draw(_unit(1e-10, 1e-3)),
+                 "n_grid": n_grid}
+    elif problem == "stop":
+        gamma1 = draw(_unit(1.1, 4.0))
+        block = {"k": draw(_unit(0.0, 3.0)), "gamma1": gamma1,
+                 "gamma2": 2.0 * model["rho"] * gamma1, "n_grid": n_grid}
+    elif problem == "simulate":
+        block = {"policy": draw(st.sampled_from(["linear", "budget", "lq"])),
+                 "n_paths": draw(st.integers(1, 40)), "n_steps": draw(st.integers(1, 40)),
+                 "seed": draw(st.integers(-5, 2 ** 70)), "x_start": draw(_unit(0.0, 2.0)),
+                 "antithetic": draw(st.booleans())}
+        if block["policy"] == "budget":
+            block["M"] = 0.1 * model["T"]
+    else:
+        block = {}
+    return {"problem": problem, "model": model, problem: block,
+            "formats": draw(st.sampled_from([["json", "csv"], ["json"], ["csv"]]))}
+
+
+@st.composite
+def cli_configs(draw):
+    """(subcommand, config): a valid config with up to three fields
+    replaced by a bad value, deleted or added, and now and then run
+    under another subcommand."""
+    problem = draw(st.sampled_from(sorted(BLOCK_SCHEMAS)))
+    cfg = draw(_valid_config(problem))
+    fields = [("model", k) for k in MODEL_KEYS] + [(problem, k) for k in
+               BLOCK_SCHEMAS[problem]["required"] + BLOCK_SCHEMAS[problem]["optional"]]
+    fields += [(None, "formats"), (None, "problem"), (problem, "unknown")]
+    for _ in range(draw(st.integers(0, 3))):
+        where, key = draw(st.sampled_from(fields))
+        target = cfg if where is None else cfg[where]
+        value = draw(st.one_of(BAD_VALUES, st.just(MISSING)))
+        if value is MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    command = draw(st.sampled_from([problem] * 9 + sorted(BLOCK_SCHEMAS)))
+    return command, cfg
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError("non-RFC-8259 constant %s" % name)
+
+    return json.loads(text, parse_constant=reject)
+
+
+# extreme but finite parameters overflow inside the Riccati right-hand
+# side on their way to a SolverError
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_configs())
+def test_cli_any_config_exits_cleanly(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        cfg["output_dir"] = out_dir
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--quiet"])
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        written = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+        for name in written:
+            if name.endswith(".json"):
+                with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+                    _strict_json(fh.read())

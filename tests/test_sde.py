@@ -10,6 +10,7 @@ from adkit import (
     PathGrid,
     Policy,
     PolicyError,
+    SolverError,
     evaluate_policy,
     simulate_path,
     simulate_stopped,
@@ -17,6 +18,7 @@ from adkit import (
     solve_stopping,
     stopping_cost_report,
 )
+from adkit.model import ControlSet, diffusion, drift
 from adkit.sde import block_normals, path_normals
 
 P = ModelParams(rho=0.5, c=0.1, T=1.0, sigma0=0.2, gamma0=1.2)
@@ -81,6 +83,9 @@ def _reference_normals(seed, indices, n, antithetic):
         (11, [5, 0, 3], 1),
         ((1 << 64) - 5, [1, 0, 7], 40),
         (np.int64(42), [6, 3, 12], 33),
+        # more rows than one drawing chunk, and not a multiple of it
+        (5, list(range(129, -1, -1)), 70),
+        (13, [4], 90),
     ],
 )
 def test_block_normals_bit_identical_to_reference(seed, indices, n, antithetic):
@@ -88,6 +93,9 @@ def test_block_normals_bit_identical_to_reference(seed, indices, n, antithetic):
     ref = _reference_normals(seed, indices, n, antithetic)
     assert z.shape == (len(indices), n)
     np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+    assert not z.flags.writeable
+    # time-major: the normals of one step across the block are contiguous
+    assert z.T.flags.c_contiguous
 
 
 def test_block_normals_read_only_and_reused_by_key():
@@ -285,3 +293,283 @@ def test_stopping_cost_report_rejects_non_finite_start(stop_sol, y):
     g = PathGrid(0.0, 10.0, 100)
     with pytest.raises(ParamError, match="finite"):
         stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=10, seed=0, **SP_KW)
+
+
+# --- step kernels against the reference loops ---
+#
+# The loops below are the step loops the in-place kernels replaced, kept
+# verbatim as the reference: column reads of the normal block, fresh
+# arrays every step, boolean scatters over the stopped paths. The kernels
+# must give the same bits.
+
+
+def _ref_evaluate(p, pol, reward, loss, x, g, n_paths, seed, antithetic, block_size):
+    dt = g.dt
+    sq = math.sqrt(dt)
+    t_nodes = g.nodes()
+    disc = np.exp(-p.c * t_nodes[:-1])
+    disc_T = math.exp(-p.c * p.T)
+    samples = np.empty(n_paths)
+    min_state = float(x)
+    done = 0
+    while done < n_paths:
+        nb = min(block_size, n_paths - done)
+        z = block_normals(seed, np.arange(done, done + nb), g.n_steps, antithetic=antithetic)
+        state = np.full(nb, float(x))
+        j = np.zeros(nb)
+        for k in range(g.n_steps):
+            u = np.asarray(pol(t_nodes[k], state), dtype=float)
+            if u.shape != state.shape:
+                u = np.broadcast_to(u, state.shape)
+            assert pol.control_set.contains(u)
+            lo = np.asarray(loss(u), dtype=float)
+            j -= disc[k] * lo * dt
+            state = state + drift(state, u, p) * dt + diffusion(state, u, p) * sq * z[:, k]
+            mn = float(state.min())
+            if mn < min_state:
+                min_state = mn
+        j += disc_T * np.asarray(reward(state), dtype=float)
+        samples[done : done + nb] = j
+        done += nb
+    return samples, min_state
+
+
+def _ref_stopping(mu, rho, gamma1, gamma2, x0, feedback, g, y_start, n_paths, seed,
+                  block_size):
+    dt = g.dt
+    sq = math.sqrt(dt)
+    samples = np.empty(n_paths)
+    truncated = 0
+    min_state = float(y_start)
+    done = 0
+    while done < n_paths:
+        nb = min(block_size, n_paths - done)
+        z = block_normals(seed, np.arange(done, done + nb), g.n_steps)
+        y = np.full(nb, float(y_start))
+        cost = np.zeros(nb)
+        alive = y > x0
+        cost[~alive] = y[~alive] ** 2
+        for k in range(g.n_steps):
+            if not alive.any():
+                break
+            ya = y[alive]
+            u = np.asarray(feedback(ya), dtype=float)
+            cost[alive] += (gamma1 * u * u + gamma2) * dt
+            ya = ya + (mu - rho * ya - u) * dt + sq * z[alive, k]
+            y[alive] = ya
+            mn = float(ya.min())
+            if mn < min_state:
+                min_state = mn
+            crossed = alive & (y <= x0)
+            cost[crossed] += y[crossed] ** 2
+            alive &= y > x0
+        if alive.any():
+            cost[alive] += y[alive] ** 2
+            truncated += int(alive.sum())
+        samples[done : done + nb] = cost
+        done += nb
+    return samples, min_state, truncated / n_paths
+
+
+def _ref_simulate_path(p, pol, g, x_start, seed):
+    sq = math.sqrt(g.dt)
+    z = path_normals(seed, 0, g.n_steps)
+    t = g.nodes()
+    x = np.empty(g.n_steps + 1)
+    u = np.empty(g.n_steps + 1)
+    x[0] = x_start
+    state = np.array([float(x_start)])
+    for k in range(g.n_steps):
+        uk = np.asarray(pol(t[k], state), dtype=float).reshape(1)
+        u[k] = uk[0]
+        state = state + drift(state, uk, p) * g.dt + diffusion(state, uk, p) * sq * z[k]
+        x[k + 1] = state[0]
+    u[-1] = np.asarray(pol(t[-1], state), dtype=float).reshape(1)[0]
+    return t, x, u
+
+
+def _ref_simulate_stopped(mu, rho, gamma1, gamma2, sol, g, y_start, seed):
+    dt = g.dt
+    sq = math.sqrt(dt)
+    z = path_normals(seed, 0, g.n_steps)
+    t = g.nodes()
+    y_list, u_list = [float(y_start)], []
+    cost, y, tau, truncated = 0.0, float(y_start), g.t_end, True
+    for k in range(g.n_steps):
+        u = float(sol.policy(y))
+        u_list.append(u)
+        cost += (gamma1 * u * u + gamma2) * dt
+        y = y + (mu - rho * y - u) * dt + sq * z[k]
+        y_list.append(y)
+        if y <= sol.x0:
+            tau, truncated = t[k + 1], False
+            break
+    u_list.append(float(sol.policy(y)))
+    cost += y * y
+    return t[: len(y_list)], np.asarray(y_list), np.asarray(u_list), tau, cost, truncated
+
+
+P_LQ = ModelParams(rho=0.5, c=0.1, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=0.5)
+
+
+def _policies():
+    from adkit import linear_policy, lq_feedback, riccati_integrate
+
+    ric = riccati_integrate(P_LQ)
+    return {
+        "constant": (P, Policy.constant(0.5)),
+        "bang-bang": (P, linear_policy(solve_linear(P))),
+        "table": (P, Policy.from_table([0.0, 0.4, 1.0], [0.1, 0.9, 0.3])),
+        "lq": (P_LQ, lq_feedback(ric, P_LQ)),
+        # state-dependent, bounded, and one that returns the state array
+        "custom": (P_LQ, Policy("custom", lambda t, x: np.clip(np.sin(3.0 * x) + t, 0.0, 2.0),
+                                ControlSet(0.0, 2.0))),
+        "identity": (P_LQ, Policy("identity", lambda t, x: x, ControlSet(-math.inf, math.inf))),
+    }
+
+
+POLICIES = _policies()
+
+
+@pytest.mark.parametrize("n_steps", [1, 7])
+@pytest.mark.parametrize("block_size", [1, 63, 64, 65])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("kind", sorted(POLICIES))
+def test_evaluate_policy_matches_reference_loop(kind, antithetic, block_size, n_steps):
+    p, pol = POLICIES[kind]
+    g = PathGrid(0.0, p.T, n_steps)
+    reward = lambda x: p.gamma0 * x * x
+    loss = lambda u: u * u
+    rep = evaluate_policy(p, pol, reward, loss, 0.0, 1.0, g, 257, 17, antithetic=antithetic,
+                          block_size=block_size, keep_samples=True)
+    samples, min_state = _ref_evaluate(p, pol, reward, loss, 1.0, g, 257, 17, antithetic,
+                                       block_size)
+    np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
+    assert rep.min_state == min_state
+
+
+@pytest.mark.parametrize("n_steps", [1, 30])
+@pytest.mark.parametrize("kind", sorted(POLICIES))
+def test_simulate_path_matches_reference_loop(kind, n_steps):
+    p, pol = POLICIES[kind]
+    g = PathGrid(0.0, p.T, n_steps)
+    traj = simulate_path(p, pol, g, 1.0, seed=3)
+    t, x, u = _ref_simulate_path(p, pol, g, 1.0, 3)
+    for got, want in ((traj.t, t), (traj.x, x), (traj.u, u)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+BAD_CONTROLS = [
+    ("nan", ControlSet(0.0, math.inf), math.nan),
+    ("inf", ControlSet(0.0, math.inf), math.inf),
+    ("below lower", ControlSet(0.0, math.inf), -1e-6),
+    ("above upper", ControlSet(0.0, 1.0), 1.0 + 1e-6),
+]
+
+
+@pytest.mark.parametrize("label, cs, bad", BAD_CONTROLS, ids=[b[0] for b in BAD_CONTROLS])
+def test_policy_error_for_control_outside_set(label, cs, bad):
+    # admissible at first, then one path leaves the set at the third step
+    def fn(t, x):
+        u = np.full(np.shape(x), 0.5)
+        if t > 0.25:
+            u.flat[-1] = bad
+        return u
+
+    pol = Policy("bad", fn, cs)
+    g = PathGrid(0.0, 1.0, 10)
+    with pytest.raises(PolicyError, match="outside"):
+        evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, 1.0, g, 70, 1)
+    with pytest.raises(PolicyError, match="outside"):
+        simulate_path(P, pol, g, 1.0, seed=0)
+
+
+def _stop_control(name, sol):
+    if name == "scaled":
+        return lambda y: 0.7 * np.asarray(sol.policy(y))
+    if name == "scalar":
+        return lambda y: 0.3
+    return None
+
+
+@pytest.mark.parametrize("block_size", [1, 63, 64, 65])
+@pytest.mark.parametrize("control", ["optimal", "scaled", "scalar"])
+@pytest.mark.parametrize(
+    "case, y_offset, t_end, n_steps",
+    [
+        ("starts at x0", 0.0, 10.0, 100),
+        ("starts below x0", -0.2, 10.0, 100),
+        ("all stop early", 0.01, 40.0, 4000),
+        ("truncating grid", 1.0, 1.0, 12),
+        ("one step", 0.5, 0.5, 1),
+    ],
+)
+def test_stopping_cost_report_matches_reference_loop(stop_sol, case, y_offset, t_end, n_steps,
+                                                     control, block_size):
+    g = PathGrid(0.0, t_end, n_steps)
+    y = stop_sol.x0 + y_offset
+    ctl = _stop_control(control, stop_sol)
+    rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=257, seed=21,
+                               control=ctl, keep_samples=True, block_size=block_size, **SP_KW)
+    feedback = stop_sol.policy if ctl is None else ctl
+    samples, min_state, trunc = _ref_stopping(
+        SP_KW["mu"], SP_KW["rho"], SP_KW["gamma1"], SP_KW["gamma2"], stop_sol.x0, feedback, g,
+        y, 257, 21, block_size)
+    np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
+    assert rep.min_state == min_state
+    assert rep.truncated_fraction == trunc
+    if case == "all stop early":
+        assert trunc == 0.0
+    if case == "truncating grid":
+        assert 0.0 < trunc < 1.0
+
+
+@pytest.mark.parametrize("y_start, t_end, n_steps, seed", [
+    (3.0, 60.0, 30000, 1),   # stops on its own
+    (3.0, 1.0, 50, 2),       # truncated by the grid
+    (1.4, 5.0, 1, 0),        # one step
+])
+def test_simulate_stopped_matches_reference_loop(stop_sol, y_start, t_end, n_steps, seed):
+    g = PathGrid(0.0, t_end, n_steps)
+    r = simulate_stopped(sol=stop_sol, g=g, y_start=y_start, seed=seed, **SP_KW)
+    t, y, u, tau, cost, truncated = _ref_simulate_stopped(
+        sol=stop_sol, g=g, y_start=y_start, seed=seed, **SP_KW)
+    for got, want in ((r.t_path, t), (r.y_path, y), (r.u_path, u)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (r.tau, r.cost, r.truncated) == (tau, cost, truncated)
+
+
+# --- no silent non-finite result ---
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_stopping_control_nan_inf_negative_rejected(stop_sol, value):
+    g = PathGrid(0.0, 10.0, 100)
+    with pytest.raises(PolicyError, match="stopping control"):
+        stopping_cost_report(sol=stop_sol, g=g, y_start=2.0, n_paths=10, seed=0,
+                             control=lambda y: np.full(np.shape(y), value), **SP_KW)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stopping_overflowing_cost_is_solver_error(stop_sol):
+    # a finite control whose running cost overflows
+    g = PathGrid(0.0, 10.0, 100)
+    with pytest.raises(SolverError, match="non-finite"):
+        stopping_cost_report(sol=stop_sol, g=g, y_start=2.0, n_paths=10, seed=0,
+                             control=lambda y: np.full(np.shape(y), 1e200), **SP_KW)
+
+
+def test_evaluate_policy_nan_loss_rejected():
+    g = PathGrid(0.0, 1.0, 10)
+    with pytest.raises(ParamError, match="loss"):
+        evaluate_policy(P, Policy.constant(1.0), lambda x: x,
+                        lambda u: np.full(np.shape(u), math.nan), 0.0, 1.0, g, 10, 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_evaluate_policy_non_finite_sample_is_solver_error(value):
+    g = PathGrid(0.0, 1.0, 10)
+    reward = lambda x: np.where(x > 1.0, value, x)
+    with pytest.raises(SolverError, match="non-finite"):
+        evaluate_policy(P, Policy.constant(1.0), reward, lambda u: u, 0.0, 1.0, g, 10, 1)
