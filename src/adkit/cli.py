@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
 from .model import ModelParams, require
 from .oracles import Grid2D, dp_linear, dp_qvi_stopping
 from .sde import PathGrid, evaluate_policy, simulate_path
-from .stopping import StoppingParams, free_boundary, solve_stopping, u2, u2_prime, u2_second
+# free_boundary is unused here but stays importable: perfbench/tracing.py
+# patches it on this module by name
+from .stopping import StoppingParams, free_boundary, solve_stopping, u2  # noqa: F401
 
 log = logging.getLogger("adkit.cli")
 
@@ -196,21 +199,6 @@ def emit(artifact, fmt, path):
         raise SolverError("cannot write %s: %s" % (path, e)) from e
 
 
-def _model_dict(p: ModelParams):
-    return {
-        "rho": p.rho,
-        "c": p.c,
-        "T": p.T,
-        "sigma0": p.sigma0,
-        "sigma1": p.sigma1,
-        "sigma2": p.sigma2,
-        "m": p.m,
-        "gamma0": p.gamma0,
-        "x_init": p.x_init,
-        "gamma": p.gamma,
-    }
-
-
 def _write(cfg: RunConfig, payload, tables):
     os.makedirs(cfg.output_dir, exist_ok=True)
     if "json" in cfg.formats:
@@ -224,12 +212,7 @@ def _write(cfg: RunConfig, payload, tables):
             log.info("wrote %s", path)
 
 
-def _say(quiet, msg):
-    if not quiet:
-        print(msg)
-
-
-def _run_linear(cfg: RunConfig, quiet) -> int:
+def _run_linear(cfg: RunConfig):
     p = cfg.params
     n_grid = _n_grid(cfg.block, "linear", 201)
     sol = solve_linear(p)
@@ -239,7 +222,7 @@ def _run_linear(cfg: RunConfig, quiet) -> int:
     v_vals = sol.value(t, p.x_init)
     payload = {
         "problem": "linear",
-        "model": _model_dict(p),
+        "model": asdict(p),
         "t_star": sol.t_star,
         "t_split": sol.t_split,
         "value_at": float(sol.value(0.0, p.x_init)),
@@ -248,12 +231,11 @@ def _run_linear(cfg: RunConfig, quiet) -> int:
         "policy": (("t", "u"), [(float(tk), uk) for tk, uk in zip(t, u_vals)]),
         "value": (("t", "value"), [(float(tk), float(vk)) for tk, vk in zip(t, v_vals)]),
     }
-    _write(cfg, payload, tables)
-    _say(quiet, "linear: t_star=%.12g value=%.12g" % (sol.t_star, payload["value_at"]))
-    return 0
+    return payload, tables, "linear: t_star=%.12g value=%.12g" % (
+        sol.t_star, payload["value_at"])
 
 
-def _run_budget(cfg: RunConfig, quiet) -> int:
+def _run_budget(cfg: RunConfig):
     p = cfg.params
     M = _num(cfg.block, "M", "budget")
     n_grid = _n_grid(cfg.block, "budget", 201)
@@ -262,7 +244,7 @@ def _run_budget(cfg: RunConfig, quiet) -> int:
     u_vals = [float(sol.policy(tk, 0.0)) for tk in t]
     payload = {
         "problem": "budget",
-        "model": _model_dict(p),
+        "model": asdict(p),
         "M": M,
         "t_star": sol.t_star,
         "lambda_star": sol.lambda_star,
@@ -271,12 +253,11 @@ def _run_budget(cfg: RunConfig, quiet) -> int:
         "discrepancy": {k: float(v) for k, v in sol.discrepancy.items()},
     }
     tables = {"policy": (("t", "u"), [(float(tk), uk) for tk, uk in zip(t, u_vals)])}
-    _write(cfg, payload, tables)
-    _say(quiet, "budget: t_star=%.12g lambda_star=%.12g" % (sol.t_star, sol.lambda_star))
-    return 0
+    return payload, tables, "budget: t_star=%.12g lambda_star=%.12g" % (
+        sol.t_star, sol.lambda_star)
 
 
-def _run_lq(cfg: RunConfig, quiet) -> int:
+def _run_lq(cfg: RunConfig):
     p = cfg.params
     t_lo = _num(cfg.block, "t_lo", "lq") if "t_lo" in cfg.block else 0.0
     tol = _num(cfg.block, "tol", "lq") if "tol" in cfg.block else 1e-8
@@ -289,7 +270,7 @@ def _run_lq(cfg: RunConfig, quiet) -> int:
         raise StableRangeError("lq: value at x_init = %g overflows" % p.x_init) from None
     payload = {
         "problem": "lq",
-        "model": _model_dict(p),
+        "model": asdict(p),
         "well_posed": sol.well_posed,
         "case_label": sol.case_label,
         "t_blow": None if sol.t_blow is None else float(sol.t_blow),
@@ -299,15 +280,8 @@ def _run_lq(cfg: RunConfig, quiet) -> int:
     }
     if sol.classification is not None:
         rep = sol.classification
-        payload["classification"] = {
-            "case_label": rep.case_label,
-            "well_posed_closed_form": rep.well_posed_closed_form,
-            "T_max": None if math.isinf(rep.T_max) else rep.T_max,
-            "unreachable": rep.unreachable,
-            "printed_well_posed": rep.printed_well_posed,
-            "printed_form_agrees": rep.printed_form_agrees,
-            "zeta": rep.zeta,
-        }
+        payload["classification"] = dict(
+            asdict(rep), T_max=None if math.isinf(rep.T_max) else rep.T_max)
     # feedback columns are well defined on the retained grid even when
     # the horizon check failed, so the report is always complete
     gain = np.asarray(sol.gain_at(sol.t))
@@ -318,20 +292,15 @@ def _run_lq(cfg: RunConfig, quiet) -> int:
         for tk, pk, gk, ak, ck in zip(sol.t, sol.P, gain, a_t, c_t)
     ]
     tables = {"riccati": (("t", "P", "gain", "a", "c_coef"), rows)}
-    _write(cfg, payload, tables)
     if not sol.well_posed:
-        print(
-            "lq: not well posed (case %s, t_blow=%.12g); report written"
-            % (sol.case_label, sol.t_blow),
-            file=sys.stderr,
-        )
-        return 3
-    _say(quiet, "lq: P0=%.12g value=%.12g case=%s"
-         % (p0, payload["value_at_x_init"], sol.case_label))
-    return 0
+        summary = "lq: not well posed (case %s, t_blow=%.12g); report written" % (
+            sol.case_label, sol.t_blow)
+    else:
+        summary = "lq: P0=%.12g value=%.12g case=%s" % (p0, value, sol.case_label)
+    return payload, tables, summary
 
 
-def _run_stop(cfg: RunConfig, quiet) -> int:
+def _run_stop(cfg: RunConfig):
     p = cfg.params
     if p.c != 0:
         raise ParamError("c = 0 (the stopping problem is undiscounted)")
@@ -340,30 +309,12 @@ def _run_stop(cfg: RunConfig, quiet) -> int:
     gamma2 = _num(cfg.block, "gamma2", "stop")
     n_grid = _n_grid(cfg.block, "stop", 2001)
     sp = StoppingParams(k=k, rho=p.rho, gamma1=gamma1, gamma2=gamma2)
-    x0, _ = free_boundary(sp)
-    grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), n_grid)
-    sol = solve_stopping(sp, grid=grid)
+    sol = solve_stopping(sp, n_grid=n_grid)
     rep = sol.residual_report
-
-    x = grid
-    v = sol.value(x)
-    u_star = sol.policy(x)
-    resid = np.empty_like(x)
-    below = x <= sol.x0
-    resid[below] = (
-        (2.0 * sp.rho + 1.0 / sp.gamma1) * x[below] ** 2
-        - 2.0 * sp.mu * x[below]
-        - (1.0 + sp.gamma2)
-    )
-    above = ~below
-    if np.any(above):
-        xa = x[above]
-        lin = 0.5 * u2_second(xa, sp) + (sp.mu - sp.rho * xa) * u2_prime(xa, sp)
-        resid[above] = -(2.0 * sp.gamma1 / u2(xa, sp)) * lin + sp.gamma2
-
+    x = rep.x_grid
     payload = {
         "problem": "stop",
-        "model": _model_dict(p),
+        "model": asdict(p),
         "k": sp.k,
         "gamma1": sp.gamma1,
         "gamma2": sp.gamma2,
@@ -380,15 +331,13 @@ def _run_stop(cfg: RunConfig, quiet) -> int:
     }
     rows = [
         (float(xk), float(vk), float(xk * xk), float(uk), float(rk))
-        for xk, vk, uk, rk in zip(x, v, u_star, resid)
+        for xk, vk, uk, rk in zip(x, sol.value(x), sol.policy(x), rep.residual)
     ]
     tables = {"stopping": (("x", "value", "obstacle", "u_star", "qvi_residual"), rows)}
-    _write(cfg, payload, tables)
-    _say(quiet, "stop: x0=%.12g alpha2=%.12g" % (sol.x0, sol.alpha2))
-    return 0
+    return payload, tables, "stop: x0=%.12g alpha2=%.12g" % (sol.x0, sol.alpha2)
 
 
-def _run_simulate(cfg: RunConfig, quiet) -> int:
+def _run_simulate(cfg: RunConfig):
     p = cfg.params
     block = cfg.block
     kind = block["policy"]
@@ -427,7 +376,7 @@ def _run_simulate(cfg: RunConfig, quiet) -> int:
     traj = simulate_path(p, pol, grid, x_start, seed)
     payload = {
         "problem": "simulate",
-        "model": _model_dict(p),
+        "model": asdict(p),
         "policy_kind": kind,
         "n_paths": n_paths,
         "n_steps": n_steps,
@@ -443,9 +392,8 @@ def _run_simulate(cfg: RunConfig, quiet) -> int:
         for tk, xk, uk in zip(traj.t, traj.x, traj.u)
     ]
     tables = {"trajectory": (("t", "x", "u"), rows)}
-    _write(cfg, payload, tables)
-    _say(quiet, "simulate[%s]: mean=%.12g se=%.3g" % (kind, rep.mean, rep.std_error))
-    return 0
+    return payload, tables, "simulate[%s]: mean=%.12g se=%.3g" % (
+        kind, rep.mean, rep.std_error)
 
 
 def _verify_fixtures():
@@ -530,7 +478,7 @@ def _verify_fixtures():
     return out
 
 
-def _run_verify(cfg: RunConfig, quiet) -> int:
+def _run_verify(cfg: RunConfig):
     fixtures = _verify_fixtures()
     all_pass = all(f["pass"] for f in fixtures)
     payload = {"problem": "verify", "fixtures": fixtures, "all_pass": all_pass}
@@ -540,10 +488,8 @@ def _run_verify(cfg: RunConfig, quiet) -> int:
             [(f["name"], "pass" if f["pass"] else "fail") for f in fixtures],
         )
     }
-    _write(cfg, payload, tables)
-    for f in fixtures:
-        _say(quiet, "%-22s %s" % (f["name"], "PASS" if f["pass"] else "FAIL"))
-    return 0 if all_pass else 4
+    return payload, tables, "\n".join(
+        "%-22s %s" % (f["name"], "PASS" if f["pass"] else "FAIL") for f in fixtures)
 
 
 HANDLERS = {
@@ -594,13 +540,21 @@ def main(argv=None) -> int:
                 "config is for problem '%s' but subcommand is '%s'"
                 % (cfg.problem, args.cmd)
             )
-        return HANDLERS[cfg.problem](cfg, args.quiet)
+        payload, tables, summary = HANDLERS[cfg.problem](cfg)
+        _write(cfg, payload, tables)
     except ParamError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except SolverError as e:
         print("solver error: %s" % e, file=sys.stderr)
         return 3
+    # an ill-posed LQ instance still has its report written
+    if payload.get("well_posed") is False:
+        print(summary, file=sys.stderr)
+        return 3
+    if not args.quiet:
+        print(summary)
+    return 4 if payload.get("all_pass") is False else 0
 
 
 if __name__ == "__main__":

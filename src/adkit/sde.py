@@ -272,14 +272,12 @@ def evaluate_policy(
     antithetic: bool = False,
     keep_samples: bool = False,
     block_size: int = DEFAULT_BLOCK,
-    assume_polynomial_growth: bool = True,
 ) -> EvalReport:
     """Monte Carlo estimate of E[e^{-cT} reward(x_T) - int_s^T e^{-ct} loss(u) dt].
 
     The cost integral is left-endpoint quadrature on g with exact
-    e^{-c t_k} weights. reward must have polynomial growth (caller's
-    assertion via the flag); loss values must be nonnegative. A
-    non-finite sample raises SolverError.
+    e^{-c t_k} weights. Loss values must be nonnegative. A non-finite
+    sample raises SolverError.
     """
     require(p)
     if n_paths < 1:
@@ -288,8 +286,6 @@ def evaluate_policy(
         raise ParamError("block_size >= 1")
     if not math.isfinite(x):
         raise ParamError("x finite")
-    if not assume_polynomial_growth:
-        raise ParamError("reward must be declared of polynomial growth")
     if abs(g.t0 - s) > 1e-12 or abs(g.t_end - p.T) > 1e-12:
         raise ParamError("grid must span [s, T]")
 

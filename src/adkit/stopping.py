@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -68,6 +68,11 @@ class StoppingParams:
         object.__setattr__(self, "mu", self.rho * self.k)
 
 
+def _like(x, out):
+    """out as a float for a scalar query x, as an array otherwise."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def _scaled_arg(x, sp: StoppingParams):
     return math.sqrt(sp.rho) * (np.asarray(x, dtype=float) - sp.mu / sp.rho)
 
@@ -85,18 +90,14 @@ def u2(x, sp: StoppingParams):
             % float(np.min(w))
         )
     out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like(x, out)
 
 
 def u2_prime(x, sp: StoppingParams):
     # differentiating the defining integral: u2' = 2*rho*(x - mu/rho)*u2 - 1
     x_arr = np.asarray(x, dtype=float)
     out = 2.0 * sp.rho * (x_arr - sp.mu / sp.rho) * u2(x_arr, sp) - 1.0
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like(x, out)
 
 
 def u2_second(x, sp: StoppingParams):
@@ -104,9 +105,7 @@ def u2_second(x, sp: StoppingParams):
     out = 2.0 * sp.rho * u2(x_arr, sp) + 2.0 * sp.rho * (
         x_arr - sp.mu / sp.rho
     ) * u2_prime(x_arr, sp)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like(x, out)
 
 
 def _fit_lhs(x, sp: StoppingParams):
@@ -125,8 +124,10 @@ def free_boundary(sp: StoppingParams):
 
     The point where the linear factor vanishes gives a guaranteed
     negative end; the positive end is found by geometric expansion from
-    mu/rho, limited to u2's stable range. A sampled monotonicity check
-    backs the uniqueness assumption before the root is accepted.
+    mu/rho, limited to u2's stable range. Samples that increase up to
+    the first positive one and stay positive after it (the fit function
+    may overshoot and fall back toward 1/(2*rho*gamma1)) back the
+    uniqueness assumption before the root is accepted.
     """
     center = sp.mu / sp.rho
     sqrho = math.sqrt(sp.rho)
@@ -147,8 +148,10 @@ def free_boundary(sp: StoppingParams):
         hi = center + min(b, b_max)
 
     samples = _fit_lhs(np.linspace(lo, hi, 64), sp)
-    if np.any(np.diff(samples) <= 0):
-        raise SolverError("fit equation not increasing on the bracket; root may not be unique")
+    first = int(np.argmax(samples > 0))
+    if np.any(np.diff(samples[: first + 1]) <= 0) or np.any(samples[first:] <= 0):
+        raise SolverError("fit equation not increasing up to its sign change on the "
+                          "bracket; root may not be unique")
 
     x0 = brentq(lambda x: _fit_lhs(x, sp), lo, hi, xtol=1e-15, rtol=8.9e-16)
     for _ in range(3):
@@ -164,15 +167,18 @@ def free_boundary(sp: StoppingParams):
 
 @dataclass(frozen=True)
 class QviReport:
-    """Worst-case residuals of the variational characterization on a
-    verification grid. stop_side_max should be <= 0, pde_residual_max
-    near zero, obstacle_gap_min >= 0, u_clamp_hits == 0."""
+    """Residuals of the variational characterization on a verification
+    grid. residual holds, per node of x_grid, the stop-region expression
+    at and below x0 and the continuation PDE residual above it; the
+    scalars are its worst cases. stop_side_max should be <= 0,
+    pde_residual_max near zero, obstacle_gap_min >= 0, u_clamp_hits == 0."""
 
     stop_side_max: float
     pde_residual_max: float
     obstacle_gap_min: float
     u_clamp_hits: int
     x_grid: np.ndarray
+    residual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,9 +186,13 @@ class StoppingSolution:
     params: StoppingParams
     x0: float
     alpha2: float
-    value: Callable
-    policy: Callable
-    residual_report: Optional[QviReport]
+    residual_report: Optional[QviReport] = None
+
+    def value(self, x):
+        return stopping_value(self, self.params, x)
+
+    def policy(self, y):
+        return stopping_policy(self, self.params, y)
 
 
 def stopping_value(sol: StoppingSolution, sp: StoppingParams, x):
@@ -192,9 +202,7 @@ def stopping_value(sol: StoppingSolution, sp: StoppingParams, x):
     # stable range; the where() discards those lanes anyway
     cont = -2.0 * sp.gamma1 * np.log(sol.alpha2 * u2(np.maximum(x_arr, sol.x0), sp))
     out = np.where(x_arr <= sol.x0, x_arr * x_arr, cont)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like(x, out)
 
 
 def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
@@ -205,9 +213,7 @@ def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
     y_c = np.maximum(y_arr, sol.x0)
     raw = 1.0 / u2(y_c, sp) - 2.0 * sp.rho * (y_c - sp.mu / sp.rho)
     out = np.where(y_arr >= sol.x0, np.maximum(raw, 0.0), 0.0)
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    return _like(y, out)
 
 
 def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
@@ -215,58 +221,38 @@ def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
     the stop-region inequality, the continuation PDE residual, and the
     obstacle bound. Violations are reported, not raised."""
     x = np.asarray(grid, dtype=float)
-    stop = x[x <= sol.x0]
-    cont = x[x > sol.x0]
-
-    if stop.size:
-        expr = (
-            (2.0 * sp.rho + 1.0 / sp.gamma1) * stop * stop
-            - 2.0 * sp.mu * stop
-            - (1.0 + sp.gamma2)
-        )
-        stop_side_max = float(np.max(expr))
-    else:
-        stop_side_max = -math.inf
-
-    if cont.size:
-        lin = 0.5 * u2_second(cont, sp) + (sp.mu - sp.rho * cont) * u2_prime(cont, sp)
-        resid = -(2.0 * sp.gamma1 / u2(cont, sp)) * lin + sp.gamma2
-        pde_residual_max = float(np.max(np.abs(resid)))
-        raw = 1.0 / u2(cont, sp) - 2.0 * sp.rho * (cont - sp.mu / sp.rho)
-        u_clamp_hits = int(np.count_nonzero(raw < 0))
-    else:
-        pde_residual_max = 0.0
-        u_clamp_hits = 0
+    is_stop = x <= sol.x0
+    is_cont = x > sol.x0
+    stop = x[is_stop]
+    cont = x[is_cont]
+    residual = np.full_like(x, np.nan)
+    residual[is_stop] = (
+        (2.0 * sp.rho + 1.0 / sp.gamma1) * stop * stop
+        - 2.0 * sp.mu * stop
+        - (1.0 + sp.gamma2)
+    )
+    lin = 0.5 * u2_second(cont, sp) + (sp.mu - sp.rho * cont) * u2_prime(cont, sp)
+    residual[is_cont] = -(2.0 * sp.gamma1 / u2(cont, sp)) * lin + sp.gamma2
+    raw = 1.0 / u2(cont, sp) - 2.0 * sp.rho * (cont - sp.mu / sp.rho)
 
     gap = x * x - stopping_value(sol, sp, x)
-    obstacle_gap_min = float(np.min(gap)) if x.size else math.inf
-
     return QviReport(
-        stop_side_max=stop_side_max,
-        pde_residual_max=pde_residual_max,
-        obstacle_gap_min=obstacle_gap_min,
-        u_clamp_hits=u_clamp_hits,
+        stop_side_max=float(np.max(residual[is_stop], initial=-math.inf)),
+        pde_residual_max=float(np.max(np.abs(residual[is_cont]), initial=0.0)),
+        obstacle_gap_min=float(np.min(gap, initial=math.inf)),
+        u_clamp_hits=int(np.count_nonzero(raw < 0)),
         x_grid=x,
+        residual=residual,
     )
 
 
-def solve_stopping(sp: StoppingParams, grid=None) -> StoppingSolution:
+def solve_stopping(sp: StoppingParams, n_grid: int = 2001) -> StoppingSolution:
     """Free boundary, value, and policy, with the QVI report evaluated
-    on `grid` (default: 2001 points from 0 to x0 + 10/sqrt(rho))."""
+    on n_grid points from 0 to x0 + 10/sqrt(rho); qvi_residual checks
+    any other grid."""
+    if n_grid < 2:
+        raise ParamError("n_grid >= 2")
     x0, alpha2 = free_boundary(sp)
-
-    sol = StoppingSolution(
-        params=sp, x0=x0, alpha2=alpha2, value=None, policy=None, residual_report=None
-    )
-
-    def value(x):
-        return stopping_value(sol, sp, x)
-
-    def policy(y):
-        return stopping_policy(sol, sp, y)
-
-    sol = dataclasses.replace(sol, value=value, policy=policy)
-    if grid is None:
-        grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), 2001)
-    report = qvi_residual(sol, sp, grid)
-    return dataclasses.replace(sol, residual_report=report)
+    sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)
+    grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), n_grid)
+    return dataclasses.replace(sol, residual_report=qvi_residual(sol, sp, grid))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -6,11 +7,14 @@ import os
 import tempfile
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adkit import SolverError
+import adkit.cli
+import adkit.stopping
+from adkit import SolverError, StoppingParams, solve_stopping
 from adkit.cli import BLOCK_SCHEMAS, MAX_SIZE, MODEL_KEYS, emit, load_config, main
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
@@ -172,6 +176,91 @@ def test_stop_artifacts(tmp_path):
     assert data["u_at_boundary"] == pytest.approx(data["x0"] / 2.0, abs=1e-10)
     header = (tmp_path / "out" / "stopping.csv").read_bytes().split(b"\r\n")[0]
     assert header == b"x,value,obstacle,u_star,qvi_residual"
+
+
+def stop_cfg(tmp_path, stop):
+    return write_cfg(tmp_path, {
+        "problem": "stop",
+        "model": {"rho": 0.5, "c": 0.0, "T": 1.0},
+        "output_dir": str(tmp_path / "out"),
+        "formats": ["json", "csv"],
+        "stop": stop,
+    })
+
+
+def read_csv_floats(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], [[float(c) for c in row] for row in rows[1:]]
+
+
+@pytest.mark.parametrize("n_grid", [None, 101])
+def test_stop_residual_column_is_solver_report(tmp_path, n_grid):
+    block = {"k": 1.0, "gamma1": 2.0, "gamma2": 2.0}
+    if n_grid is not None:
+        block["n_grid"] = n_grid
+    assert main(["stop", "--config", stop_cfg(tmp_path, block), "--quiet"]) == 0
+    header, rows = read_csv_floats(tmp_path / "out" / "stopping.csv")
+    sp = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
+    rep = solve_stopping(sp, n_grid or 2001).residual_report
+    col = np.array([row[header.index("qvi_residual")] for row in rows])
+    assert np.array_equal(col, rep.residual)
+    assert np.array_equal(np.array([row[0] for row in rows]), rep.x_grid)
+
+
+def test_stop_solves_free_boundary_once(tmp_path, monkeypatch):
+    calls = []
+    real = adkit.stopping.free_boundary
+
+    def counting(sp):
+        calls.append(sp)
+        return real(sp)
+
+    monkeypatch.setattr(adkit.stopping, "free_boundary", counting)
+    monkeypatch.setattr(adkit.cli, "free_boundary", counting)
+    cfg = stop_cfg(tmp_path, {"k": 1.0, "gamma1": 2.0, "gamma2": 2.0, "n_grid": 41})
+    assert main(["stop", "--config", cfg, "--quiet"]) == 0
+    assert len(calls) == 1
+
+
+def test_stop_overshooting_fit_exit0(tmp_path):
+    # k = 3: the fit function overshoots past its root; the solve still succeeds
+    cfg = stop_cfg(tmp_path, {"k": 3.0, "gamma1": 2.0, "gamma2": 2.0})
+    assert main(["stop", "--config", cfg, "--quiet"]) == 0
+    data = json.loads((tmp_path / "out" / "stop.json").read_text())
+    assert data["u_at_boundary"] == pytest.approx(data["x0"] / 2.0, abs=1e-14)
+    assert data["qvi"]["stop_side_max"] < 0
+    assert data["qvi"]["u_clamp_hits"] == 0
+
+
+def test_verify_failure_exit4_still_writes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(adkit.cli, "_verify_fixtures",
+                        lambda: [{"name": "broken", "pass": False}])
+    cfg = write_cfg(tmp_path, {
+        "problem": "verify",
+        "model": {"rho": 0.5, "c": 0.0, "T": 1.0},
+        "output_dir": str(tmp_path / "out"),
+        "verify": {},
+    })
+    assert main(["verify", "--config", cfg]) == 4
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["all_pass"] is False
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "--config", cfg, "--quiet"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_lq_ill_posed_message_ignores_quiet(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "problem": "lq",
+        "model": {"rho": 0.5, "c": 0.0, "T": 1.0, "sigma2": 1.0, "gamma0": 0.75},
+        "output_dir": str(tmp_path / "out"),
+        "lq": {},
+    })
+    assert main(["lq", "--config", cfg, "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not well posed" in captured.err
+    assert (tmp_path / "out" / "riccati.csv").exists()
 
 
 def test_stop_requires_undiscounted_model(tmp_path):

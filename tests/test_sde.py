@@ -163,14 +163,6 @@ def test_evaluate_policy_grid_must_span_horizon():
                         PathGrid(0.0, 0.5, 10), 10, 1)
 
 
-def test_evaluate_policy_growth_flag():
-    pol = Policy.constant(0.0)
-    g = PathGrid(0.0, 1.0, 10)
-    with pytest.raises(ParamError, match="polynomial growth"):
-        evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, 1.0, g, 10, 1,
-                        assume_polynomial_growth=False)
-
-
 def test_evaluate_policy_negative_loss_rejected():
     pol = Policy.constant(1.0)
     g = PathGrid(0.0, 1.0, 10)

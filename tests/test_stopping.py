@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adkit import stopping
 from adkit import (
+    Grid2D,
     ParamError,
     SolverError,
     StableRangeError,
     StoppingParams,
+    dp_qvi_stopping,
     free_boundary,
     qvi_residual,
     solve_stopping,
@@ -196,7 +199,87 @@ def test_standalone_value_policy_wrappers():
 
 
 def test_solve_stopping_custom_grid():
-    grid = np.linspace(0.0, 6.0, 301)
-    sol = solve_stopping(SP, grid=grid)
+    sol = solve_stopping(SP, n_grid=301)
     assert sol.residual_report.x_grid.shape == (301,)
+    assert sol.residual_report.x_grid[-1] == sol.x0 + 10.0 / math.sqrt(SP.rho)
     assert sol.x0 == pytest.approx(X0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n_grid", [1, 0, -3])
+def test_solve_stopping_rejects_short_grid(n_grid):
+    with pytest.raises(ParamError, match="n_grid"):
+        solve_stopping(SP, n_grid=n_grid)
+
+
+@pytest.mark.parametrize("n_grid", [2001, 301, 2])
+def test_qvi_report_residual_per_node(n_grid):
+    rep = solve_stopping(SP, n_grid=n_grid).residual_report
+    x, r = rep.x_grid, rep.residual
+    assert r.shape == x.shape
+    stop = x <= X0
+    assert stop.any() and (~stop).any()
+    assert np.max(r[stop]) == rep.stop_side_max
+    assert np.max(np.abs(r[~stop])) == rep.pde_residual_max
+    # aligned with x_grid: a one-node grid reports that node's residual
+    sol = solve_stopping(SP)
+    last_stop = int(np.argmax(~stop)) - 1
+    for i in (0, last_stop, last_stop + 1, x.size - 1):
+        one = qvi_residual(sol, SP, x[i : i + 1])
+        if stop[i]:
+            assert r[i] == one.stop_side_max
+        else:
+            assert abs(r[i]) == one.pde_residual_max
+
+
+def test_qvi_report_residual_empty_sides():
+    sol = solve_stopping(SP)
+    below = qvi_residual(sol, SP, np.linspace(0.0, 1.0, 11))
+    assert below.pde_residual_max == 0.0 and below.u_clamp_hits == 0
+    assert below.stop_side_max == np.max(below.residual)
+    above = qvi_residual(sol, SP, np.linspace(2.0, 3.0, 11))
+    assert above.stop_side_max == -math.inf
+    assert above.pde_residual_max == np.max(np.abs(above.residual))
+    empty = qvi_residual(sol, SP, np.empty(0))
+    assert empty.residual.shape == (0,)
+    assert empty.obstacle_gap_min == math.inf
+
+
+# k = 3 with gamma2 = 2*rho*gamma1: the fit function changes sign once,
+# overshoots, and falls back toward its positive asymptote
+K3_PAIRS = [(rho, g1) for rho in (0.1, 0.5, 2.0) for g1 in (1.1, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("rho,gamma1", K3_PAIRS)
+def test_free_boundary_overshooting_fit(rho, gamma1):
+    sp = StoppingParams(k=3.0, rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
+    sol = solve_stopping(sp)
+    slope = 2.0 * sp.rho + 1.0 / sp.gamma1
+    assert abs((slope * sol.x0 - 2.0 * sp.mu) * u2(sol.x0, sp) - 1.0) <= 1e-14
+    rep = sol.residual_report
+    assert rep.stop_side_max < 0
+    assert rep.pde_residual_max <= 1e-14
+    assert rep.obstacle_gap_min >= 0
+    assert rep.u_clamp_hits == 0
+    assert float(sol.policy(sol.x0)) == pytest.approx(sol.x0 / gamma1, abs=1e-14)
+
+
+def test_free_boundary_overshooting_fit_against_dp():
+    # u(x0) = x0/gamma1 ~ 0.77 lies inside the oracle's control grid
+    sp = StoppingParams(k=3.0, rho=0.5, gamma1=4.0, gamma2=4.0)
+    sol = solve_stopping(sp)
+    res = dp_qvi_stopping(sp, Grid2D(0.0, 5.4, 1081, 16), np.linspace(0.0, 1.0, 101))
+    assert res.converged
+    assert abs(res.boundary_hat - sol.x0) <= 1e-2
+    y = sol.x0 + 0.5
+    assert res.value_at(y) == pytest.approx(float(sol.value(y)), rel=2e-3)
+
+
+def test_free_boundary_rejects_second_sign_change(monkeypatch):
+    # a dip below zero between the root and the bracket's right end
+    fit = stopping._fit_lhs
+    monkeypatch.setattr(
+        stopping, "_fit_lhs",
+        lambda x, sp: fit(x, sp) - 5.0 * np.exp(-(((np.asarray(x) - 2.0) / 0.1) ** 2)),
+    )
+    with pytest.raises(SolverError, match="not be unique"):
+        free_boundary(SP)
