@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands mirror the solver families: linear, budget, lq, stop,
-simulate, verify. Every run is driven by a JSON config file parsed
-strictly (unknown keys are errors), and artifacts are written as JSON
-and RFC-4180 CSV with 17-significant-digit floats, so reruns of the
-same config are byte-identical.
+`adkit PROBLEM --config FILE` runs one solver family: linear, budget,
+lq, stop, simulate or verify. Every run is driven by a JSON config file
+parsed strictly (unknown keys are errors), and artifacts are written as
+JSON and CSV, so reruns of the same config are byte-identical.
+
+A CSV table is a header plus equal-length 1-d columns. Records end in
+CRLF and float cells carry 17 significant digits. The only string cells
+are fixed identifiers (fixture names, pass/fail), so no cell is quoted.
 
 Exit codes: 0 success, 2 validation/config error, 3 solver error
 (including an ill-posed LQ instance, whose report is still written),
@@ -14,13 +17,12 @@ Exit codes: 0 success, 2 validation/config error, 3 solver error
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,13 +61,13 @@ BLOCK_SCHEMAS = {
 }
 
 
+@dataclass(frozen=True)
 class RunConfig:
-    def __init__(self, problem, params, block, output_dir, formats):
-        self.problem = problem
-        self.params = params
-        self.block = block
-        self.output_dir = output_dir
-        self.formats = formats
+    problem: str
+    params: ModelParams
+    block: dict
+    output_dir: str
+    formats: tuple
 
 
 def _num(block, name, where):
@@ -167,17 +169,13 @@ def load_config(path, output_override=None, format_override=None) -> RunConfig:
     return RunConfig(problem, params, block, output_dir, tuple(formats))
 
 
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return "%.17g" % v
-    return v
-
-
 def emit(artifact, fmt, path):
     """Write one artifact. JSON keeps insertion order and is strict
     RFC 8259: a non-finite float raises SolverError before the file is
-    opened. CSV uses CRLF records, minimal quoting, and 17 significant
-    digits."""
+    opened. A CSV artifact is (header, columns) with equal-length 1-d
+    columns: records end in CRLF, float columns are written with "%.17g"
+    and other columns with "%s". String cells are fixed identifiers, so
+    none is quoted, and rows stream to the file one at a time."""
     try:
         if fmt == "json":
             try:
@@ -187,12 +185,13 @@ def emit(artifact, fmt, path):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         elif fmt == "csv":
-            header, rows = artifact
+            header, cols = artifact
+            cols = [np.asarray(c) for c in cols]
+            row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols)
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-                w.writerow(header)
-                for row in rows:
-                    w.writerow([_fmt_cell(v) for v in row])
+                fh.write(",".join(header) + "\r\n")
+                fh.writelines(row_fmt % row + "\r\n"
+                              for row in zip(*(c.tolist() for c in cols), strict=True))
         else:
             raise ParamError("format in {csv, json}")
     except OSError as e:
@@ -218,8 +217,6 @@ def _run_linear(cfg: RunConfig):
     sol = solve_linear(p)
     pol = linear_policy(sol)
     t = np.linspace(0.0, p.T, n_grid)
-    u_vals = [float(pol(tk, 0.0)) for tk in t]
-    v_vals = sol.value(t, p.x_init)
     payload = {
         "problem": "linear",
         "model": asdict(p),
@@ -228,8 +225,8 @@ def _run_linear(cfg: RunConfig):
         "value_at": float(sol.value(0.0, p.x_init)),
     }
     tables = {
-        "policy": (("t", "u"), [(float(tk), uk) for tk, uk in zip(t, u_vals)]),
-        "value": (("t", "value"), [(float(tk), float(vk)) for tk, vk in zip(t, v_vals)]),
+        "policy": (("t", "u"), (t, np.array([pol(tk, 0.0) for tk in t]))),
+        "value": (("t", "value"), (t, sol.value(t, p.x_init))),
     }
     return payload, tables, "linear: t_star=%.12g value=%.12g" % (
         sol.t_star, payload["value_at"])
@@ -241,7 +238,6 @@ def _run_budget(cfg: RunConfig):
     n_grid = _n_grid(cfg.block, "budget", 201)
     sol = solve_budget(p, M)
     t = np.linspace(0.0, p.T, n_grid)
-    u_vals = [float(sol.policy(tk, 0.0)) for tk in t]
     payload = {
         "problem": "budget",
         "model": asdict(p),
@@ -250,9 +246,9 @@ def _run_budget(cfg: RunConfig):
         "lambda_star": sol.lambda_star,
         "discounted_spend": sol.discounted_spend,
         "spend_bound": spend_bound(p),
-        "discrepancy": {k: float(v) for k, v in sol.discrepancy.items()},
+        "discrepancy": sol.discrepancy,
     }
-    tables = {"policy": (("t", "u"), [(float(tk), uk) for tk, uk in zip(t, u_vals)])}
+    tables = {"policy": (("t", "u"), (t, np.array([sol.policy(tk, 0.0) for tk in t])))}
     return payload, tables, "budget: t_star=%.12g lambda_star=%.12g" % (
         sol.t_star, sol.lambda_star)
 
@@ -282,16 +278,9 @@ def _run_lq(cfg: RunConfig):
         rep = sol.classification
         payload["classification"] = dict(
             asdict(rep), T_max=None if math.isinf(rep.T_max) else rep.T_max)
-    # feedback columns are well defined on the retained grid even when
-    # the horizon check failed, so the report is always complete
-    gain = np.asarray(sol.gain_at(sol.t))
-    a_t = -p.rho + gain
-    c_t = p.sigma1 + p.sigma2 * gain
-    rows = [
-        (float(tk), float(pk), float(gk), float(ak), float(ck))
-        for tk, pk, gk, ak, ck in zip(sol.t, sol.P, gain, a_t, c_t)
-    ]
-    tables = {"riccati": (("t", "P", "gain", "a", "c_coef"), rows)}
+    # an ill-posed instance still gets these columns, on the retained grid
+    tables = {"riccati": (("t", "P", "gain", "a", "c_coef"),
+                          (sol.t, sol.P) + sol.closed_loop(sol.t))}
     if not sol.well_posed:
         summary = "lq: not well posed (case %s, t_blow=%.12g); report written" % (
             sol.case_label, sol.t_blow)
@@ -329,11 +318,8 @@ def _run_stop(cfg: RunConfig):
             "u_clamp_hits": rep.u_clamp_hits,
         },
     }
-    rows = [
-        (float(xk), float(vk), float(xk * xk), float(uk), float(rk))
-        for xk, vk, uk, rk in zip(x, sol.value(x), sol.policy(x), rep.residual)
-    ]
-    tables = {"stopping": (("x", "value", "obstacle", "u_star", "qvi_residual"), rows)}
+    tables = {"stopping": (("x", "value", "obstacle", "u_star", "qvi_residual"),
+                           (x, sol.value(x), x * x, sol.policy(x), rep.residual))}
     return payload, tables, "stop: x0=%.12g alpha2=%.12g" % (sol.x0, sol.alpha2)
 
 
@@ -353,19 +339,16 @@ def _run_simulate(cfg: RunConfig):
     if kind != "budget" and "M" in block:
         raise ParamError("simulate.M only applies to the budget policy")
 
+    reward = lambda xs: p.gamma0 * xs
+    loss = lambda us: us
     if kind == "linear":
         pol = linear_policy(solve_linear(p))
-        reward = lambda xs: p.gamma0 * xs
-        loss = lambda us: us
     elif kind == "budget":
         if "M" not in block:
             raise ParamError("simulate block requires M for the budget policy")
         pol = solve_budget(p, _num(block, "M", "simulate")).policy
-        reward = lambda xs: p.gamma0 * xs
-        loss = lambda us: us
     else:
-        rsol = riccati_integrate(p)
-        pol = lq_feedback(rsol, p)
+        pol = lq_feedback(riccati_integrate(p), p)
         reward = lambda xs: p.gamma0 * xs * xs
         loss = lambda us: us * us
 
@@ -387,11 +370,7 @@ def _run_simulate(cfg: RunConfig):
         "std_error": rep.std_error,
         "min_state": rep.min_state,
     }
-    rows = [
-        (float(tk), float(xk), float(uk))
-        for tk, xk, uk in zip(traj.t, traj.x, traj.u)
-    ]
-    tables = {"trajectory": (("t", "x", "u"), rows)}
+    tables = {"trajectory": (("t", "x", "u"), (traj.t, traj.x, traj.u))}
     return payload, tables, "simulate[%s]: mean=%.12g se=%.3g" % (
         kind, rep.mean, rep.std_error)
 
@@ -482,12 +461,9 @@ def _run_verify(cfg: RunConfig):
     fixtures = _verify_fixtures()
     all_pass = all(f["pass"] for f in fixtures)
     payload = {"problem": "verify", "fixtures": fixtures, "all_pass": all_pass}
-    tables = {
-        "verify": (
-            ("name", "passed"),
-            [(f["name"], "pass" if f["pass"] else "fail") for f in fixtures],
-        )
-    }
+    names = [f["name"] for f in fixtures]
+    verdicts = ["pass" if f["pass"] else "fail" for f in fixtures]
+    tables = {"verify": (("name", "passed"), (names, verdicts))}
     return payload, tables, "\n".join(
         "%-22s %s" % (f["name"], "PASS" if f["pass"] else "FAIL") for f in fixtures)
 
@@ -507,14 +483,12 @@ def build_parser():
         prog="adkit",
         description="Solvers for stochastic advertising control problems.",
     )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-    for name in PROBLEMS:
-        s = sub.add_parser(name, help="run the %s problem from a config file" % name)
-        s.add_argument("--config", required=True, help="path to a JSON config")
-        s.add_argument("--output", default=None, help="override output_dir")
-        s.add_argument("--format", default=None,
-                       help="comma-separated subset of csv,json")
-        s.add_argument("--quiet", action="store_true", help="suppress summary lines")
+    ap.add_argument("cmd", metavar="PROBLEM", choices=PROBLEMS,
+                    help="%s; must equal the config's problem" % ", ".join(PROBLEMS))
+    ap.add_argument("--config", required=True, help="path to a JSON config")
+    ap.add_argument("--output", default=None, help="override output_dir")
+    ap.add_argument("--format", default=None, help="comma-separated subset of csv,json")
+    ap.add_argument("--quiet", action="store_true", help="suppress summary lines")
     return ap
 
 

@@ -142,9 +142,9 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
     gap_spend = abs(spend - M)
     t_from_lambda = (p.rho * p.T + math.log(lambda_star)) / (p.rho + p.c)
     gap_fixed_point = abs(t_from_lambda - t_star)
-    if gap_spend > IDENTITY_TOL * max(1.0, abs(M)):
+    if not gap_spend <= IDENTITY_TOL * max(1.0, abs(M)):
         raise SolverError("budget identity failed: |spend - M| = %.3e" % gap_spend)
-    if gap_fixed_point > IDENTITY_TOL * max(1.0, abs(t_star)):
+    if not gap_fixed_point <= IDENTITY_TOL * max(1.0, abs(t_star)):
         raise SolverError(
             "multiplier identity failed: |t* - (rho*T + log lambda*)/(rho+c)| = %.3e"
             % gap_fixed_point

@@ -208,6 +208,15 @@ class RiccatiSolution:
         p = self.params
         return -(1.0 + p.sigma1 * p.sigma2) * self.P_at(t) / self.D_at(t)
 
+    def closed_loop(self, t):
+        """Gain G and closed-loop coefficients a = -rho + G and
+        c_coef = sigma1 + sigma2*G at t, from substituting u = G x into
+        the dynamics. Defined wherever P is stored, so also on the
+        retained grid of an ill-posed instance."""
+        p = self.params
+        G = np.asarray(self.gain_at(t))
+        return G, -p.rho + G, p.sigma1 + p.sigma2 * G
+
 
 def _riccati_rhs(p: ModelParams, guard_stage: float):
     a = 2.0 * p.rho - p.sigma1 ** 2
@@ -354,20 +363,30 @@ def riccati_sigma2_zero(p: ModelParams, t):
 
 def riccati_sigma2_zero_blow(p: ModelParams) -> Optional[float]:
     """Time where the sigma2 = 0 closed form diverges (Q crosses 0),
-    or None if P stays finite on all of (-inf, T)."""
+    or None if P stays finite on all of (-inf, T). Raises
+    StableRangeError when that time leaves the float range."""
     require(p)
     if p.sigma2 != 0:
         raise ParamError("sigma2 = 0")
     a = 2.0 * p.rho - p.sigma1 ** 2
     k = a + p.c
-    if k == 0:
-        return p.T - math.exp(a * p.T) / p.gamma
-    val = math.exp(k * p.T) - k * math.exp(a * p.T) / p.gamma
-    if k > 0:
-        # exp(k t) is increasing, so a root below T needs 0 < val
-        return math.log(val) / k if val > 0 else None
-    # k < 0: val > exp(k T) always holds, so the root always sits below T
-    return math.log(val) / k
+    try:
+        if k == 0:
+            t_blow = p.T - math.exp(a * p.T) / p.gamma
+        else:
+            val = math.exp(k * p.T) - k * math.exp(a * p.T) / p.gamma
+            # k > 0: exp(k t) is increasing, so a root below T needs 0 < val;
+            # k < 0: val > exp(k T) always holds, so the root always sits below T
+            if k > 0 and val <= 0:
+                return None
+            t_blow = math.log(val) / k
+    except (OverflowError, ZeroDivisionError, ValueError):
+        t_blow = math.nan
+    if not math.isfinite(t_blow):
+        raise StableRangeError(
+            "sigma2 = 0 blow-up time out of float range (rho=%g, c=%g, T=%g, sigma1=%g)"
+            % (p.rho, p.c, p.T, p.sigma1))
+    return t_blow
 
 
 def lq_feedback(sol: RiccatiSolution, p: ModelParams) -> Policy:
@@ -392,18 +411,17 @@ def lq_feedback(sol: RiccatiSolution, p: ModelParams) -> Policy:
 
 def closed_loop_coeffs(sol: RiccatiSolution, p: ModelParams, t):
     """Drift and diffusion coefficients of the optimally controlled state:
-    dx = a(t) x dt + c_coef(t) x dw (sigma0 = 0 closed loop), where
-    a = -rho + G and c_coef = sigma1 + sigma2*G from substituting
-    u = G x into the dynamics."""
+    dx = a(t) x dt + c_coef(t) x dw (sigma0 = 0 closed loop), from
+    RiccatiSolution.closed_loop on a well-posed solution within
+    [t_lo, T]. The coefficients use sol.params; p stays for the call
+    signature."""
     if not sol.well_posed:
         raise SolverError("Riccati solution not well posed")
     t_arr = np.asarray(t, dtype=float)
     lo, hi = float(sol.t[0]), float(sol.params.T)
     if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
         raise PolicyError("closed-loop coefficients queried outside [%g, %g]" % (lo, hi))
-    G = np.asarray(sol.gain_at(t_arr))
-    a_t = -p.rho + G
-    c_t = p.sigma1 + p.sigma2 * G
+    _, a_t, c_t = sol.closed_loop(t_arr)
     if np.ndim(t) == 0:
         return float(a_t), float(c_t)
     return a_t, c_t

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import adkit.cli
 import adkit.stopping
 from adkit import SolverError, StoppingParams, solve_stopping
-from adkit.cli import BLOCK_SCHEMAS, MAX_SIZE, MODEL_KEYS, emit, load_config, main
+from adkit.cli import (BLOCK_SCHEMAS, HANDLERS, MAX_SIZE, MODEL_KEYS, build_parser, emit,
+                       load_config, main)
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
 
@@ -114,6 +115,68 @@ def test_emit_rejects_non_finite_json(tmp_path):
     with pytest.raises(SolverError):
         emit({"x": float("nan")}, "json", str(path))
     assert not path.exists()
+
+
+def reference_csv(path, header, cols):
+    """The row-by-row writer of earlier releases, kept as the reference:
+    csv.writer with minimal quoting and CRLF records, each float cell
+    formatted with "%.17g"."""
+    cols = [[float(v) if np.asarray(c).dtype.kind == "f" else str(v) for v in c]
+            for c in cols]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        w.writerow(header)
+        for row in zip(*cols):
+            w.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
+
+
+def assert_same_csv(tmp_path, header, cols):
+    emit((header, cols), "csv", str(tmp_path / "new.csv"))
+    reference_csv(str(tmp_path / "ref.csv"), header, cols)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_emit_csv_matches_reference_writer(tmp_path):
+    vals = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     1.7976931348623157e308, 1.0, 0.1, 1 / 3])
+    names = np.array(["a", "b", "c", "d", "e", "f", "g", "pass", "fail"])
+    assert_same_csv(tmp_path, ("x", "name", "y"), (vals, names, vals[::-1]))
+    text = (tmp_path / "new.csv").read_bytes().decode()
+    assert text.split("\r\n")[1:4] == ["-0,a,0.33333333333333331", "nan,b,0.10000000000000001",
+                                        "inf,c,1"]
+    with pytest.raises(ValueError):
+        emit((("x", "y"), (vals, vals[1:])), "csv", str(tmp_path / "short.csv"))
+
+
+HANDLER_BODIES = {
+    "linear": {"model": dict(BASE_MODEL), "linear": {"n_grid": 51}},
+    "budget": {"model": dict(BASE_MODEL), "budget": {"M": 0.5, "n_grid": 51}},
+    "lq": {"model": {"rho": 0.5, "c": 0.1, "T": 1.0, "sigma1": 0.2, "sigma2": 0.5,
+                     "gamma0": 0.5}, "lq": {"n_grid": 201}},
+    "stop": {"model": {"rho": 0.5, "c": 0.0, "T": 1.0},
+             "stop": {"k": 1.0, "gamma1": 2.0, "gamma2": 2.0, "n_grid": 101}},
+    "simulate": {"model": dict(BASE_MODEL, sigma0=0.2),
+                 "simulate": {"policy": "budget", "M": 0.5, "n_paths": 100, "n_steps": 50,
+                              "seed": 11}},
+    "verify": {"model": {"rho": 0.5, "c": 0.0, "T": 1.0}, "verify": {}},
+}
+
+
+@pytest.mark.parametrize("problem", sorted(HANDLER_BODIES))
+def test_handler_tables_match_reference_writer(tmp_path, problem):
+    body = dict(HANDLER_BODIES[problem], problem=problem, output_dir=str(tmp_path / "out"))
+    _, tables, _ = HANDLERS[problem](load_config(write_cfg(tmp_path, body)))
+    for header, cols in tables.values():
+        assert all(len(c) == len(cols[0]) for c in cols)
+        assert_same_csv(tmp_path, header, cols)
+
+
+def test_parser_one_level():
+    ns = build_parser().parse_args(["lq", "--config", "c.json", "--format", "csv", "--quiet"])
+    assert vars(ns) == {"cmd": "lq", "config": "c.json", "output": None, "format": "csv",
+                        "quiet": True}
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        build_parser().parse_args(["ode", "--config", "c.json"])
 
 
 def test_lq_artifacts(tmp_path):

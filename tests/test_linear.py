@@ -173,6 +173,14 @@ def test_budget_rejects_non_finite():
             solve_budget(P, M)
 
 
+def test_budget_nan_identity_gap_is_solver_error():
+    # m/c overflows, so the spend and its gap come out NaN; the identity
+    # guards must not read a NaN gap as a pass
+    p = ModelParams(rho=0.5, c=1e-300, T=1e-300, m=1e300)
+    with pytest.raises(SolverError, match="budget identity failed"):
+        solve_budget(p, 1e-300)
+
+
 def test_budget_boundary_budget_gives_zero_switch():
     # spending the whole feasible budget means advertising from the start
     sol = solve_budget(P, spend_bound(P))

@@ -8,6 +8,7 @@ from adkit import (
     ParamError,
     PolicyError,
     SolverError,
+    StableRangeError,
     classify_wellposedness,
     closed_loop_coeffs,
     closed_loop_mean,
@@ -167,6 +168,19 @@ def test_bernoulli_blow_time():
     assert riccati_sigma2_zero_blow(P_BERN) is None or riccati_sigma2_zero_blow(P_BERN) < 0
 
 
+@pytest.mark.parametrize("p", [
+    ModelParams(rho=1e300, c=1.0, T=1.0),
+    ModelParams(rho=0.5, c=1e-300, T=1e300),
+    # k = 0 and gamma underflows to 0
+    ModelParams(rho=0.5, c=1023.0, T=1.0, sigma1=32.0),
+    # k < 0 and both exponentials underflow, so the log argument is 0
+    ModelParams(rho=0.5, c=0.0, T=1000.0, sigma1=2.0),
+])
+def test_bernoulli_blow_time_out_of_range(p):
+    with pytest.raises(StableRangeError):
+        riccati_sigma2_zero_blow(p)
+
+
 def test_degenerate_sigma2_label():
     sol = riccati_integrate(P_BERN)
     assert sol.case_label == "degenerate-sigma2"
@@ -226,6 +240,20 @@ def test_closed_loop_coeffs_identity():
     assert c0 == pytest.approx(0.2 + 0.5 * g0, abs=1e-14)
     with pytest.raises(PolicyError):
         closed_loop_coeffs(sol, P5, -0.5)
+
+
+def test_closed_loop_one_formula():
+    sol = riccati_integrate(P5)
+    G, a, c = sol.closed_loop(sol.t)
+    assert np.array_equal(G, sol.gain_at(sol.t))
+    a_t, c_t = closed_loop_coeffs(sol, P5, sol.t)
+    assert np.array_equal(a, a_t) and np.array_equal(c, c_t)
+    # an ill-posed instance keeps its coefficients on the retained grid
+    ill = riccati_integrate(P_ILL)
+    G, a, c = ill.closed_loop(ill.t)
+    assert np.all(np.isfinite(G)) and G.shape == ill.t.shape
+    assert np.array_equal(a, -P_ILL.rho + G)
+    assert np.array_equal(c, P_ILL.sigma1 + P_ILL.sigma2 * G)
 
 
 def test_closed_loop_mean_reference():
