@@ -111,8 +111,18 @@ class BudgetSolution:
 
 
 def spend_bound(p: ModelParams) -> float:
-    """Largest discounted spend any admissible control can reach."""
-    return (p.m / p.c) * (1.0 - math.exp(-p.c * p.T))
+    """Largest discounted spend any admissible control can reach,
+    (m/c)*(1 - exp(-c*T)).
+
+    Where m/c overflows, c*T is small and 1 - exp(-c*T) may round to 0,
+    so the bound is m*T*(1 - exp(-c*T))/(c*T) from expm1 instead, with
+    its limit m*T where c*T underflows to 0.
+    """
+    ratio = p.m / p.c
+    if math.isfinite(ratio):
+        return ratio * (1.0 - math.exp(-p.c * p.T))
+    cT = p.c * p.T
+    return p.m * (p.T if cT == 0 else p.T * (-math.expm1(-cT) / cT))
 
 
 def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
@@ -131,7 +141,7 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
         raise ParamError("M finite")
     if M <= 0:
         raise ParamError("M > 0")
-    if M > bound:
+    if not M <= bound:
         raise ParamError("M <= (m/c)*(1 - exp(-c*T))")
 
     z = p.c * M / p.m + math.exp(-p.c * p.T)

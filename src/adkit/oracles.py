@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ParamError, SolverError
+from .errors import ParamError, SolverError, StableRangeError
 from .model import ModelParams, require
 from .stopping import StoppingParams
 
@@ -78,6 +78,10 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
     else:
         spend = p.m * (p.T - s)
     values = p.gamma * x_T - spend
+    for name, arr in (("terminal mean state", x_T), ("discounted spend", spend),
+                      ("objective", values)):
+        if not np.isfinite(arr).all():
+            raise StableRangeError("dp_linear: %s leaves the floating-point range" % name)
     j = int(np.argmax(values))
     return DpLinearResult(
         t_star_hat=float(s[j]),

@@ -4,16 +4,26 @@ evaluation of discounted performance functionals.
 Randomness contract: every path owns a counter-based substream keyed by
 (seed, path index), so results are bit-identical no matter how paths are
 blocked or ordered. Normals come from inverse-CDF applied to 53-bit
-uniforms of a keyed Philox generator. Normal blocks are read-only, and
-the latest one is kept: asking again for the same (seed, indices, n,
-antithetic) block, as paired comparisons on common random numbers do,
-returns it without drawing. Only one block is held at a time.
+uniforms of a keyed Philox generator. Philox is counter-based and the
+inverse CDF acts element by element, so the normals of steps k0..k1-1 of
+any set of paths, drawn after moving each substream's counter to k0, are
+bit for bit that slice of the full block.
 
 Blocks are stored time-major: block_normals returns its (paths, steps)
 matrix z as the transpose of a C-ordered (steps, paths) array, so z[:, k],
 the normals of step k across the block, is one contiguous row. The step
 kernels read it that way and update their state vectors in place;
-simulate_path and simulate_stopped are their one-path case.
+simulate_path and simulate_stopped are their one-path case. A stopped
+path reads its normals only until it stops, so the stopping kernel draws
+them a window of _WINDOW steps at a time, for the paths still running.
+
+One block is memoized at a time, keyed by (seed, indices, n,
+antithetic). It is either a whole block from block_normals, read-only
+and returned again without drawing when the same block is asked for
+(paired comparisons on common random numbers), or the windows of one
+stopping block drawn so far, with a per-window mask of the paths drawn:
+a later stopping run on the same key draws only the paths and windows
+that earlier runs did not reach.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ DEFAULT_BLOCK = 4096
 # paths drawn row by row into one buffer before it is transposed into the
 # block; small enough to stay in cache at a few thousand steps
 _ROW_CHUNK = 64
+# steps of normals the stopping kernel draws at a time for its running paths
+_WINDOW = 64
 
 
 def path_normals(seed: int, index: int, n: int) -> np.ndarray:
@@ -41,8 +53,47 @@ def path_normals(seed: int, index: int, n: int) -> np.ndarray:
     return block_normals(seed, [index], n)[0]
 
 
-# (key, z) of the latest block_normals call, swapped as one tuple so a key
-# is never seen with another key's block
+def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
+          antithetic: bool = False) -> np.ndarray:
+    """Time-major (k1 - k0, len(indices)) array of normals k0..k1-1 of
+    each path's substream.
+
+    Draw k of a substream is word k % 4 of the Philox block at counter
+    k // 4 + 1, so each row starts from counter k0 // 4 and drops its
+    first k0 % 4 draws. antithetic pairs the paths as block_normals does.
+    """
+    # one generator whose key is reset per row: resetting the state is
+    # cheaper than building a Philox
+    bg = np.random.Philox(key=0)
+    gen = np.random.Generator(bg)
+    state = bg.state
+    state["state"]["counter"][0] = k0 >> 2
+    seed_word = int(seed) & _MASK64
+    skip = k0 & 3
+    out = np.empty((k1 - k0, indices.size))
+    buf = np.empty((min(_ROW_CHUNK, indices.size), k1 - k0 + skip))
+    for r0 in range(0, indices.size, _ROW_CHUNK):
+        rows = indices[r0 : r0 + _ROW_CHUNK]
+        for row, idx in enumerate(rows):
+            base = int(idx) >> 1 if antithetic else int(idx)
+            state["state"]["key"] = np.array([seed_word, base & _MASK64], dtype=np.uint64)
+            bg.state = state
+            # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53
+            # for the 53-bit integer k that integers(0, 2^53) would draw
+            gen.random(out=buf[row])
+        chunk = buf[: rows.size, skip:]
+        chunk += 0.5 / _TWO53
+        ndtri(chunk, out=chunk)
+        if antithetic:
+            chunk[(rows & 1) == 1] *= -1.0
+        out[:, r0 : r0 + rows.size] = chunk.T
+    return out
+
+
+# (key, z, drawn) of the memoized block, swapped as one tuple so a key is
+# never seen with another key's block. z is the (paths, steps) matrix;
+# drawn is None when z is whole, else a (windows, paths) mask of the
+# _WINDOW-step windows of z drawn so far for each path.
 _last = None
 
 
@@ -59,36 +110,51 @@ def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.nd
     indices = np.asarray(indices, dtype=np.int64)
     key = (int(seed), indices.tobytes(), int(n), bool(antithetic))
     last = _last
-    if last is not None and last[0] == key:
+    if last is not None and last[0] == key and last[2] is None:
         return last[1]
-    _last = None  # let the previous block go before the next is drawn
-    # one generator whose key is reset per row: resetting the state is
-    # cheaper than building a Philox, and the counter restarts at zero
-    bg = np.random.Philox(key=0)
-    gen = np.random.Generator(bg)
-    state = bg.state
-    seed_word = int(seed) & _MASK64
-    zt = np.empty((n, indices.size))
-    buf = np.empty((min(_ROW_CHUNK, indices.size), n))
-    for r0 in range(0, indices.size, _ROW_CHUNK):
-        rows = indices[r0 : r0 + _ROW_CHUNK]
-        chunk = buf[: rows.size]
-        for row, idx in enumerate(rows):
-            base = int(idx) >> 1 if antithetic else int(idx)
-            state["state"]["key"] = np.array([seed_word, base & _MASK64], dtype=np.uint64)
-            bg.state = state
-            # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53
-            # for the 53-bit integer k that integers(0, 2^53) would draw
-            gen.random(out=chunk[row])
-        chunk += 0.5 / _TWO53
-        ndtri(chunk, out=chunk)
-        if antithetic:
-            chunk[(rows & 1) == 1] *= -1.0
-        zt[:, r0 : r0 + rows.size] = chunk.T
+    _last = last = None  # let the previous block go before the next is drawn
+    zt = _draw(seed, indices, 0, int(n), antithetic)
     zt.flags.writeable = False
     z = zt.T
-    _last = (key, z)
+    _last = (key, z, None)
     return z
+
+
+class _Windows:
+    """Normals of the block (seed, indices, n) for the stopping kernel,
+    drawn _WINDOW steps at a time for the paths that reach the window.
+
+    The block is the memoized one when its key matches (whole or in
+    windows), else a new windowed block that replaces it. Its (n, paths)
+    buffer is allocated empty, so the pages of windows never drawn are
+    never touched.
+    """
+
+    def __init__(self, seed: int, indices, n: int):
+        global _last
+        indices = np.asarray(indices, dtype=np.int64)
+        n = int(n)
+        key = (int(seed), indices.tobytes(), n, False)
+        last = _last
+        if last is None or last[0] != key:
+            _last = last = None
+            z = np.empty((n, indices.size)).T
+            last = (key, z, np.zeros((-(-n // _WINDOW), indices.size), dtype=bool))
+            _last = last
+        self.seed, self.indices, self.n = seed, indices, n
+        self.zt, self.drawn = last[1].T, last[2]
+
+    def window(self, k0: int, act: np.ndarray) -> np.ndarray:
+        """Time-major window of steps k0..k0+_WINDOW-1 (cut at n) across
+        the block; the columns act, block positions, hold their normals."""
+        k1 = min(k0 + _WINDOW, self.n)
+        if self.drawn is not None:
+            mask = self.drawn[k0 // _WINDOW]
+            need = act[~mask[act]]
+            if need.size:
+                self.zt[k0:k1, need] = _draw(self.seed, self.indices[need], k0, k1)
+                mask[need] = True  # only once the normals are in place
+        return self.zt[k0:k1]
 
 
 @dataclass(frozen=True)
@@ -296,8 +362,9 @@ def evaluate_policy(
     while done < n_paths:
         nb = min(block_size, n_paths - done)
         idx = np.arange(done, done + nb)
-        z = block_normals(seed, idx, g.n_steps, antithetic=antithetic)
-        state, j, mn = _euler_block(p, pol, loss, g, x, z)
+        # no local keeps the block, so the memo lets it go before the next is drawn
+        state, j, mn = _euler_block(
+            p, pol, loss, g, x, block_normals(seed, idx, g.n_steps, antithetic=antithetic))
         min_state = min(min_state, mn)
         j += disc_T * np.asarray(reward(state), dtype=float)
         samples[done : done + nb] = j
@@ -323,10 +390,11 @@ def _stopping_bias_bound(gamma1: float, gamma2: float, x0: float, dt: float) -> 
 
 
 def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: float,
-                   feedback: Callable, dt: float, y_start: float, z: np.ndarray,
+                   feedback: Callable, dt: float, y_start: float, normals: _Windows,
                    path=None):
-    """Step the paths of normal block z (paths, steps) from y_start until
-    each first ends a step at or below x0.
+    """Step the paths of a normal block from y_start until each first
+    ends a step at or below x0, fetching the block's normals a window at
+    a time for the paths still running.
 
     Returns (cost, truncated, min_state, steps): per-path costs, the
     number of paths still running at the last node, the smallest y seen
@@ -336,8 +404,7 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
     n_steps + 1 that receive y_{k+1} and u_k at every step.
     """
     sq = math.sqrt(dt)
-    zt = z.T
-    n, nb = zt.shape
+    n, nb = normals.n, normals.indices.size
     y0 = float(y_start)
     cost = np.empty(nb)
     if not y0 > x0:
@@ -351,6 +418,9 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
     min_state = y0
     steps = n
     for k in range(n):
+        i = k % _WINDOW
+        if i == 0:
+            zw = normals.window(k, act)
         u = np.asarray(feedback(y), dtype=float)
         if not (u.min() >= -1e-12 and math.isfinite(u.max())):
             raise PolicyError("stopping control must be nonnegative and finite")
@@ -362,9 +432,9 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
         a *= dt
         acc += a
         if act.size == nb:
-            np.multiply(zt[k], sq, out=b)
+            np.multiply(zw[i], sq, out=b)
         else:
-            np.take(zt[k], act, out=b)
+            np.take(zw[i], act, out=b)
             b *= sq
         np.multiply(y, rho, out=a)
         np.subtract(mu, a, out=a)
@@ -419,9 +489,9 @@ def simulate_stopped(
     y = np.empty(g.n_steps + 1)
     u = np.empty(g.n_steps + 1)
     y[0] = y_start
-    z = block_normals(seed, [0], g.n_steps)
+    normals = _Windows(seed, [0], g.n_steps)
     cost, truncated, _, steps = _stopped_block(
-        mu, rho, gamma1, gamma2, x0, sol.policy, g.dt, y_start, z, path=(y, u))
+        mu, rho, gamma1, gamma2, x0, sol.policy, g.dt, y_start, normals, path=(y, u))
     u[steps] = float(sol.policy(y[steps]))
     return StoppedPathResult(
         t_path=t[: steps + 1],
@@ -472,9 +542,9 @@ def stopping_cost_report(
     while done < n_paths:
         nb = min(block_size, n_paths - done)
         idx = np.arange(done, done + nb)
-        z = block_normals(seed, idx, g.n_steps)
         cost, trunc, mn, _ = _stopped_block(
-            mu, rho, gamma1, gamma2, x0, feedback, g.dt, y_start, z)
+            mu, rho, gamma1, gamma2, x0, feedback, g.dt, y_start,
+            _Windows(seed, idx, g.n_steps))
         samples[done : done + nb] = cost
         truncated += trunc
         min_state = min(min_state, mn)

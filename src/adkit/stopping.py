@@ -133,6 +133,9 @@ def free_boundary(sp: StoppingParams):
     sqrho = math.sqrt(sp.rho)
     slope = 2.0 * sp.rho + 1.0 / sp.gamma1
     lo = max(2.0 * sp.mu / slope, center - (W_STABLE - 0.1) / sqrho)
+    if not math.isfinite(lo):
+        raise StableRangeError("free boundary bracket: lower end %r is not finite "
+                               "(mu = rho*k = %r)" % (lo, sp.mu))
     if _fit_lhs(lo, sp) >= 0:
         raise SolverError("free boundary bracket: no negative end within stable range")
     b = 1.0 / sqrho
@@ -148,6 +151,9 @@ def free_boundary(sp: StoppingParams):
         hi = center + min(b, b_max)
 
     samples = _fit_lhs(np.linspace(lo, hi, 64), sp)
+    if not np.isfinite(samples).all():
+        raise StableRangeError("free boundary bracket: the fit function on [%r, %r] "
+                               "is not finite" % (lo, hi))
     first = int(np.argmax(samples > 0))
     if np.any(np.diff(samples[: first + 1]) <= 0) or np.any(samples[first:] <= 0):
         raise SolverError("fit equation not increasing up to its sign change on the "

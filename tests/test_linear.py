@@ -181,6 +181,17 @@ def test_budget_nan_identity_gap_is_solver_error():
         solve_budget(p, 1e-300)
 
 
+def test_spend_bound_finite_where_m_over_c_overflows():
+    # m/c overflows; 1 - exp(-c*T) rounds to 0 in the first case, so the
+    # naive product is inf * 0 = NaN, which any budget passed as feasible
+    p = ModelParams(rho=0.5, c=1e-300, T=1e-300, m=1e300)
+    assert spend_bound(p) == pytest.approx(1.0, rel=1e-12)
+    assert spend_bound(ModelParams(rho=0.5, c=1e-10, T=1e-5, m=1e300)) == pytest.approx(
+        1e295, rel=1e-12)
+    with pytest.raises(ParamError, match=r"M <= \(m/c\)"):
+        solve_budget(p, 1e300)
+
+
 def test_budget_boundary_budget_gives_zero_switch():
     # spending the whole feasible budget means advertising from the start
     sol = solve_budget(P, spend_bound(P))

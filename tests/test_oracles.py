@@ -7,6 +7,7 @@ from adkit import (
     Grid2D,
     ModelParams,
     ParamError,
+    StableRangeError,
     StoppingParams,
     dp_linear,
     dp_qvi_stopping,
@@ -51,6 +52,15 @@ def test_dp_linear_recovers_switch_time():
 def test_dp_linear_gamma0_one_switches_at_horizon():
     r = dp_linear(ModelParams(rho=0.5, c=0.1, T=1.0), 1000)
     assert r.t_star_hat == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dp_linear_out_of_range_is_stable_range_error():
+    # m/rho and m/c overflow against factors that round to 0: every
+    # grid value used to be NaN
+    p = ModelParams(rho=1e-300, c=1e-300, T=1.0, m=1e300)
+    with pytest.raises(StableRangeError, match="dp_linear"):
+        dp_linear(p, 100)
 
 
 def test_dp_linear_requires_enough_nodes():

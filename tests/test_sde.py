@@ -18,6 +18,7 @@ from adkit import (
     solve_stopping,
     stopping_cost_report,
 )
+from adkit import sde
 from adkit.model import ControlSet, diffusion, drift
 from adkit.sde import block_normals, path_normals
 
@@ -529,6 +530,108 @@ def test_simulate_stopped_matches_reference_loop(stop_sol, y_start, t_end, n_ste
     for got, want in ((r.t_path, t), (r.y_path, y), (r.u_path, u)):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert (r.tau, r.cost, r.truncated) == (tau, cost, truncated)
+
+
+# --- windowed normals of the stopping kernel ---
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize(
+    "indices, n, k0, k1",
+    [
+        ([0, 1, 2, 3, 4], 200, 0, 64),          # first window
+        ([0, 1, 2, 3, 4], 200, 64, 128),        # aligned
+        ([0, 1, 2, 3, 4], 200, 65, 131),        # k0 not a multiple of 4
+        ([0, 1, 2, 3, 4], 200, 7, 10),          # inside one Philox block
+        ([0, 1, 2, 3, 4], 200, 192, 200),       # last partial window
+        ([9], 200, 130, 194),                   # one row
+        ([40, 3, 17, 2, 88, 5], 150, 66, 130),  # rows not contiguous
+        (list(range(129, -1, -1)), 90, 1, 90),  # more rows than one chunk
+    ],
+)
+def test_window_equals_slice_of_full_block(indices, n, k0, k1, antithetic):
+    w = sde._draw(11, np.array(indices, dtype=np.int64), k0, k1, antithetic)
+    ref = _reference_normals(11, indices, n, antithetic)[:, k0:k1]
+    assert w.shape == (k1 - k0, len(indices))
+    np.testing.assert_array_equal(w.view(np.uint64), ref.T.view(np.uint64))
+
+
+def test_windowed_block_fills_only_requested_paths(monkeypatch):
+    monkeypatch.setattr(sde, "_last", None)
+    idx = np.arange(10, 20, dtype=np.int64)
+    ref = _reference_normals(4, idx, 150, False)
+    src = sde._Windows(4, idx, 150)
+    w = src.window(128, np.array([1, 4, 9]))
+    assert w.shape == (150 - 128, 10)
+    np.testing.assert_array_equal(w[:, [1, 4, 9]].view(np.uint64),
+                                  ref[[1, 4, 9], 128:].T.view(np.uint64))
+    assert sde._last[2][2].tolist() == [i in (1, 4, 9) for i in range(10)]
+    assert not sde._last[2][:2].any()
+    # a second source on the same key sees the drawn paths and adds more
+    w = sde._Windows(4, idx, 150).window(128, np.arange(10))
+    np.testing.assert_array_equal(w.view(np.uint64), ref[:, 128:].T.view(np.uint64))
+    assert sde._last[2][2].all()
+
+
+def test_stopping_all_paths_truncated_matches_reference(stop_sol):
+    # every path survives past two windows to the last node
+    g = PathGrid(0.0, 0.5, 150)
+    y = stop_sol.x0 + 5.0
+    rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=100, seed=8,
+                               keep_samples=True, block_size=60, **SP_KW)
+    samples, min_state, trunc = _ref_stopping(
+        SP_KW["mu"], SP_KW["rho"], SP_KW["gamma1"], SP_KW["gamma2"], stop_sol.x0,
+        stop_sol.policy, g, y, 100, 8, 60)
+    assert rep.truncated_fraction == trunc == 1.0
+    np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
+    assert rep.min_state == min_state
+
+
+def test_stopping_after_failed_run_on_same_key_matches_reference(stop_sol, monkeypatch):
+    monkeypatch.setattr(sde, "_last", None)
+    g = PathGrid(0.0, 40.0, 4000)
+    y = stop_sol.x0 + 1.0
+    calls = [0]
+
+    def failing(yy):
+        # a NaN control in the third window, after the first windows are drawn
+        calls[0] += 1
+        u = np.asarray(stop_sol.policy(yy), dtype=float)
+        return u * math.nan if calls[0] == 150 else u
+
+    with pytest.raises(PolicyError, match="stopping control"):
+        stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=300, seed=3,
+                             control=failing, **SP_KW)
+    assert sde._last[2][:2].any()
+    rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=300, seed=3,
+                               keep_samples=True, **SP_KW)
+    samples, min_state, trunc = _ref_stopping(
+        SP_KW["mu"], SP_KW["rho"], SP_KW["gamma1"], SP_KW["gamma2"], stop_sol.x0,
+        stop_sol.policy, g, y, 300, 3, sde.DEFAULT_BLOCK)
+    np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
+    assert rep.min_state == min_state
+    assert rep.truncated_fraction == trunc
+
+
+def test_stopping_inverts_only_the_normals_it_reads(stop_sol, monkeypatch):
+    # the benchmark's paired stopping instance: 2,000 paths x 4,000 steps
+    count = [0]
+
+    def counting(x, out=None):
+        count[0] += np.size(x)
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(sde, "ndtri", counting)
+    monkeypatch.setattr(sde, "_last", None)
+    g = PathGrid(0.0, 40.0, 4000)
+    kw = dict(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=2000, seed=99, **SP_KW)
+    rep = stopping_cost_report(**kw)
+    assert rep.truncated_fraction == 0.0
+    assert 0 < count[0] < 0.1 * 2000 * 4000
+    # the same block again draws nothing
+    first = count[0]
+    stopping_cost_report(**kw)
+    assert count[0] == first
 
 
 # --- no silent non-finite result ---

@@ -274,6 +274,26 @@ def test_free_boundary_overshooting_fit_against_dp():
     assert res.value_at(y) == pytest.approx(float(sol.value(y)), rel=2e-3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k, rho", [(1e12, 1e300), (1e300, 1e12), (1e150, 1e300)])
+def test_free_boundary_overflowing_drift_is_stable_range_error(k, rho):
+    # mu = rho*k overflows, so the bracket has no finite end; brentq used
+    # to raise a raw ValueError on the NaN fit values
+    sp = StoppingParams(k=k, rho=rho, gamma1=1.5, gamma2=2.0 * rho * 1.5)
+    with pytest.raises(StableRangeError, match="not finite"):
+        solve_stopping(sp)
+
+
+def test_free_boundary_rejects_non_finite_fit_samples(monkeypatch):
+    fit = stopping._fit_lhs
+    monkeypatch.setattr(
+        stopping, "_fit_lhs",
+        lambda x, sp: np.where(np.asarray(x) > 2.0, np.nan, fit(x, sp)),
+    )
+    with pytest.raises(StableRangeError, match="not finite"):
+        free_boundary(SP)
+
+
 def test_free_boundary_rejects_second_sign_change(monkeypatch):
     # a dip below zero between the root and the bracket's right end
     fit = stopping._fit_lhs
