@@ -59,8 +59,11 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
     require(p)
     if p.sigma2 <= 0:
         raise ParamError("sigma2 > 0")
-    a4 = 1.0 - p.gamma0 * p.sigma2 ** 2
-    if a4 <= 0:
+    try:
+        a4 = 1.0 - p.gamma0 * p.sigma2 ** 2
+    except OverflowError:
+        raise StableRangeError("sigma2^2 overflows (sigma2=%g)" % p.sigma2) from None
+    if not a4 > 0:
         raise ParamError("1 - gamma0*sigma2^2 > 0")
     inv = 1.0 / p.sigma2
     try:
@@ -248,17 +251,18 @@ def riccati_integrate(
     if not t_lo < p.T:
         raise ParamError("t_lo < T")
 
-    s2 = p.sigma2 ** 2
-    gamma = p.gamma
-    D_T = math.exp(-p.c * p.T) - s2 * gamma
     coeffs = None
     classification = None
     if p.sigma2 > 0:
-        coeffs = riccati_coeffs(p)  # raises if a4 <= 0, which is D_T <= 0
+        # raises if sigma2^2 overflows, or if a4 <= 0, which is D_T <= 0
+        coeffs = riccati_coeffs(p)
         classification = classify_wellposedness(coeffs, p.T - t_lo)
         case_label = classification.case_label
     else:
         case_label = "degenerate-sigma2"
+    s2 = p.sigma2 ** 2
+    gamma = p.gamma
+    D_T = math.exp(-p.c * p.T) - s2 * gamma
 
     guard = GUARD_FRAC * D_T
     rhs = _riccati_rhs(p, guard / 10.0)

@@ -3,7 +3,7 @@
 Nothing here shares code with the closed forms it checks: a switching
 grid search for the linear problem, an implicit (backward-Euler)
 upwind scheme with a lagged brute-force control for the LQ Bellman
-PDE, one banded solve per time step, and a Markov-chain obstacle
+PDE, one banded LAPACK solve per time step, and a Markov-chain obstacle
 iteration for the stopping problem. All three are deterministic, so
 comparisons against them reproduce exactly.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ParamError, SolverError, StableRangeError
 from .model import ModelParams, require
@@ -110,6 +110,31 @@ def u_max_oracle(p: ModelParams, riccati_sol) -> float:
     return 5.0 * g_peak * p.x_init
 
 
+def _controls(u_grid) -> np.ndarray:
+    """u_grid as a flat float array; ParamError unless it is nonempty,
+    finite and nonnegative."""
+    try:
+        u = np.asarray(u_grid, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ParamError("u_grid numeric") from None
+    if u.size < 1 or not np.all(np.isfinite(u)) or np.any(u < 0):
+        raise ParamError("u_grid nonempty, finite, nonnegative")
+    return u
+
+
+def _node_values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
+    """fn(x) as a fresh float array; ParamError unless it is finite with
+    the shape of x."""
+    out = fn(x)
+    try:
+        vals = np.array(out, dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != x.shape or not np.all(np.isfinite(vals)):
+        raise ParamError("%s(x) finite, shape (n_x,)" % name)
+    return vals
+
+
 def fd_hjb_lq(
     p: ModelParams,
     g: Grid2D,
@@ -130,80 +155,130 @@ def fd_hjb_lq(
     rows the matrix is not an M-matrix, and policy iteration can cycle
     between two controls near the right edge.
 
+    The coefficients are stored node-major, (n_x, len(u_grid)), so each
+    node's argmax reads contiguous memory. Every work array is allocated
+    once per call, and each step calls LAPACK gbsv directly on a
+    7-row band (two rows of LU fill-in above the five diagonals), the
+    layout and routine scipy's solve_banded uses, without its per-call
+    validation and copies. gbsv overwrites the band with its LU factors,
+    so each step rewrites all seven rows.
+
     substeps counts the implicit solves (n_t - 1). cfl_ratio is the
     explicit monotonicity ratio dt*max(sigma^2/dx^2 + |b|/dx) of the grid;
     the implicit step does not need it below 1, so it is reported as
     information only. cap_hit is True when any step's argmax lands on
     the largest control.
+
+    A u_grid that is not finite and nonnegative, or a terminal that is
+    not a finite array shaped like the nodes, raises ParamError.
+    Coefficients or a value that leave the floating-point range raise
+    StableRangeError, and a singular band raises SolverError.
     """
     require(p)
-    u = np.asarray(u_grid, dtype=float).reshape(-1)
-    if u.size < 1 or np.any(u < 0):
-        raise ParamError("u_grid nonempty, nonnegative")
+    u = _controls(u_grid)
     x = g.x_nodes()
+    v = p.gamma * x * x if terminal is None else _node_values(terminal, x, "terminal")
     n = g.n_x
+    n_u = u.size
     dx = g.dx
     dt = p.T / (g.n_t - 1)
 
-    b = u[:, None] - p.rho * x[None, :]
-    sig = p.sigma0 + p.sigma1 * np.abs(x)[None, :] + p.sigma2 * u[:, None]
-    s2h = 0.5 * sig * sig
-    usq = u * u
-    ratio = float(dt * np.max(2.0 * s2h / dx ** 2 + np.abs(b) / dx))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # node-major: row i holds node i's coefficients for every control
+        b = u[None, :] - (p.rho * x)[:, None]
+        sig = (p.sigma0 + p.sigma1 * np.abs(x))[:, None] + (p.sigma2 * u)[None, :]
+        s2h = 0.5 * sig * sig
+        usq = u * u
+        ratio = float(dt * np.max(2.0 * s2h / dx ** 2 + np.abs(b) / dx))
+        if not (math.isfinite(ratio) and math.isfinite(float(np.max(usq)))):
+            raise StableRangeError(
+                "fd_hjb_lq: drift, noise or control cost leaves the floating-point range"
+            )
 
-    # A^u v_i = up_i (v_{i+1} - v_i) + lo_i (v_{i-1} - v_i)
-    up = np.maximum(b, 0.0) / dx + s2h / (dx * dx)
-    lo = np.maximum(-b, 0.0) / dx + s2h / (dx * dx)
+        # A^u v_i = up_i (v_{i+1} - v_i) + lo_i (v_{i-1} - v_i)
+        up = np.maximum(b, 0.0) / dx + s2h / (dx * dx)
+        lo = np.maximum(-b, 0.0) / dx + s2h / (dx * dx)
 
-    if terminal is None:
-        v = p.gamma * x * x
-    else:
-        v = np.asarray(terminal(x), dtype=float).copy()
+        ve = np.empty(n + 2)
+        dp = np.empty(n)
+        dm = np.empty(n)
+        rhs = np.empty(n)
+        spend = np.empty(n)
+        a_up = np.empty(n)
+        a_lo = np.empty(n)
+        wu = np.empty(n_u)
+        ham = np.empty((n, n_u))
+        tmp = np.empty((n, n_u))
+        pick = np.empty(n, dtype=np.intp)
+        flat = np.empty(n, dtype=np.intp)
+        row_start = np.arange(n) * n_u
+        # (2,2) band of I - dt*A^u: band[4 + i - j, j] holds entry (i, j);
+        # rows 0-1 are gbsv's fill-in space
+        band = np.empty((7, n))
+        gbsv, = get_lapack_funcs(("gbsv",), (band,))
+        cap_hit = False
+        reflect = g.boundary_mode == "reflecting"
 
-    ham = np.empty_like(b)
-    tmp = np.empty_like(b)
-    ab = np.zeros((5, n))
-    nodes = np.arange(n)
-    cap_hit = False
-    reflect = g.boundary_mode == "reflecting"
+        for k in range(g.n_t - 2, -1, -1):
+            w = math.exp(-p.c * k * dt)
+            if reflect:
+                lo_ghost = v[1]
+                hi_ghost = v[-2]
+            else:
+                lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
+                hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
+            ve[0] = lo_ghost
+            ve[1:-1] = v
+            ve[-1] = hi_ghost
+            np.subtract(ve[2:], v, out=dp)
+            np.subtract(ve[:-2], v, out=dm)
+            np.multiply(up, dp[:, None], out=ham)
+            np.multiply(lo, dm[:, None], out=tmp)
+            ham += tmp
+            np.multiply(usq, w, out=wu)
+            ham -= wu
+            ham.argmax(axis=1, out=pick)
+            if n_u > 1 and not cap_hit:
+                cap_hit = bool(pick.max() == n_u - 1)
 
-    for k in range(g.n_t - 2, -1, -1):
-        w = math.exp(-p.c * k * dt)
-        if reflect:
-            lo_ghost = v[1]
-            hi_ghost = v[-2]
-        else:
-            lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
-            hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
-        ve = np.concatenate(([lo_ghost], v, [hi_ghost]))
-        np.multiply(up, ve[2:] - v, out=ham)
-        np.multiply(lo, ve[:-2] - v, out=tmp)
-        ham += tmp
-        ham -= (w * usq)[:, None]
-        pick = np.argmax(ham, axis=0)
-        if u.size > 1 and not cap_hit:
-            cap_hit = bool(np.any(pick == u.size - 1))
+            np.add(row_start, pick, out=flat)
+            up.take(flat, out=a_up)
+            lo.take(flat, out=a_lo)
+            a_up *= dt
+            a_lo *= dt
+            band[:3] = 0.0
+            band[3, 0] = 0.0
+            np.negative(a_up[:-1], out=band[3, 1:])
+            np.add(a_up, 1.0, out=band[4])
+            band[4] += a_lo
+            np.negative(a_lo[1:], out=band[5, :-1])
+            band[5, -1] = 0.0
+            band[6] = 0.0
+            lo_0 = float(a_lo[0])
+            up_n = float(a_up[-1])
+            if reflect:
+                # mirror ghosts v_{-1} = v_1, v_n = v_{n-2}
+                band[3, 1] -= lo_0
+                band[5, n - 2] -= up_n
+            else:
+                # cubic ghosts v_{-1} = 3v_0 - 3v_1 + v_2, and mirrored at n
+                band[4, 0] -= 3.0 * lo_0
+                band[3, 1] += 3.0 * lo_0
+                band[2, 2] = -lo_0
+                band[4, -1] -= 3.0 * up_n
+                band[5, n - 2] += 3.0 * up_n
+                band[6, n - 3] = -up_n
+            usq.take(pick, out=spend)
+            spend *= dt * w
+            np.subtract(v, spend, out=rhs)
+            _, _, v, info = gbsv(2, 2, band, rhs, overwrite_ab=True, overwrite_b=True)
+            if info != 0:
+                raise SolverError(
+                    "fd_hjb_lq: banded solve failed at step %d (LAPACK info %d)" % (k, info)
+                )
 
-        # band of I - dt*A^u: ab[2 + i - j, j] holds entry (i, j)
-        a_up = dt * up[pick, nodes]
-        a_lo = dt * lo[pick, nodes]
-        ab[2] = 1.0 + a_up + a_lo
-        ab[1, 1:] = -a_up[:-1]
-        ab[3, :-1] = -a_lo[1:]
-        if reflect:
-            # mirror ghosts v_{-1} = v_1, v_n = v_{n-2}
-            ab[1, 1] -= a_lo[0]
-            ab[3, n - 2] -= a_up[-1]
-        else:
-            # cubic ghosts v_{-1} = 3v_0 - 3v_1 + v_2, and mirrored at n
-            ab[2, 0] -= 3.0 * a_lo[0]
-            ab[1, 1] += 3.0 * a_lo[0]
-            ab[0, 2] = -a_lo[0]
-            ab[2, -1] -= 3.0 * a_up[-1]
-            ab[3, n - 2] += 3.0 * a_up[-1]
-            ab[4, n - 3] = -a_up[-1]
-        v = solve_banded((2, 2), ab, v - dt * w * usq[pick], check_finite=False)
-
+    if not np.all(np.isfinite(v)):
+        raise StableRangeError("fd_hjb_lq: the value leaves the floating-point range")
     return FdHjbResult(
         x=x, v0=v, cfl_ratio=ratio, substeps=g.n_t - 1, cap_hit=cap_hit
     )
@@ -251,17 +326,26 @@ def dp_qvi_stopping(
 
     boundary_hat is the first grid point whose value sits detectably
     below the obstacle.
+
+    The elimination and the projected substitution run on Python floats
+    (tolist() of the frozen rows), which round exactly as float64 does
+    but skip numpy's per-element scalar boxing. Each pivot is checked
+    before it divides: one that is not positive and finite raises
+    SolverError. A tol that is not positive, max_iter < 1, a u_grid
+    that is not finite and nonnegative, or an obstacle that is not a
+    finite array shaped like the nodes raises ParamError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParamError("tol > 0")
-    u = np.asarray(u_grid, dtype=float).reshape(-1)
-    if u.size < 1 or np.any(u < 0):
-        raise ParamError("u_grid nonempty, nonnegative")
+    if not max_iter >= 1:
+        raise ParamError("max_iter >= 1")
+    u = _controls(u_grid)
     x = g.x_nodes()
     dx = g.dx
     n = g.n_x
 
-    obs = x * x if obstacle is None else np.asarray(obstacle(x), dtype=float)
+    obs = x * x if obstacle is None else _node_values(obstacle, x, "obstacle")
+    obs_l = obs.tolist()
 
     b = sp.mu - sp.rho * x[None, :] - u[:, None]
     norm = 1.0 + dx * np.abs(b)
@@ -269,55 +353,73 @@ def dp_qvi_stopping(
     p_dn = (0.5 + dx * np.maximum(-b, 0.0)) / norm
     dtau = dx * dx / norm
     cost = dtau * (sp.gamma1 * (u * u)[:, None] + sp.gamma2)
+    del b, norm, dtau
+    q = np.empty_like(cost)
+    q_dn = np.empty_like(cost)
+
+    def best_controls(v):
+        # argmin over u of the one-step expected value plus running cost
+        ve = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
+        np.multiply(p_up, ve[2:], out=q)
+        np.multiply(p_dn, ve[:-2], out=q_dn)
+        np.add(q, q_dn, out=q)
+        np.add(q, cost, out=q)
+        return np.argmin(q, axis=0)
 
     v = obs.copy()
     all_i = np.arange(n)
     # warm-start controls from a one-step test at the obstacle
-    ve = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
-    u_idx = np.argmin(p_up * ve[2:][None, :] + p_dn * ve[:-2][None, :] + cost, axis=0)
+    u_idx = best_controls(v)
     iterations = 0
     converged = False
 
     for iterations in range(1, max_iter + 1):
         pu = p_up[u_idx, all_i]
         pd = p_dn[u_idx, all_i]
-        rhs = cost[u_idx, all_i]
 
         # interior row i: v_i - pu_i v_{i+1} - pd_i v_{i-1} = rhs_i;
-        # last row substitutes the ghost v_n = 2 v_{n-1} - v_{n-2}
-        diag = np.ones(n)
-        upper = -pu
-        lower = -pd
-        diag[-1] = 1.0 - 2.0 * pu[-1]
-        lower[-1] = pu[-1] - pd[-1]
+        # last row (diagonal 1 - 2 pu) substitutes the ghost
+        # v_n = 2 v_{n-1} - v_{n-2}
+        upper = (-pu).tolist()
+        lower = (-pd).tolist()
+        lower[-1] = float(pu[-1] - pd[-1])
+        rhs = cost[u_idx, all_i].tolist()
 
-        # reverse elimination of the upper diagonal
-        dtil = np.empty(n)
-        rtil = np.empty(n)
-        dtil[-1] = diag[-1]
-        rtil[-1] = rhs[-1]
-        for i in range(n - 2, 0, -1):
-            f = upper[i] / dtil[i + 1]
-            dtil[i] = diag[i] - f * lower[i + 1]
-            rtil[i] = rhs[i] - f * rtil[i + 1]
-        if not np.all(np.isfinite(dtil[1:])) or np.any(dtil[1:] <= 0):
+        # reverse elimination of the upper diagonal, pivots dtil from
+        # row n-1 down to row 1
+        d = 1.0 - 2.0 * float(pu[-1])
+        r = rhs[-1]
+        dtil = [d]
+        rtil = [r]
+        for up_i, lo_next, rhs_i in zip(upper[n - 2:0:-1], lower[n - 1:1:-1],
+                                        rhs[n - 2:0:-1]):
+            if not 0.0 < d < math.inf:
+                raise SolverError("obstacle elimination lost positivity")
+            f = up_i / d
+            d = 1.0 - f * lo_next
+            r = rhs_i - f * r
+            dtil.append(d)
+            rtil.append(r)
+        if not 0.0 < d < math.inf:
             raise SolverError("obstacle elimination lost positivity")
+        dtil.reverse()
+        rtil.reverse()
 
         # forward substitution with projection onto the obstacle
-        v_new = np.empty(n)
-        v_new[0] = obs[0]
-        for i in range(1, n):
-            v_new[i] = min((rtil[i] - lower[i] * v_new[i - 1]) / dtil[i], obs[i])
+        prev = obs_l[0]
+        v_l = [prev]
+        for r, lo_i, d, ob in zip(rtil, lower[1:], dtil, obs_l[1:]):
+            val = (r - lo_i * prev) / d
+            prev = ob if ob < val else val  # min(val, ob)
+            v_l.append(prev)
+        v_new = np.array(v_l)
         if not np.all(np.isfinite(v_new)):
             raise SolverError("obstacle iteration produced non-finite values")
 
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
 
-        ve = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
-        u_new = np.argmin(
-            p_up * ve[2:][None, :] + p_dn * ve[:-2][None, :] + cost, axis=0
-        )
+        u_new = best_controls(v)
         stable = bool(np.array_equal(u_new, u_idx))
         u_idx = u_new
         if stable and delta <= tol:

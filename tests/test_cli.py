@@ -485,6 +485,17 @@ def test_lq_overflow_exit3(tmp_path, model):
     assert not (tmp_path / "out" / "lq.json").exists()
 
 
+def test_lq_sigma2_square_overflow_exit3(tmp_path, capsys):
+    model = {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 1e300}
+    cfg = write_cfg(tmp_path, {"problem": "lq", "model": model,
+                               "output_dir": str(tmp_path / "out"), "lq": {}})
+    assert main(["lq", "--config", cfg, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: sigma2^2 overflows")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "lq.json").exists()
+
+
 def test_simulate_sizes_past_limit_exit2(tmp_path):
     for field in ("n_paths", "n_steps"):
         block = {"policy": "linear", "n_paths": 10, "n_steps": 10, "seed": 1}

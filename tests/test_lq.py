@@ -48,6 +48,15 @@ def test_coeffs_reject_bad_params():
         riccati_coeffs(ModelParams(rho=0.5, c=0.0, T=1.0, sigma2=2.0, gamma0=0.3))
 
 
+def test_coeffs_sigma2_square_overflow_is_adkit_error():
+    # sigma2**2 used to raise a raw OverflowError before any check
+    p = ModelParams(rho=1.0, c=0.0, T=1.0, sigma2=1e300)
+    with pytest.raises(StableRangeError, match="sigma2"):
+        riccati_coeffs(p)
+    with pytest.raises(StableRangeError, match="sigma2"):
+        riccati_integrate(p)
+
+
 def test_zeta_identity_random():
     # discriminant collapses to (2*rho - sigma1^2)^2 for every instance
     rng = np.random.default_rng(21)
