@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, SolverError
+from .errors import ParamError, SolverError, StableRangeError
 from .model import ModelParams, Policy, require
 
 # tolerance on the budget-binding and multiplier fixed-point identities
@@ -125,6 +125,20 @@ def spend_bound(p: ModelParams) -> float:
     return p.m * (p.T if cT == 0 else p.T * (-math.expm1(-cT) / cT))
 
 
+def _multiplier(name: str, log_scale: float, z: float, p: ModelParams) -> float:
+    """exp(log_scale) * z**(-(rho+c)/c), the budget multiplier whose log
+    gives the switch time; StableRangeError unless it is finite and
+    positive."""
+    try:
+        lam = math.exp(log_scale) * z ** (-(p.rho + p.c) / p.c)
+    except (OverflowError, ZeroDivisionError):
+        lam = math.inf
+    if not (math.isfinite(lam) and lam > 0):
+        raise StableRangeError("budget multiplier %s = %r leaves the floating-point range "
+                               "(rho=%g, c=%g, T=%g)" % (name, lam, p.rho, p.c, p.T))
+    return lam
+
+
 def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
     """Bang-bang policy whose discounted spend exactly exhausts M.
 
@@ -145,8 +159,11 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
         raise ParamError("M <= (m/c)*(1 - exp(-c*T))")
 
     z = p.c * M / p.m + math.exp(-p.c * p.T)
+    if not z > 0:
+        raise StableRangeError("budget: e^{-c*t*} = c*M/m + e^{-c*T} underflows to 0 "
+                               "(c=%g, T=%g, M=%g, m=%g)" % (p.c, p.T, M, p.m))
     t_star = -math.log(z) / p.c
-    lambda_star = math.exp(-p.rho * p.T) * z ** (-(p.rho + p.c) / p.c)
+    lambda_star = _multiplier("lambda_star", -p.rho * p.T, z, p)
 
     spend = (p.m / p.c) * (math.exp(-p.c * t_star) - math.exp(-p.c * p.T))
     gap_spend = abs(spend - M)
@@ -161,7 +178,7 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
         )
 
     t_alt = 2.0 * p.rho * p.T / (p.rho + p.c) - (math.exp(-p.c * p.T) + p.c * M / p.m) / p.c
-    lambda_alt = math.exp(p.rho * p.T) * z ** (-(p.rho + p.c) / p.c)
+    lambda_alt = _multiplier("lambda_star_alt", p.rho * p.T, z, p)
     spend_alt = (p.m / p.c) * (math.exp(-p.c * t_alt) - math.exp(-p.c * p.T))
     t_from_lambda_alt = (p.rho * p.T + math.log(lambda_alt)) / (p.rho + p.c)
     discrepancy = {

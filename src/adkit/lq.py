@@ -208,8 +208,11 @@ class RiccatiSolution:
         return np.exp(-self.params.c * t) + self.params.sigma2 ** 2 * self.P_at(t)
 
     def gain_at(self, t):
+        """-(1 + sigma1*sigma2) P / D at t, with P interpolated once."""
         p = self.params
-        return -(1.0 + p.sigma1 * p.sigma2) * self.P_at(t) / self.D_at(t)
+        P = self.P_at(t)
+        D = np.exp(-p.c * np.asarray(t, dtype=float)) + p.sigma2 ** 2 * P
+        return -(1.0 + p.sigma1 * p.sigma2) * P / D
 
     def closed_loop(self, t):
         """Gain G and closed-loop coefficients a = -rho + G and
@@ -289,17 +292,20 @@ def riccati_integrate(
         ev_denom.direction = -1
         events.append(ev_denom)
 
-    r = solve_ivp(
-        rhs,
-        (p.T, t_lo),
-        [-gamma],
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-        max_step=(p.T - t_lo) / 50.0,
-        events=events,
-        dense_output=True,
-    )
+    # a stage that overflows for extreme parameters fails its step's error
+    # test; an integration that cannot go on ends with status -1 below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = solve_ivp(
+            rhs,
+            (p.T, t_lo),
+            [-gamma],
+            method="RK45",
+            rtol=tol,
+            atol=tol,
+            max_step=(p.T - t_lo) / 50.0,
+            events=events,
+            dense_output=True,
+        )
     if r.status == -1:
         raise SolverError("Riccati integration failed: %s" % r.message)
 

@@ -70,14 +70,17 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
     if n < 100:
         raise ParamError("n >= 100")
     s = np.linspace(0.0, p.T, n + 1)
-    x_T = p.x_init * math.exp(-p.rho * p.T) + (p.m / p.rho) * (
-        1.0 - np.exp(-p.rho * (p.T - s))
-    )
-    if p.c != 0:
-        spend = (p.m / p.c) * (np.exp(-p.c * s) - math.exp(-p.c * p.T))
-    else:
-        spend = p.m * (p.T - s)
-    values = p.gamma * x_T - spend
+    # products that leave the floating-point range are caught by the
+    # finite checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_T = p.x_init * math.exp(-p.rho * p.T) + (p.m / p.rho) * (
+            1.0 - np.exp(-p.rho * (p.T - s))
+        )
+        if p.c != 0:
+            spend = (p.m / p.c) * (np.exp(-p.c * s) - math.exp(-p.c * p.T))
+        else:
+            spend = p.m * (p.T - s)
+        values = p.gamma * x_T - spend
     for name, arr in (("terminal mean state", x_T), ("discounted spend", spend),
                       ("objective", values)):
         if not np.isfinite(arr).all():

@@ -17,13 +17,20 @@ simulate_path and simulate_stopped are their one-path case. A stopped
 path reads its normals only until it stops, so the stopping kernel draws
 them a window of _WINDOW steps at a time, for the paths still running.
 
-One block is memoized at a time, keyed by (seed, indices, n,
-antithetic). It is either a whole block from block_normals, read-only
-and returned again without drawing when the same block is asked for
-(paired comparisons on common random numbers), or the windows of one
-stopping block drawn so far, with a per-window mask of the paths drawn:
-a later stopping run on the same key draws only the paths and windows
-that earlier runs did not reach.
+The normals cache has two residents, so paired comparisons on common
+random numbers that alternate between policy evaluations and stopping
+evaluations draw each block once. Each is keyed by (seed, indices, n,
+antithetic) and replaced only by a new key of its own kind, the old one
+let go before the new one is drawn:
+- the whole block last asked of block_normals, read-only and returned
+  again without drawing when the same block is asked for;
+- the windowed block of the last stopping run, with a per-window mask
+  of the paths drawn: a later stopping run on the same key draws only
+  the paths and windows that earlier runs did not reach. A stopping run
+  whose key is the whole resident's reads that block instead.
+So at most one whole block (8 bytes per normal) and one windowed block
+are held. The windowed block's buffer is allocated empty and only the
+pages of the windows its paths reached are ever touched.
 """
 
 from __future__ import annotations
@@ -90,11 +97,13 @@ def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
     return out
 
 
-# (key, z, drawn) of the memoized block, swapped as one tuple so a key is
-# never seen with another key's block. z is the (paths, steps) matrix;
-# drawn is None when z is whole, else a (windows, paths) mask of the
-# _WINDOW-step windows of z drawn so far for each path.
-_last = None
+# The two residents of the normals cache. _whole is (key, z) of the last
+# whole block, z the (paths, steps) matrix. _windowed is (key, z, drawn)
+# of the last windowed block, drawn a (windows, paths) mask of the
+# _WINDOW-step windows of z drawn so far for each path. Each is swapped
+# as one tuple, so a key is never seen with another key's block.
+_whole = None
+_windowed = None
 
 
 def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.ndarray:
@@ -103,20 +112,20 @@ def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.nd
     The matrix is the transpose of a C-ordered (n, len(indices)) array, so
     each column z[:, k] is contiguous. With antithetic=True, paths 2j and
     2j+1 share the substream keyed by j and the odd path gets the
-    sign-flipped draws. A call with the same arguments as the one before
+    sign-flipped draws. A call with the same arguments as the last one
     returns that call's array without drawing.
     """
-    global _last
+    global _whole
     indices = np.asarray(indices, dtype=np.int64)
     key = (int(seed), indices.tobytes(), int(n), bool(antithetic))
-    last = _last
-    if last is not None and last[0] == key and last[2] is None:
-        return last[1]
-    _last = last = None  # let the previous block go before the next is drawn
+    whole = _whole
+    if whole is not None and whole[0] == key:
+        return whole[1]
+    _whole = whole = None  # let the previous block go before the next is drawn
     zt = _draw(seed, indices, 0, int(n), antithetic)
     zt.flags.writeable = False
     z = zt.T
-    _last = (key, z, None)
+    _whole = (key, z)
     return z
 
 
@@ -124,25 +133,30 @@ class _Windows:
     """Normals of the block (seed, indices, n) for the stopping kernel,
     drawn _WINDOW steps at a time for the paths that reach the window.
 
-    The block is the memoized one when its key matches (whole or in
-    windows), else a new windowed block that replaces it. Its (n, paths)
-    buffer is allocated empty, so the pages of windows never drawn are
-    never touched.
+    The block is the whole resident when its key matches, else the
+    windowed resident when its key matches, else a new windowed block
+    that replaces the windowed resident. Its (n, paths) buffer is
+    allocated empty, so the pages of windows never drawn are never
+    touched.
     """
 
     def __init__(self, seed: int, indices, n: int):
-        global _last
+        global _windowed
         indices = np.asarray(indices, dtype=np.int64)
         n = int(n)
         key = (int(seed), indices.tobytes(), n, False)
-        last = _last
-        if last is None or last[0] != key:
-            _last = last = None
-            z = np.empty((n, indices.size)).T
-            last = (key, z, np.zeros((-(-n // _WINDOW), indices.size), dtype=bool))
-            _last = last
         self.seed, self.indices, self.n = seed, indices, n
-        self.zt, self.drawn = last[1].T, last[2]
+        whole = _whole
+        if whole is not None and whole[0] == key:
+            self.zt, self.drawn = whole[1].T, None
+            return
+        res = _windowed
+        if res is None or res[0] != key:
+            _windowed = res = None
+            z = np.empty((n, indices.size)).T
+            res = (key, z, np.zeros((-(-n // _WINDOW), indices.size), dtype=bool))
+            _windowed = res
+        self.zt, self.drawn = res[1].T, res[2]
 
     def window(self, k0: int, act: np.ndarray) -> np.ndarray:
         """Time-major window of steps k0..k0+_WINDOW-1 (cut at n) across
@@ -228,8 +242,10 @@ def _estimate(samples: np.ndarray, what: str):
     finite, which they are exactly when every sample is (and no sum
     overflows)."""
     n = samples.size
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # a non-finite sample makes mean or se non-finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(samples.mean())
+        se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise SolverError(
             "%s: non-finite Monte Carlo estimate (mean %r, std_error %r)" % (what, mean, se)
@@ -248,13 +264,19 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
 
     The update is model.drift and model.diffusion evaluated in place with
     the same association order, so the result is bit-identical to
-    state + drift*dt + diffusion*sqrt(dt)*z_k.
+    state + drift*dt + diffusion*sqrt(dt)*z_k. With additive noise
+    (sigma1 = sigma2 = 0, sigma0 != 0) the diffusion at a finite state
+    and control is exactly sigma0, so the increment is one product
+    (sigma0*sqrt(dt))*z_k. With sigma0 = -0.0 the general form's zero
+    takes its sign from u, which reaches a state left at -0.0.
     """
     dt = g.dt
     sq = math.sqrt(dt)
     t_nodes = g.nodes()
     disc = np.exp(-p.c * t_nodes[:-1])
     rho_n, sigma0, sigma1, sigma2 = -p.rho, p.sigma0, p.sigma1, p.sigma2
+    additive = sigma1 == 0 and sigma2 == 0 and sigma0 != 0
+    sigma0_sq = sigma0 * sq
     # ControlSet.contains as two reductions: NaN propagates through min
     # and max, and an infinite upper bound admits every finite control
     lower = pol.control_set.lower - MEMBERSHIP_TOL
@@ -284,13 +306,16 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
         j -= a
         # diffusion before drift and both before state moves: u may be
         # the state array itself
-        np.abs(state, out=b)
-        b *= sigma1
-        b += sigma0
-        np.multiply(u, sigma2, out=a)
-        b += a
-        b *= sq
-        b *= zt[k]
+        if additive:
+            np.multiply(zt[k], sigma0_sq, out=b)
+        else:
+            np.abs(state, out=b)
+            b *= sigma1
+            b += sigma0
+            np.multiply(u, sigma2, out=a)
+            b += a
+            b *= sq
+            b *= zt[k]
         np.multiply(state, rho_n, out=a)
         a += u
         a *= dt
@@ -434,7 +459,7 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
         if act.size == nb:
             np.multiply(zw[i], sq, out=b)
         else:
-            np.take(zw[i], act, out=b)
+            zw[i].take(act, out=b)
             b *= sq
         np.multiply(y, rho, out=a)
         np.subtract(mu, a, out=a)
@@ -539,16 +564,20 @@ def stopping_cost_report(
     truncated = 0
     min_state = float(y_start)
     done = 0
-    while done < n_paths:
-        nb = min(block_size, n_paths - done)
-        idx = np.arange(done, done + nb)
-        cost, trunc, mn, _ = _stopped_block(
-            mu, rho, gamma1, gamma2, x0, feedback, g.dt, y_start,
-            _Windows(seed, idx, g.n_steps))
-        samples[done : done + nb] = cost
-        truncated += trunc
-        min_state = min(min_state, mn)
-        done += nb
+    # a product that overflows makes its sample non-finite, and _estimate
+    # raises on it; what the feedback computes out of range is a
+    # non-finite control, which the kernel rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_paths:
+            nb = min(block_size, n_paths - done)
+            idx = np.arange(done, done + nb)
+            cost, trunc, mn, _ = _stopped_block(
+                mu, rho, gamma1, gamma2, x0, feedback, g.dt, y_start,
+                _Windows(seed, idx, g.n_steps))
+            samples[done : done + nb] = cost
+            truncated += trunc
+            min_state = min(min_state, mn)
+            done += nb
 
     mean, se = _estimate(samples, "stopping_cost_report")
     return EvalReport(

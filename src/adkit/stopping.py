@@ -77,6 +77,17 @@ def _scaled_arg(x, sp: StoppingParams):
     return math.sqrt(sp.rho) * (np.asarray(x, dtype=float) - sp.mu / sp.rho)
 
 
+def _require_stable(w):
+    """StableRangeError where some scaled argument w < -W_STABLE; NaN
+    lanes pass (their results are NaN)."""
+    lowest = np.minimum.reduce(w, axis=None, initial=math.inf)
+    if not lowest >= -W_STABLE and np.any(w < -W_STABLE):
+        raise StableRangeError(
+            "u2 out of stable range: need sqrt(rho)*(x - mu/rho) >= -26, got %g"
+            % float(lowest)
+        )
+
+
 def u2(x, sp: StoppingParams):
     """Decaying solution of the homogeneous continuation ODE,
     normalized as exp(w^2) * integral_x^inf exp(-rho*(s - mu/rho)^2) ds
@@ -84,11 +95,7 @@ def u2(x, sp: StoppingParams):
     complementary error function, so no overlarge intermediate appears.
     """
     w = _scaled_arg(x, sp)
-    if np.any(w < -W_STABLE):
-        raise StableRangeError(
-            "u2 out of stable range: need sqrt(rho)*(x - mu/rho) >= -26, got %g"
-            % float(np.min(w))
-        )
+    _require_stable(w)
     out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
     return _like(x, out)
 
@@ -214,12 +221,24 @@ def stopping_value(sol: StoppingSolution, sp: StoppingParams, x):
 def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
     """Feedback control: 1/u2(y) - 2*rho*(y - mu/rho) on the
     continuation side (boundary included, where it equals x0/gamma1),
-    zero below. The max with 0 is defensive; it provably never binds."""
+    zero below (and for NaN). The max with 0 is defensive; it provably
+    never binds. u2 is evaluated at max(y, x0) in place, in one erfcx pass."""
     y_arr = np.asarray(y, dtype=float)
-    y_c = np.maximum(y_arr, sol.x0)
-    raw = 1.0 / u2(y_c, sp) - 2.0 * sp.rho * (y_c - sp.mu / sp.rho)
-    out = np.where(y_arr >= sol.x0, np.maximum(raw, 0.0), 0.0)
-    return _like(y, out)
+    scalar = y_arr.ndim == 0
+    if scalar:
+        y_arr = y_arr.reshape(1)
+    d = np.maximum(y_arr, sol.x0)
+    d -= sp.mu / sp.rho
+    w = d * math.sqrt(sp.rho)
+    _require_stable(w)
+    erfcx(w, out=w)
+    w *= SQRT_PI / (2.0 * math.sqrt(sp.rho))  # u2(max(y, x0))
+    np.divide(1.0, w, out=w)
+    d *= 2.0 * sp.rho
+    w -= d
+    out = np.zeros(y_arr.shape)
+    np.maximum(w, 0.0, out=out, where=y_arr >= sol.x0)
+    return float(out[0]) if scalar else out
 
 
 def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:

@@ -471,7 +471,6 @@ def test_config_error_matrix(tmp_path):
         assert main(["linear", "--config", cfg]) == 2, body
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("model", [
     # 1/sigma2 squared leaves the float range
     {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 1e-247},
@@ -614,9 +613,6 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-# extreme but finite parameters overflow inside the Riccati right-hand
-# side on their way to a SolverError
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cli_configs())

@@ -7,6 +7,7 @@ from adkit import (
     ModelParams,
     ParamError,
     SolverError,
+    StableRangeError,
     linear_policy,
     solve_budget,
     solve_linear,
@@ -178,6 +179,38 @@ def test_budget_nan_identity_gap_is_solver_error():
     # guards must not read a NaN gap as a pass
     p = ModelParams(rho=0.5, c=1e-300, T=1e-300, m=1e300)
     with pytest.raises(SolverError, match="budget identity failed"):
+        solve_budget(p, 1e-300)
+
+
+def test_budget_overflowing_multiplier_is_stable_range_error():
+    # z ** (-(rho+c)/c) overflows: was a raw OverflowError
+    p = ModelParams(rho=1e300, c=1e150, T=1, sigma0=1e150, sigma1=1e-12, sigma2=1, gamma0=1,
+                    m=1e300)
+    with pytest.raises(StableRangeError, match="lambda_star"):
+        solve_budget(p, 0.5)
+
+
+def test_budget_underflowing_multiplier_is_stable_range_error():
+    # lambda_star underflows to 0, whose log was a raw ValueError
+    p = ModelParams(rho=1e150, c=1e150, T=1e-12, sigma0=1, sigma1=1, sigma2=1e150,
+                    gamma0=1e300, m=1e300)
+    with pytest.raises(StableRangeError, match="lambda_star"):
+        solve_budget(p, 0.5)
+
+
+def test_budget_overflowing_alternative_multiplier_is_stable_range_error():
+    # lambda_star is finite, the comparison form's e^{rho*T} overflows:
+    # was a raw OverflowError
+    p = ModelParams(rho=705.0, c=1.0, T=1.01, m=1.0)
+    with pytest.raises(StableRangeError, match="lambda_star_alt"):
+        solve_budget(p, math.exp(-0.5) - math.exp(-1.01))
+
+
+def test_budget_underflowing_switch_argument_is_stable_range_error():
+    # c*M/m and e^{-c*T} both underflow, so log of the switch argument
+    # was a raw ValueError
+    p = ModelParams(rho=1.0, c=1e-10, T=1e150, m=1e300)
+    with pytest.raises(StableRangeError, match="underflows"):
         solve_budget(p, 1e-300)
 
 

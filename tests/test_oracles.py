@@ -56,7 +56,6 @@ def test_dp_linear_gamma0_one_switches_at_horizon():
     assert r.t_star_hat == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_dp_linear_out_of_range_is_stable_range_error():
     # m/rho and m/c overflow against factors that round to 0: every
     # grid value used to be NaN

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,16 +13,21 @@ from adkit import (
     Policy,
     PolicyError,
     SolverError,
+    StableRangeError,
     evaluate_policy,
+    linear_policy,
+    riccati_integrate,
     simulate_path,
     simulate_stopped,
     solve_linear,
     solve_stopping,
     stopping_cost_report,
+    stopping_policy,
 )
 from adkit import sde
 from adkit.model import ControlSet, diffusion, drift
 from adkit.sde import block_normals, path_normals
+from adkit.stopping import u2
 
 P = ModelParams(rho=0.5, c=0.1, T=1.0, sigma0=0.2, gamma0=1.2)
 
@@ -556,8 +563,24 @@ def test_window_equals_slice_of_full_block(indices, n, k0, k1, antithetic):
     np.testing.assert_array_equal(w.view(np.uint64), ref.T.view(np.uint64))
 
 
+def _count_ndtri(monkeypatch):
+    count = [0]
+
+    def counting(x, out=None):
+        count[0] += np.size(x)
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(sde, "ndtri", counting)
+    return count
+
+
+def _empty_cache(monkeypatch):
+    monkeypatch.setattr(sde, "_whole", None)
+    monkeypatch.setattr(sde, "_windowed", None)
+
+
 def test_windowed_block_fills_only_requested_paths(monkeypatch):
-    monkeypatch.setattr(sde, "_last", None)
+    _empty_cache(monkeypatch)
     idx = np.arange(10, 20, dtype=np.int64)
     ref = _reference_normals(4, idx, 150, False)
     src = sde._Windows(4, idx, 150)
@@ -565,12 +588,12 @@ def test_windowed_block_fills_only_requested_paths(monkeypatch):
     assert w.shape == (150 - 128, 10)
     np.testing.assert_array_equal(w[:, [1, 4, 9]].view(np.uint64),
                                   ref[[1, 4, 9], 128:].T.view(np.uint64))
-    assert sde._last[2][2].tolist() == [i in (1, 4, 9) for i in range(10)]
-    assert not sde._last[2][:2].any()
+    assert sde._windowed[2][2].tolist() == [i in (1, 4, 9) for i in range(10)]
+    assert not sde._windowed[2][:2].any()
     # a second source on the same key sees the drawn paths and adds more
     w = sde._Windows(4, idx, 150).window(128, np.arange(10))
     np.testing.assert_array_equal(w.view(np.uint64), ref[:, 128:].T.view(np.uint64))
-    assert sde._last[2][2].all()
+    assert sde._windowed[2][2].all()
 
 
 def test_stopping_all_paths_truncated_matches_reference(stop_sol):
@@ -588,7 +611,7 @@ def test_stopping_all_paths_truncated_matches_reference(stop_sol):
 
 
 def test_stopping_after_failed_run_on_same_key_matches_reference(stop_sol, monkeypatch):
-    monkeypatch.setattr(sde, "_last", None)
+    _empty_cache(monkeypatch)
     g = PathGrid(0.0, 40.0, 4000)
     y = stop_sol.x0 + 1.0
     calls = [0]
@@ -602,7 +625,7 @@ def test_stopping_after_failed_run_on_same_key_matches_reference(stop_sol, monke
     with pytest.raises(PolicyError, match="stopping control"):
         stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=300, seed=3,
                              control=failing, **SP_KW)
-    assert sde._last[2][:2].any()
+    assert sde._windowed[2][:2].any()
     rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=300, seed=3,
                                keep_samples=True, **SP_KW)
     samples, min_state, trunc = _ref_stopping(
@@ -615,14 +638,8 @@ def test_stopping_after_failed_run_on_same_key_matches_reference(stop_sol, monke
 
 def test_stopping_inverts_only_the_normals_it_reads(stop_sol, monkeypatch):
     # the benchmark's paired stopping instance: 2,000 paths x 4,000 steps
-    count = [0]
-
-    def counting(x, out=None):
-        count[0] += np.size(x)
-        return ndtri(x, out=out)
-
-    monkeypatch.setattr(sde, "ndtri", counting)
-    monkeypatch.setattr(sde, "_last", None)
+    count = _count_ndtri(monkeypatch)
+    _empty_cache(monkeypatch)
     g = PathGrid(0.0, 40.0, 4000)
     kw = dict(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=2000, seed=99, **SP_KW)
     rep = stopping_cost_report(**kw)
@@ -632,6 +649,197 @@ def test_stopping_inverts_only_the_normals_it_reads(stop_sol, monkeypatch):
     first = count[0]
     stopping_cost_report(**kw)
     assert count[0] == first
+
+
+def test_paired_evaluations_and_stopping_share_the_cache(stop_sol, monkeypatch):
+    # evaluate -> stop -> evaluate -> stop on one seed, as paired
+    # comparisons alternate between policy and stopping evaluations
+    g = PathGrid(0.0, P.T, 50)
+    g_stop = PathGrid(0.0, 40.0, 4000)
+
+    def evaluate():
+        return evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
+                               g, 300, 99, keep_samples=True).samples
+
+    def stop():
+        return stopping_cost_report(sol=stop_sol, g=g_stop, y_start=stop_sol.x0 + 1.0,
+                                    n_paths=300, seed=99, keep_samples=True, **SP_KW).samples
+
+    _empty_cache(monkeypatch)
+    fresh_eval = evaluate()
+    _empty_cache(monkeypatch)
+    fresh_stop = stop()
+
+    _empty_cache(monkeypatch)
+    count = _count_ndtri(monkeypatch)
+    first = (evaluate(), stop())
+    assert count[0] > 0
+    drawn = count[0]
+    second = (evaluate(), stop())
+    assert count[0] == drawn  # the second pair inverts no normals
+    for got, want in zip(first + second, (fresh_eval, fresh_stop) * 2):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
+    _empty_cache(monkeypatch)
+    idx = np.arange(6)
+    block_normals(1, idx, 100)
+    sde._Windows(1, idx, 200).window(0, np.arange(6))
+    whole = weakref.ref(sde._whole[1].base)
+    windowed = weakref.ref(sde._windowed[1].base)
+    live = []
+    draw = sde._draw
+
+    def spying(*args):
+        live.append((whole() is not None, windowed() is not None))
+        return draw(*args)
+
+    monkeypatch.setattr(sde, "_draw", spying)
+    # a new whole key: the old whole block is gone before the new one is
+    # drawn, and the windowed resident stays
+    block_normals(2, idx, 100)
+    assert live == [(False, True)]
+    assert sde._whole[0][0] == 2 and sde._windowed[0][0] == 1
+    # a new windowed key: the old windowed block is gone once its
+    # replacement exists, and the whole resident stays
+    src = sde._Windows(2, idx, 200)
+    assert windowed() is None
+    assert sde._whole[0][0] == 2 and sde._windowed[0][0] == 2
+    src.window(0, np.arange(6))
+    assert live[1:] == [(False, False)]
+    # a stopping block on the whole resident's key reads it and draws nothing
+    z = block_normals(3, idx, 100)
+    drawn = len(live)
+    src = sde._Windows(3, idx, 100)
+    assert src.drawn is None and np.shares_memory(src.zt, z)
+    np.testing.assert_array_equal(src.window(64, np.arange(6)), z.T[64:])
+    assert len(live) == drawn and sde._windowed[0][0] == 2
+
+
+# --- kernel trims against the forms they replaced ---
+
+
+def _euler_seven_op(p, pol, loss, g, x, z):
+    """The Euler step loop with the diffusion increment in the general
+    seven-op form, as _euler_block computed it for every noise model."""
+    dt = g.dt
+    sq = math.sqrt(dt)
+    t_nodes = g.nodes()
+    disc = np.exp(-p.c * t_nodes[:-1])
+    zt = z.T
+    state = np.full(zt.shape[1], float(x))
+    j = np.zeros_like(state)
+    a = np.empty_like(state)
+    b = np.empty_like(state)
+    min_state = float(x)
+    for k in range(g.n_steps):
+        u = np.broadcast_to(np.asarray(pol(t_nodes[k], state), dtype=float), state.shape)
+        np.multiply(np.asarray(loss(u), dtype=float), disc[k], out=a)
+        a *= dt
+        j -= a
+        np.abs(state, out=b)
+        b *= p.sigma1
+        b += p.sigma0
+        np.multiply(u, p.sigma2, out=a)
+        b += a
+        b *= sq
+        b *= zt[k]
+        np.multiply(state, -p.rho, out=a)
+        a += u
+        a *= dt
+        state += a
+        state += b
+        min_state = min(min_state, float(state.min()))
+    return state, j, min_state
+
+
+@pytest.mark.parametrize("sigmas", [(0.2, 0.0, 0.0), (0.2, -0.0, -0.0), (1e-300, 0.0, 0.0),
+                                    (3.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0),
+                                    (0.2, 0.1, 0.0)])
+@pytest.mark.parametrize("kind", ["constant", "bang-bang", "identity", "subnormal"])
+def test_additive_noise_step_matches_seven_op_form(kind, sigmas):
+    sigma0, sigma1, sigma2 = sigmas
+    p = ModelParams(rho=0.5, c=0.1, T=1.0, sigma0=sigma0, sigma1=sigma1, sigma2=sigma2,
+                    gamma0=1.2)
+    anywhere = ControlSet(-math.inf, math.inf)
+    pol = {"constant": Policy.constant(0.5),
+           "bang-bang": linear_policy(solve_linear(P)),
+           # negative controls: u*sigma2 is -0.0 on those paths
+           "identity": Policy("identity", lambda t, x: x - 1.0, anywhere),
+           # from x = -0.0, u*dt rounds to -0.0 and the state stays at -0.0,
+           # where the sign of a zero increment shows after one step
+           "subnormal": Policy("subnormal", lambda t, x: np.full(np.shape(x), -5e-324),
+                               anywhere)}[kind]
+    if kind == "subnormal":
+        x, g = -0.0, PathGrid(0.0, 0.025, 1)
+    else:
+        x, g = 1.0, PathGrid(0.0, 1.0, 40)
+    z = block_normals(7, np.arange(129), g.n_steps)
+    got = sde._euler_block(p, pol, lambda u: u * u, g, x, z)
+    want = _euler_seven_op(p, pol, lambda u: u * u, g, x, z)
+    assert np.isfinite(got[0]).all()
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("params", [
+    P_LQ,
+    ModelParams(rho=1.3, c=0.0, T=2.0, sigma1=0.35, sigma2=0.1, gamma0=0.4),
+    ModelParams(rho=0.2, c=0.7, T=0.5, sigma2=0.9, gamma0=0.9),
+])
+def test_gain_at_matches_p_over_d(params):
+    sol = riccati_integrate(params)
+    s = 1.0 + params.sigma1 * params.sigma2
+    t = np.concatenate([sol.t, 0.5 * (sol.t[1:] + sol.t[:-1])])
+    for q in (t, float(sol.t[0]), 0.37 * params.T, float(params.T)):
+        got = np.asarray(sol.gain_at(q))
+        want = np.asarray(-s * sol.P_at(q) / sol.D_at(q))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _stopping_policy_where(sol, sp, y):
+    """stopping_policy with u2 at max(y, x0) and np.where for the stop side."""
+    y_arr = np.asarray(y, dtype=float)
+    y_c = np.maximum(y_arr, sol.x0)
+    raw = 1.0 / u2(y_c, sp) - 2.0 * sp.rho * (y_c - sp.mu / sp.rho)
+    out = np.where(y_arr >= sol.x0, np.maximum(raw, 0.0), 0.0)
+    return float(out) if np.ndim(y) == 0 else out
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_stopping_policy_matches_where_form(stop_sol, shift):
+    sol = dataclasses.replace(stop_sol, x0=stop_sol.x0 + shift)
+    sp = sol.params
+    x0 = sol.x0
+    y = np.concatenate([
+        np.linspace(x0 - 2.0, x0 + 12.0, 1000),
+        [x0, np.nextafter(x0, -math.inf), np.nextafter(x0, math.inf), -math.inf, 0.0, -0.0,
+         math.nan, 1e150],
+    ])
+    got = stopping_policy(sol, sp, y)
+    want = _stopping_policy_where(sol, sp, y)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[y < x0].tolist() == [0.0] * int((y < x0).sum())
+    assert got[np.isnan(y)].view(np.uint64).tolist() == [0]  # NaN maps to +0.0
+    for q in (x0, x0 - 0.5, x0 + 0.5, math.nan, 3):
+        g, w = stopping_policy(sol, sp, q), _stopping_policy_where(sol, sp, q)
+        assert type(g) is type(w) is float
+        assert math.copysign(1.0, g) == math.copysign(1.0, w) and (g == w)
+    got2 = stopping_policy(sol, sp, y.reshape(-1, 7))
+    np.testing.assert_array_equal(got2.view(np.uint64), want.reshape(-1, 7).view(np.uint64))
+
+
+def test_stopping_policy_out_of_stable_range_is_stable_range_error(stop_sol):
+    sp = stop_sol.params
+    sol = dataclasses.replace(stop_sol, x0=sp.mu / sp.rho - 30.0 / math.sqrt(sp.rho))
+    with pytest.raises(StableRangeError, match="-26"):
+        stopping_policy(sol, sp, np.array([sol.x0, math.nan]))
+    # paths above the stable range's end never touch it
+    assert stopping_policy(sol, sp, sp.mu / sp.rho) > 0
 
 
 # --- no silent non-finite result ---
@@ -645,7 +853,6 @@ def test_stopping_control_nan_inf_negative_rejected(stop_sol, value):
                              control=lambda y: np.full(np.shape(y), value), **SP_KW)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stopping_overflowing_cost_is_solver_error(stop_sol):
     # a finite control whose running cost overflows
     g = PathGrid(0.0, 10.0, 100)
@@ -661,7 +868,6 @@ def test_evaluate_policy_nan_loss_rejected():
                         lambda u: np.full(np.shape(u), math.nan), 0.0, 1.0, g, 10, 1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_evaluate_policy_non_finite_sample_is_solver_error(value):
     g = PathGrid(0.0, 1.0, 10)

@@ -274,7 +274,6 @@ def test_free_boundary_overshooting_fit_against_dp():
     assert res.value_at(y) == pytest.approx(float(sol.value(y)), rel=2e-3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("k, rho", [(1e12, 1e300), (1e300, 1e12), (1e150, 1e300)])
 def test_free_boundary_overflowing_drift_is_stable_range_error(k, rho):
     # mu = rho*k overflows, so the bracket has no finite end; brentq used
