@@ -25,9 +25,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
+from ._scipy import PchipInterpolator, solve_ivp
 from .errors import ParamError, PolicyError, SolverError, StableRangeError
 from .model import ControlSet, ModelParams, Policy, require
 
@@ -37,6 +36,10 @@ ZETA_SNAP_REL = 1e-9
 GUARD_FRAC = 1e-6
 # |P| cap that stands in for blow-down when sigma2 = 0 (D stays positive)
 P_CAP = 1e12
+# right-hand-side evaluations one integration may make; the criterion-8
+# instance and every cli_sweep instance take 308. Stiff or non-finite
+# integrations stop here after about 1 s instead of running for minutes
+MAX_NFEV = 100_000
 
 
 @dataclass(frozen=True)
@@ -224,13 +227,28 @@ class RiccatiSolution:
         return G, -p.rho + G, p.sigma1 + p.sigma2 * G
 
 
+def _rhs_coeffs(p: ModelParams):
+    """a = 2*rho - sigma1^2 and q = (1 + sigma1*sigma2)^2 of the right-hand side."""
+    try:
+        return 2.0 * p.rho - p.sigma1 ** 2, (1.0 + p.sigma1 * p.sigma2) ** 2
+    except OverflowError:
+        raise StableRangeError("Riccati right-hand side overflows (sigma1=%g, sigma2=%g)"
+                               % (p.sigma1, p.sigma2)) from None
+
+
 def _riccati_rhs(p: ModelParams, guard_stage: float):
-    a = 2.0 * p.rho - p.sigma1 ** 2
-    q = (1.0 + p.sigma1 * p.sigma2) ** 2
+    """Right-hand side that raises SolverError on evaluation MAX_NFEV + 1."""
+    a, q = _rhs_coeffs(p)
     s2 = p.sigma2 ** 2
     c = p.c
+    nfev = 0
 
     def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV:
+            raise SolverError("Riccati integration needs more than %d right-hand-side "
+                              "evaluations (stiff or not finite)" % MAX_NFEV)
         P = y[0]
         D = math.exp(-c * t) + s2 * P
         if D < guard_stage:  # keep stage evaluations finite near blow-down
@@ -253,6 +271,10 @@ def riccati_integrate(
         raise ParamError("n_nodes >= 2")
     if not t_lo < p.T:
         raise ParamError("t_lo < T")
+    try:
+        math.exp(-p.c * t_lo)  # exp(-c*t) is largest at t_lo
+    except OverflowError:
+        raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
 
     coeffs = None
     classification = None
@@ -294,18 +316,27 @@ def riccati_integrate(
 
     # a stage that overflows for extreme parameters fails its step's error
     # test; an integration that cannot go on ends with status -1 below
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = solve_ivp(
-            rhs,
-            (p.T, t_lo),
-            [-gamma],
-            method="RK45",
-            rtol=tol,
-            atol=tol,
-            max_step=(p.T - t_lo) / 50.0,
-            events=events,
-            dense_output=True,
-        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            r = solve_ivp(
+                rhs,
+                (p.T, t_lo),
+                [-gamma],
+                method="RK45",
+                rtol=tol,
+                atol=tol,
+                max_step=(p.T - t_lo) / 50.0,
+                events=events,
+                dense_output=True,
+            )
+        except ValueError as e:
+            # solve_ivp times a fired event by brentq on the step's dense
+            # output. Where sigma2^2 is large against 1 - gamma0*sigma2^2,
+            # the denominator event magnifies rounding in P, so the dense
+            # output can put both ends of a step on one side of the event
+            # although the step's own end value crossed it; brentq then
+            # raises ValueError
+            raise SolverError("Riccati integration failed: %s" % e) from None
     if r.status == -1:
         raise SolverError("Riccati integration failed: %s" % r.message)
 
@@ -313,13 +344,14 @@ def riccati_integrate(
     well_posed = r.status == 0 and not fired
     t_blow = max(fired) if fired else None
     t_stop = t_lo if well_posed else float(t_blow)
+    if not t_stop < p.T:
+        raise SolverError("Riccati constraint fails at T itself; no retained interval")
 
     t_grid = np.linspace(t_stop, p.T, n_nodes)
     P_grid = r.sol(t_grid)[0]
     P_grid[-1] = -gamma  # terminal condition stored exactly
 
-    a = 2.0 * p.rho - p.sigma1 ** 2
-    q = (1.0 + p.sigma1 * p.sigma2) ** 2
+    a, q = _rhs_coeffs(p)
     D_grid = np.maximum(np.exp(-p.c * t_grid) + s2 * P_grid, guard / 10.0)
     f_grid = a * P_grid + q * P_grid ** 2 / D_grid
 

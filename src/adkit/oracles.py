@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._scipy import get_lapack_funcs
 from .errors import ParamError, SolverError, StableRangeError
 from .model import ModelParams, require
 from .stopping import StoppingParams

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._scipy import ndtri
 from .errors import ParamError, PolicyError, SolverError
 from .model import MEMBERSHIP_TOL, ModelParams, Policy, require
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfcx
 
+from ._scipy import brentq, erfcx
 from .errors import ParamError, SolverError, StableRangeError
 
 SQRT_PI = math.sqrt(math.pi)

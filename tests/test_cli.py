@@ -5,11 +5,12 @@ import json
 import math
 import os
 import tempfile
+import time
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import adkit.cli
@@ -495,6 +496,20 @@ def test_lq_sigma2_square_overflow_exit3(tmp_path, capsys):
     assert not (tmp_path / "out" / "lq.json").exists()
 
 
+def test_lq_stiff_horizon_exit3_in_bounded_time(tmp_path, capsys):
+    # rho*T = 5e7: RK45 is held to steps of about 3 on T = 1e8 by stability,
+    # and this config ran for minutes
+    model = {"rho": 0.5, "c": 1e-300, "T": 1e8, "sigma2": 0.3, "gamma0": 0.5}
+    cfg = write_cfg(tmp_path, {"problem": "lq", "model": model,
+                               "output_dir": str(tmp_path / "out"), "lq": {}})
+    start = time.perf_counter()
+    assert main(["lq", "--config", cfg, "--quiet"]) == 3
+    assert time.perf_counter() - start < 20.0
+    assert capsys.readouterr().err.startswith(
+        "solver error: Riccati integration needs more than")
+    assert not (tmp_path / "out" / "lq.json").exists()
+
+
 def test_simulate_sizes_past_limit_exit2(tmp_path):
     for field in ("n_paths", "n_steps"):
         block = {"policy": "linear", "n_paths": 10, "n_steps": 10, "seed": 1}
@@ -613,8 +628,12 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# No shrink (or explain) phase: shrinking a failure here ran for over ten
+# minutes and looked like a hung test run, while the first failing config,
+# reported as drawn, is small enough to read; derandomize reproduces it.
 @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(cli_configs())
 def test_cli_any_config_exits_cleanly(case):
     command, cfg = case

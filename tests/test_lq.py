@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import adkit.lq
 from adkit import (
     ModelParams,
     ParamError,
@@ -213,6 +215,51 @@ def test_integrate_rejects_bad_tolerance(tol):
 def test_integrate_rejects_too_few_nodes(n_nodes):
     with pytest.raises(ParamError, match="n_nodes"):
         riccati_integrate(P5, n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("p, error, match", [
+    # sigma1**2 overflows in the right-hand side; sigma2 = 0 skips riccati_coeffs.
+    # This was a raw OverflowError
+    (ModelParams(rho=1e150, c=1e300, T=1.0, sigma1=1e300, gamma0=1e-300, m=1e12),
+     StableRangeError, "right-hand side overflows"),
+    # 1 - gamma0*sigma2^2 is one rounding unit, and solve_ivp's event root
+    # finding raised a raw ValueError ("f(a) and f(b) must have different signs")
+    (ModelParams(rho=0.5, c=1e-300, T=1e-12, sigma0=1e12, sigma1=0.5, sigma2=1e150,
+                 gamma0=1e-300, m=1e12),
+     SolverError, "Riccati integration failed"),
+    # the right-hand side at P(T) = -1e300 is not finite, so the step size
+    # went NaN and the integration ran for minutes
+    (ModelParams(rho=1e12, c=0.0, T=1e-300, sigma0=1e-12, sigma1=0.5, gamma0=1e300,
+                 m=1e-300),
+     SolverError, "right-hand-side evaluations"),
+    # the denominator event fires at T itself, which left an empty grid and
+    # a NaN max_midpoint_residual
+    (ModelParams(rho=1e-300, c=1e-12, T=1.0, sigma0=1.0, sigma1=0.5, sigma2=1e150,
+                 gamma0=1e-300, m=0.5),
+     SolverError, "fails at T itself"),
+])
+def test_integrate_extreme_inputs_raise_in_bounded_time(p, error, match):
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        riccati_integrate(p)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_integrate_evaluation_budget(monkeypatch):
+    # P5 (the criterion-8 instance) takes 308 evaluations
+    monkeypatch.setattr(adkit.lq, "MAX_NFEV", 300)
+    with pytest.raises(SolverError, match="more than 300"):
+        riccati_integrate(P5)
+    monkeypatch.setattr(adkit.lq, "MAX_NFEV", 308)
+    assert float(riccati_integrate(P5).P[0]) == P5_P0
+
+
+@pytest.mark.parametrize("c, t_lo", [(1.0, -800.0), (1e-3, -1e300)])
+def test_integrate_discount_overflow_at_t_lo(c, t_lo):
+    # exp(-c*t) at t_lo was a raw OverflowError inside the right-hand side
+    p = ModelParams(rho=0.5, c=c, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=0.5)
+    with pytest.raises(StableRangeError, match="t_lo"):
+        riccati_integrate(p, t_lo=t_lo)
 
 
 def test_partial_window_integration():
