@@ -21,7 +21,7 @@ sol = riccati_integrate(p)
 print("well posed: %s (case %s)" % (sol.well_posed, sol.case_label))
 print("P(0) = %.10f, value at x_init: %.10f"
       % (sol.P[0], -float(sol.P[0]) * p.x_init ** 2))
-print("integration audit: max midpoint residual %.2e" % sol.max_midpoint_residual)
+print("grid audit: max midpoint residual %.2e" % sol.max_midpoint_residual)
 
 print("\ngain schedule G(t):")
 for t in np.linspace(0.0, p.T, 6):
@@ -39,7 +39,7 @@ p_ill = ModelParams(rho=0.5, c=0.0, T=1.0, sigma2=1.0, gamma0=0.75)
 ill = riccati_integrate(p_ill)
 rep = ill.classification
 print("case %s, closed-form horizon bound T_max = %.6f" % (rep.case_label, rep.T_max))
-print("well posed on T=%g: %s; integration stops at t_blow = %.6f"
+print("well posed on T=%g: %s; P blows down at t_blow = %.6f"
       % (p_ill.T, ill.well_posed, ill.t_blow))
 
 p_ok = ModelParams(rho=0.5, c=0.0, T=0.9 * rep.T_max, sigma2=1.0, gamma0=0.75)

@@ -52,9 +52,11 @@ from .oracles import (
     DpQviResult,
     FdHjbResult,
     Grid2D,
+    RiccatiOracle,
     dp_linear,
     dp_qvi_stopping,
     fd_hjb_lq,
+    riccati_oracle,
     u_max_oracle,
 )
 from .sde import (
@@ -100,6 +102,7 @@ __all__ = [
     "PolicyError",
     "QviReport",
     "RiccatiCoeffs",
+    "RiccatiOracle",
     "RiccatiSolution",
     "SolverError",
     "StableRangeError",
@@ -124,6 +127,7 @@ __all__ = [
     "require",
     "riccati_coeffs",
     "riccati_integrate",
+    "riccati_oracle",
     "riccati_sigma2_zero",
     "riccati_sigma2_zero_blow",
     "simulate_path",

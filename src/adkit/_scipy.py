@@ -1,12 +1,12 @@
 """The scipy functions adkit calls, each importing its scipy submodule on
 its first call.
 
-Importing scipy.integrate, .interpolate, .optimize, .special and .linalg
+Importing scipy.integrate, .optimize, .special and .linalg
 loads several hundred modules, which takes longer than solving a linear
-or budget problem; those closed forms need only numpy. So no scipy
-module is imported with adkit: the Riccati integrator loads
-scipy.integrate and scipy.interpolate, the launch problem scipy.optimize
-and scipy.special, Monte Carlo normals scipy.special, and the FD oracle
+or budget problem; those closed forms, and the Riccati closed form,
+need only numpy. So no scipy module is imported with adkit: the Riccati
+oracle loads scipy.integrate, the launch problem scipy.optimize and
+scipy.special, Monte Carlo normals scipy.special, and the FD oracle
 scipy.linalg, each when first called. An import statement for a module
 already loaded costs well under a microsecond.
 """
@@ -30,11 +30,6 @@ def brentq(f, a, b, **kwargs):
 def solve_ivp(fun, t_span, y0, **kwargs):
     import scipy.integrate
     return scipy.integrate.solve_ivp(fun, t_span, y0, **kwargs)
-
-
-def PchipInterpolator(x, y):
-    import scipy.interpolate
-    return scipy.interpolate.PchipInterpolator(x, y)
 
 
 def get_lapack_funcs(names, arrays):

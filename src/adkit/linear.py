@@ -112,13 +112,23 @@ class BudgetSolution:
 
 def spend_bound(p: ModelParams) -> float:
     """Largest discounted spend any admissible control can reach,
-    (m/c)*(1 - exp(-c*T)).
+    (m/c)*(1 - exp(-c*T)), and its limit m*T at c = 0.
 
     Where m/c overflows, c*T is small and 1 - exp(-c*T) may round to 0,
     so the bound is m*T*(1 - exp(-c*T))/(c*T) from expm1 instead, with
-    its limit m*T where c*T underflows to 0.
+    its limit m*T where c*T underflows to 0. StableRangeError where the
+    bound itself overflows.
     """
-    ratio = p.m / p.c
+    require(p)
+    bound = _spend_bound(p)
+    if not math.isfinite(bound):
+        raise StableRangeError("spend bound overflows (m=%g, c=%g, T=%g)" % (p.m, p.c, p.T))
+    return bound
+
+
+def _spend_bound(p: ModelParams) -> float:
+    """spend_bound without its checks; inf where it overflows."""
+    ratio = p.m / p.c if p.c else math.inf
     if math.isfinite(ratio):
         return ratio * (1.0 - math.exp(-p.c * p.T))
     cT = p.c * p.T
@@ -150,7 +160,8 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
     require(p)
     if p.c == 0:
         raise ParamError("c > 0")
-    bound = spend_bound(p)
+    # a bound past the float range admits every finite M
+    bound = _spend_bound(p)
     if not math.isfinite(M):
         raise ParamError("M finite")
     if M <= 0:

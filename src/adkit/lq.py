@@ -1,45 +1,77 @@
 """Indefinite linear-quadratic solver: well-posedness classification,
-backward integration of the generalized Riccati equation, the feedback
-law, and closed-loop coefficients.
+the closed-form solution of the generalized Riccati equation, the
+feedback law, and closed-loop coefficients.
 
 The scalar Riccati equation is
 
     dP/dt = (2*rho - sigma1^2)*P + (1 + sigma1*sigma2)^2 * P^2 / D(t, P),
     D(t, P) = exp(-c*t) + sigma2^2 * P,    P(T) = -gamma,
 
-integrated backward from T under the running constraints P < 0 and
-D > 0. P parametrizes the minimization-form value P(t)*x^2; the
-supremum-form objective of the control problem equals -P(t)*x^2.
+solved backward from T under the running constraints P < 0 and D > 0.
+P parametrizes the minimization-form value P(t)*x^2; the supremum-form
+objective of the control problem equals -P(t)*x^2.
 
-The closed-form classification works on the reduced autonomous
-coefficients a1..a4, which drop the discount rate; it is exact for c = 0
-and advisory otherwise. The integrator's constraint monitoring is the
-authoritative well-posedness verdict in all cases.
+Closed form. The scaled variable pi = exp(c*t)*P solves the autonomous
+equation pi' = pi*(alpha + beta*pi)/(1 + s2*pi), pi(T) = -gamma0, with
+alpha = 2*rho + c - sigma1^2, q = (1 + sigma1*sigma2)^2, s2 = sigma2^2
+and beta = alpha*s2 + q >= 1. The solver works in w = -pi/(1 + s2*pi) > 0,
+which solves
+
+    w' = w*(alpha - q*w)*(1 + s2*w),    w(T) = gamma0/a4,
+
+with a4 = 1 - gamma0*s2 as riccati_coeffs computes it. Then
+
+    P = -exp(-c*t)*w/(1 + s2*w),   D = exp(-c*t)/(1 + s2*w),
+    gain = (1 + sigma1*sigma2)*w,
+
+and none of these cancels, not even where sigma2^2*P nearly cancels
+exp(-c*t). Partial fractions give the time at which the flow reaches w,
+
+    t(w) = T + X*h(alpha*X) + s2*Y*h(beta*Y),    h(z) = log1p(z)/z,
+    X = (w - w_T)/(w_T*(alpha - q*w)),  Y = (w_T - w)/((alpha - q*w_T)*(1 + s2*w)),
+
+which is T + log(pi/pi_T)/alpha - q/(alpha*beta)*log((alpha + beta*pi)/(alpha + beta*pi_T))
+written so that the limits alpha = 0 and beta = 0 are the plain terms X
+and s2*Y. riccati_integrate inverts t(w) on its nodes by a safeguarded
+Newton iteration in u = log(w). Backward in time w decays to 0 when
+w_T < alpha/q, stays at a start on that fixed point, and otherwise
+blows up at t_blow = lim t(w), w -> inf, which is D -> 0 for
+sigma2 > 0 and P -> -inf for sigma2 = 0.
+
+The phase-line classification works on the reduced coefficients a1..a4
+of riccati_coeffs, which drop the discount rate; riccati_integrate
+classifies the scaled problem (rho + c/2 in place of rho, c = 0), whose
+solution is pi, so its verdict and T_max are exact for every c >= 0.
+oracles.riccati_oracle integrates the equation numerically as an
+independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from ._scipy import PchipInterpolator, solve_ivp
 from .errors import ParamError, PolicyError, SolverError, StableRangeError
 from .model import ControlSet, ModelParams, Policy, require
 
 # relative slack under which zeta is treated as exactly zero
 ZETA_SNAP_REL = 1e-9
-# the denominator event fires at this fraction of D(T)
+# the retained interval of a blow-down instance ends where D has fallen
+# to this fraction of D(T)
 GUARD_FRAC = 1e-6
-# |P| cap that stands in for blow-down when sigma2 = 0 (D stays positive)
+# |exp(c*t)*P| cap that stands in for blow-down when sigma2 = 0 (D stays positive)
 P_CAP = 1e12
-# right-hand-side evaluations one integration may make; the criterion-8
-# instance and every cli_sweep instance take 308. Stiff or non-finite
-# integrations stop here after about 1 s instead of running for minutes
-MAX_NFEV = 100_000
+# Newton iterations one inversion may take; the nodes of the criterion-8
+# instance need 6, those of blow-down instances about 30
+MAX_NEWTON = 100
+_EPS = float(np.finfo(float).eps)
+# below this log, exp() is 0 even as a subnormal
+_LOG_TINY = math.log(5e-324) - 1.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +89,9 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
     """Reduced coefficients with quadratic roots computed stably.
 
     The larger-magnitude root comes from the non-cancelling half of the
-    quadratic formula, the other from the product a3/a1.
+    quadratic formula, the other from the product a3/a1. The discount
+    rate does not enter; riccati_integrate classifies c > 0 on the
+    coefficients of the scaled problem (rho + c/2 in place of rho).
     """
     require(p)
     if p.sigma2 <= 0:
@@ -90,7 +124,7 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
 
 @dataclass(frozen=True)
 class WellPosednessReport:
-    """Closed-form classification verdict; advisory only.
+    """Closed-form classification verdict.
 
     printed_well_posed evaluates alternative textbook-style case
     conditions literally; None marks parameter regions where their
@@ -122,6 +156,8 @@ def classify_wellposedness(co: RiccatiCoeffs, T: float) -> WellPosednessReport:
     real root at zeta < 0, in which case every start value blows down).
     zeta < 0 cannot arise from model parameters and is flagged
     unreachable; its horizon bound is still evaluated for completeness.
+    The verdict is exact for c = 0; for c > 0 pass the coefficients of
+    the scaled problem, as riccati_integrate does.
     """
     z = co.zeta
     z_eff = 0.0 if abs(z) <= ZETA_SNAP_REL * co.a2 * co.a2 else z
@@ -181,10 +217,210 @@ def classify_wellposedness(co: RiccatiCoeffs, T: float) -> WellPosednessReport:
     )
 
 
+def _h(z):
+    """log1p(z)/z elementwise, 1 where z = 0."""
+    return np.divide(np.log1p(z), z, out=np.ones_like(z), where=z != 0)
+
+
+def _h1(z: float) -> float:
+    return math.log1p(z) / z if z else 1.0
+
+
+@dataclass(frozen=True)
+class _Flow:
+    """The scaled flow w' = w*(alpha - q*w)*(1 + s2*w), w(T) = w_T, in
+    u = log(w). A_T = alpha - q*w_T: w decays backward in time where it
+    is positive, blows up where it is negative, and stays put where it
+    is 0."""
+
+    T: float
+    alpha: float
+    q: float
+    s2: float
+    beta: float
+    w_T: float
+    u_T: float
+    A_T: float
+
+    def offset(self, u):
+        """t(u) - T and du/dt on an array of u inside the flow's range."""
+        w = np.exp(u)
+        e1 = np.expm1(u - self.u_T)
+        a_w = self.alpha - self.q * w
+        r = 1.0 + self.s2 * w
+        X = e1 / a_w
+        z = self.alpha * X
+        # log1p(z) loses digits as z -> -1, where w has decayed far below
+        # w_T; there log(1 + z) = u - u_T + log(A_T/a_w) instead
+        deep = z < -0.5
+        off = X * _h(np.where(deep, 0.0, z))
+        if deep.any():
+            off[deep] = (u[deep] - self.u_T + np.log(self.A_T / a_w[deep])) / self.alpha
+        if self.s2:
+            Y = -self.w_T * e1 / (self.A_T * r)
+            off += self.s2 * Y * _h(self.beta * Y)
+        return off, a_w * r
+
+    def offset1(self, u: float):
+        """offset() on one float, with the math module."""
+        w = math.exp(u)
+        e1 = math.expm1(u - self.u_T)
+        a_w = self.alpha - self.q * w
+        r = 1.0 + self.s2 * w
+        X = e1 / a_w
+        z = self.alpha * X
+        if z < -0.5:
+            off = (u - self.u_T + math.log(self.A_T / a_w)) / self.alpha
+        else:
+            off = X * _h1(z)
+        if self.s2:
+            Y = -self.w_T * e1 / (self.A_T * r)
+            off += self.s2 * Y * _h1(self.beta * Y)
+        return off, a_w * r
+
+    def du_dt(self, u):
+        w = np.exp(u)
+        return (self.alpha - self.q * w) * (1.0 + self.s2 * w)
+
+    def midpoint_residual(self, t, u, m) -> float:
+        """Audit of a stored grid: the largest |du/dt - (alpha - q*w)*(1 + s2*w)|
+        at the interval midpoints of the cubic Hermite interpolant
+        through the nodes t, values u and slopes m."""
+        h = np.diff(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            um = 0.5 * (u[:-1] + u[1:]) + h * (m[:-1] - m[1:]) / 8.0
+            dum = 1.5 * (u[1:] - u[:-1]) / h - (m[:-1] + m[1:]) / 4.0
+            resid = float(np.abs(dum - self.du_dt(um)).max())
+        if not math.isfinite(resid):
+            raise StableRangeError("Riccati grid audit overflows (du/dt up to %g)"
+                                   % float(np.max(np.abs(m))))
+        return resid
+
+    def blow_offset(self) -> float:
+        """t_blow - T, the limit of t(u) - T as u -> inf (A_T < 0)."""
+        with np.errstate(all="ignore"):
+            X = -1.0 / np.float64(self.q * self.w_T)
+            z = self.alpha * X
+            if z < -0.5:
+                off = np.log(self.A_T * X) / self.alpha  # log(1 + z)
+            else:
+                off = X * _h(np.array([z]))[0]
+            if self.s2:
+                Y = -1.0 / np.float64(self.A_T * self.s2)
+                off += self.s2 * Y * _h(np.array([self.beta * Y]))[0]
+        return float(off)
+
+    def invert(self, tau, lo, hi, u, tol: float):
+        """u with t(u) = T - tau on every entry, by Newton's method on
+        g(u) = tau + t(u) - T, kept inside the bracket [lo, hi] by
+        bisection. g is increasing in u where w decays, decreasing where
+        it blows up."""
+        increasing = self.A_T > 0
+        scale = np.abs(self.T) + np.abs(self.T - tau)
+        g = None
+        for _ in range(MAX_NEWTON):
+            off, dudt = self.offset(u)
+            g = tau + off
+            left = (g > 0) if increasing else (g < 0)
+            hi = np.where(left, u, hi)
+            lo = np.where(left, lo, u)
+            new = u - g * dudt
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            done = (np.abs(new - u) <= 4.0 * _EPS * (1.0 + np.abs(new))) | (
+                np.abs(g) <= 4.0 * _EPS * (scale + np.abs(off)))
+            u = new
+            if done.all():
+                return u
+        if not np.all(np.abs(g) <= tol * scale):
+            raise SolverError("closed-form Riccati inversion did not converge in %d "
+                              "Newton steps" % MAX_NEWTON)
+        return u
+
+    def invert1(self, tau: float, lo: float, hi: float, u: float) -> float:
+        """invert() on one float."""
+        increasing = self.A_T > 0
+        scale = abs(self.T) + abs(self.T - tau)
+        for _ in range(MAX_NEWTON):
+            off, dudt = self.offset1(u)
+            g = tau + off
+            if (g > 0) == increasing:
+                hi = u
+            else:
+                lo = u
+            new = u - g * dudt
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            if (abs(new - u) <= 4.0 * _EPS * (1.0 + abs(new))
+                    or abs(g) <= 4.0 * _EPS * (scale + abs(off))):
+                return new
+            u = new
+        raise SolverError("closed-form Riccati inversion did not converge in %d "
+                          "Newton steps" % MAX_NEWTON)
+
+
+def _scaled_flow(p: ModelParams) -> _Flow:
+    """The scaled flow of p; StableRangeError where its constants leave
+    the float range."""
+    overflow = StableRangeError(
+        "Riccati right-hand side overflows (rho=%g, c=%g, sigma1=%g, sigma2=%g)"
+        % (p.rho, p.c, p.sigma1, p.sigma2))
+    try:
+        s2 = p.sigma2 ** 2
+        q = (1.0 + p.sigma1 * p.sigma2) ** 2
+        alpha = 2.0 * p.rho + p.c - p.sigma1 ** 2
+    except OverflowError:
+        raise overflow from None
+    a4 = 1.0 - p.gamma0 * s2
+    if not a4 > 0:
+        raise ParamError("1 - gamma0*sigma2^2 > 0")
+    w_T = p.gamma0 / a4
+    # = alpha*s2 + q >= 1, summed without the cancelling sigma1^2*s2 terms
+    beta = (2.0 * p.rho + p.c) * s2 + 1.0 + 2.0 * p.sigma1 * p.sigma2
+    A_T = alpha - q * w_T
+    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(A_T)
+            and 0 < w_T < math.inf):
+        raise overflow
+    return _Flow(p.T, alpha, q, s2, beta, w_T, math.log(w_T), A_T)
+
+
+def _underflow(fl: _Flow, horizon: float) -> str:
+    return ("P underflows to 0: exp(c*t)*P decays like exp(-alpha*(T - t)), "
+            "alpha = %g, over a horizon of %g" % (fl.alpha, horizon))
+
+
+def _scaled(p: ModelParams) -> ModelParams:
+    """The c = 0 problem with rho + c/2 in place of rho, whose Riccati
+    solution is pi = exp(c*t)*P."""
+    rho = p.rho + p.c / 2.0
+    if not math.isfinite(rho):
+        raise StableRangeError("rho + c/2 overflows (rho=%g, c=%g)" % (p.rho, p.c))
+    return replace(p, rho=rho, c=0.0)
+
+
+def _rhs_coeffs(p: ModelParams):
+    """a = 2*rho - sigma1^2 and q = (1 + sigma1*sigma2)^2 of the right-hand side."""
+    try:
+        return 2.0 * p.rho - p.sigma1 ** 2, (1.0 + p.sigma1 * p.sigma2) ** 2
+    except OverflowError:
+        raise StableRangeError("Riccati right-hand side overflows (sigma1=%g, sigma2=%g)"
+                               % (p.sigma1, p.sigma2)) from None
+
+
+def _hermite(t, t0, t1, u0, u1, m0, m1):
+    """Cubic Hermite interpolant through (t0, u0, m0) and (t1, u1, m1) at
+    t, on floats or arrays."""
+    h = t1 - t0
+    s = (t - t0) / h
+    r = 1.0 - s
+    return r * r * ((1.0 + 2.0 * s) * u0 + s * h * m0) + s * s * ((3.0 - 2.0 * s) * u1 - r * h * m1)
+
+
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Grid solution of the Riccati equation on [t_lo, T] (or on the
-    retained interval (t_blow, T] when the constraint fails)."""
+    retained interval (t_blow, T] when the constraint fails). P_at,
+    D_at and gain_at evaluate the closed form anywhere on the grid's
+    span; log_w holds the solved variable on the nodes."""
 
     params: ModelParams
     t: np.ndarray
@@ -198,24 +434,87 @@ class RiccatiSolution:
     t_lo: float
     tol: float
     max_midpoint_residual: float
+    log_w: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self.t, self.P)
+    def _flow(self) -> _Flow:
+        return _scaled_flow(self.params)
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """du/dt on the nodes."""
+        return self._flow.du_dt(self.log_w)
+
+    @cached_property
+    def _nodes(self):
+        return self.t.tolist(), self.log_w.tolist(), self._slopes.tolist()
+
+    def _u1(self, t: float) -> float:
+        """log w at one time, by Newton's method from the cubic Hermite
+        seed, bracketed by the two nodes around it."""
+        tl, ul, ml = self._nodes
+        if not tl[0] - 1e-12 <= t <= tl[-1] + 1e-12:
+            raise PolicyError("Riccati solution queried at t=%g outside [%g, %g]"
+                              % (t, tl[0], tl[-1]))
+        k = min(max(bisect_right(tl, t) - 1, 0), len(tl) - 2)
+        t0, t1, u0, u1 = tl[k], tl[k + 1], ul[k], ul[k + 1]
+        if t <= t0 or u0 == u1:
+            return u0
+        if t >= t1:
+            return u1
+        lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
+        seed = _hermite(t, t0, t1, u0, u1, ml[k], ml[k + 1])
+        return self._flow.invert1(self.params.T - t, lo, hi, min(max(seed, lo), hi))
+
+    def _u(self, t):
+        """log w at an array of times."""
+        tn, un = self.t, self.log_w
+        if np.any(t < tn[0] - 1e-12) or np.any(t > tn[-1] + 1e-12):
+            raise PolicyError("Riccati solution queried outside [%g, %g]" % (tn[0], tn[-1]))
+        k = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
+        t0, t1, u0, u1 = tn[k], tn[k + 1], un[k], un[k + 1]
+        u = np.where(t >= t1, u1, u0)
+        inner = (t > t0) & (t < t1) & (u0 != u1)
+        if inner.any():
+            k, t0, t1, u0, u1, ti = k[inner], t0[inner], t1[inner], u0[inner], u1[inner], t[inner]
+            lo, hi = np.minimum(u0, u1), np.maximum(u0, u1)
+            seed = _hermite(ti, t0, t1, u0, u1, self._slopes[k], self._slopes[k + 1])
+            u[inner] = self._flow.invert(self.params.T - ti, lo, hi,
+                                         np.clip(seed, lo, hi), self.tol)
+        return u
 
     def P_at(self, t):
-        return self._interp(t)
+        p = self.params
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            u = self._u1(t)
+            try:
+                return -math.exp(u - p.c * t) / (1.0 + self._flow.s2 * math.exp(u))
+            except OverflowError:
+                raise StableRangeError("P(%g) overflows" % t) from None
+        t = np.asarray(t, dtype=float)
+        u = self._u(t)
+        with np.errstate(over="ignore"):
+            P = -np.exp(u - p.c * t) / (1.0 + self._flow.s2 * np.exp(u))
+        if not np.all(np.isfinite(P)):
+            raise StableRangeError("P overflows on the queried times")
+        return P
 
     def D_at(self, t):
+        """exp(-c*t) + sigma2^2*P, as exp(-c*t)/(1 + sigma2^2*w) > 0."""
+        p = self.params
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            return math.exp(-p.c * t) / (1.0 + self._flow.s2 * math.exp(self._u1(t)))
         t = np.asarray(t, dtype=float)
-        return np.exp(-self.params.c * t) + self.params.sigma2 ** 2 * self.P_at(t)
+        return np.exp(-p.c * t) / (1.0 + self._flow.s2 * np.exp(self._u(t)))
 
     def gain_at(self, t):
-        """-(1 + sigma1*sigma2) P / D at t, with P interpolated once."""
-        p = self.params
-        P = self.P_at(t)
-        D = np.exp(-p.c * np.asarray(t, dtype=float)) + p.sigma2 ** 2 * P
-        return -(1.0 + p.sigma1 * p.sigma2) * P / D
+        """-(1 + sigma1*sigma2) P / D, which is (1 + sigma1*sigma2)*w."""
+        one = 1.0 + self.params.sigma1 * self.params.sigma2
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return one * math.exp(self._u1(float(t)))
+        return one * np.exp(self._u(np.asarray(t, dtype=float)))
 
     def closed_loop(self, t):
         """Gain G and closed-loop coefficients a = -rho + G and
@@ -227,43 +526,21 @@ class RiccatiSolution:
         return G, -p.rho + G, p.sigma1 + p.sigma2 * G
 
 
-def _rhs_coeffs(p: ModelParams):
-    """a = 2*rho - sigma1^2 and q = (1 + sigma1*sigma2)^2 of the right-hand side."""
-    try:
-        return 2.0 * p.rho - p.sigma1 ** 2, (1.0 + p.sigma1 * p.sigma2) ** 2
-    except OverflowError:
-        raise StableRangeError("Riccati right-hand side overflows (sigma1=%g, sigma2=%g)"
-                               % (p.sigma1, p.sigma2)) from None
-
-
-def _riccati_rhs(p: ModelParams, guard_stage: float):
-    """Right-hand side that raises SolverError on evaluation MAX_NFEV + 1."""
-    a, q = _rhs_coeffs(p)
-    s2 = p.sigma2 ** 2
-    c = p.c
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > MAX_NFEV:
-            raise SolverError("Riccati integration needs more than %d right-hand-side "
-                              "evaluations (stiff or not finite)" % MAX_NFEV)
-        P = y[0]
-        D = math.exp(-c * t) + s2 * P
-        if D < guard_stage:  # keep stage evaluations finite near blow-down
-            D = guard_stage
-        return [a * P + q * P * P / D]
-
-    return rhs
-
-
 def riccati_integrate(
     p: ModelParams, t_lo: float = 0.0, tol: float = 1e-8, n_nodes: int = 2001
 ) -> RiccatiSolution:
-    """Integrate backward from T with adaptive error control and
-    constraint monitoring; halts and records t_blow if D <= guard or
-    P >= 0 is about to occur. well_posed means t_lo was reached."""
+    """The closed-form solution on n_nodes equally spaced nodes of
+    [t_lo, T], or of the retained interval where D has fallen to
+    GUARD_FRAC*D(T) (|exp(c*t)*P| has reached P_CAP for sigma2 = 0)
+    when that happens after t_lo. well_posed means t_lo was reached;
+    otherwise t_blow is the exact blow-down time.
+
+    max_midpoint_residual audits how well the nodes resolve u = log(w)
+    (see _Flow.midpoint_residual). tol bounds the inversion residual in
+    t, relative to |T| + |t|, that is accepted from a Newton iteration
+    stopping short of rounding level. A P that underflows to 0 or
+    overflows raises StableRangeError, since P < 0 must hold on every
+    node."""
     require(p)
     if not (math.isfinite(tol) and tol > 0):
         raise ParamError("tol > 0 and finite")
@@ -281,102 +558,82 @@ def riccati_integrate(
     if p.sigma2 > 0:
         # raises if sigma2^2 overflows, or if a4 <= 0, which is D_T <= 0
         coeffs = riccati_coeffs(p)
-        classification = classify_wellposedness(coeffs, p.T - t_lo)
+        classification = classify_wellposedness(riccati_coeffs(_scaled(p)), p.T - t_lo)
         case_label = classification.case_label
     else:
         case_label = "degenerate-sigma2"
-    s2 = p.sigma2 ** 2
-    gamma = p.gamma
-    D_T = math.exp(-p.c * p.T) - s2 * gamma
+    fl = _scaled_flow(p)
+    a4 = 1.0 - p.gamma0 * fl.s2
 
-    guard = GUARD_FRAC * D_T
-    rhs = _riccati_rhs(p, guard / 10.0)
-
-    def ev_pzero(t, y):
-        return y[0]
-
-    ev_pzero.terminal = True
-    ev_pzero.direction = 1
-
-    def ev_cap(t, y):
-        return P_CAP + y[0]
-
-    ev_cap.terminal = True
-    ev_cap.direction = -1
-
-    events = [ev_pzero, ev_cap]
-    if s2 > 0:
-
-        def ev_denom(t, y):
-            return math.exp(-p.c * t) + s2 * y[0] - guard
-
-        ev_denom.terminal = True
-        ev_denom.direction = -1
-        events.append(ev_denom)
-
-    # a stage that overflows for extreme parameters fails its step's error
-    # test; an integration that cannot go on ends with status -1 below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            r = solve_ivp(
-                rhs,
-                (p.T, t_lo),
-                [-gamma],
-                method="RK45",
-                rtol=tol,
-                atol=tol,
-                max_step=(p.T - t_lo) / 50.0,
-                events=events,
-                dense_output=True,
-            )
-        except ValueError as e:
-            # solve_ivp times a fired event by brentq on the step's dense
-            # output. Where sigma2^2 is large against 1 - gamma0*sigma2^2,
-            # the denominator event magnifies rounding in P, so the dense
-            # output can put both ends of a step on one side of the event
-            # although the step's own end value crossed it; brentq then
-            # raises ValueError
-            raise SolverError("Riccati integration failed: %s" % e) from None
-    if r.status == -1:
-        raise SolverError("Riccati integration failed: %s" % r.message)
-
-    fired = [te[0] for te in r.t_events if te.size]
-    well_posed = r.status == 0 and not fired
-    t_blow = max(fired) if fired else None
-    t_stop = t_lo if well_posed else float(t_blow)
+    t_stop, t_blow = t_lo, None
+    if fl.A_T < 0:
+        if fl.s2:
+            d_g = GUARD_FRAC * a4  # D/exp(-c*t) at the guard
+            u_g = math.log1p(-d_g) - math.log(d_g) - math.log(fl.s2)
+        else:
+            u_g = math.log(P_CAP)
+        if not u_g > fl.u_T:
+            raise SolverError("Riccati constraint fails at T itself; no retained interval")
+        t_g = p.T + float(fl.offset(np.array([u_g]))[0][0])
+        if t_g >= t_lo:
+            t_stop, t_blow = t_g, p.T + fl.blow_offset()
+            if not (math.isfinite(t_blow) and math.isfinite(t_stop)):
+                raise StableRangeError("Riccati blow-down time leaves the float range")
     if not t_stop < p.T:
         raise SolverError("Riccati constraint fails at T itself; no retained interval")
 
-    t_grid = np.linspace(t_stop, p.T, n_nodes)
-    P_grid = r.sol(t_grid)[0]
-    P_grid[-1] = -gamma  # terminal condition stored exactly
+    t = np.linspace(t_stop, p.T, n_nodes)
+    if not np.all(np.diff(t) > 0):
+        raise SolverError("interval [%.17g, %.17g] holds fewer than %d floats"
+                          % (t_stop, p.T, n_nodes))
+    tau = p.T - t
+    if fl.A_T == 0:
+        u = np.full(n_nodes, fl.u_T)
+    elif fl.A_T > 0:
+        # du/dtau = -(alpha - q*w)*(1 + s2*w) lies in [-alpha*(1 + s2*w_T), -A_T]
+        # while w decays; below c*t + _LOG_TINY, |P| = exp(u - c*t)*D/exp(-c*t) is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi = fl.u_T - tau * fl.A_T
+            lo = fl.u_T - tau * (fl.alpha * (1.0 + fl.s2 * fl.w_T))
+            floor = p.c * t + _LOG_TINY
+        clipped = lo < floor
+        lo[clipped] = floor[clipped]
+        if not (np.all(hi >= lo) and np.all(fl.offset(lo[clipped])[0] + tau[clipped] <= 0)):
+            raise StableRangeError(_underflow(fl, p.T - t_stop))
+        u = fl.invert(tau, lo, hi, hi.copy(), tol)
+    else:
+        # du/dtau >= (q*w_T - alpha)*(1 + s2*w_T) while w grows, up to u_g
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = np.minimum(fl.u_T + tau * (-fl.A_T * (1.0 + fl.s2 * fl.w_T)), u_g)
+        hi = np.full(n_nodes, u_g)
+        u = fl.invert(tau, lo, hi, lo.copy(), tol)
+    u[-1] = fl.u_T
 
-    a, q = _rhs_coeffs(p)
-    D_grid = np.maximum(np.exp(-p.c * t_grid) + s2 * P_grid, guard / 10.0)
-    f_grid = a * P_grid + q * P_grid ** 2 / D_grid
-
-    # cubic-Hermite midpoint audit of the stored grid
-    h = np.diff(t_grid)
-    tm = t_grid[:-1] + h / 2.0
-    Pm = 0.5 * (P_grid[:-1] + P_grid[1:]) + h * (f_grid[:-1] - f_grid[1:]) / 8.0
-    dPm = 3.0 * (P_grid[1:] - P_grid[:-1]) / (2.0 * h) - (f_grid[:-1] + f_grid[1:]) / 4.0
-    Dm = np.maximum(np.exp(-p.c * tm) + s2 * Pm, guard / 10.0)
-    resid = np.abs(dPm - (a * Pm + q * Pm ** 2 / Dm))
-    max_resid = float(resid.max())
+    a, _ = _rhs_coeffs(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(u)
+        P = -np.exp(u - p.c * t) / (1.0 + fl.s2 * w)
+        P[-1] = -p.gamma  # terminal condition stored exactly
+        f = P * (a - fl.q * w)
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(f))):
+        raise StableRangeError("P leaves the float range on [%g, %g]" % (t_stop, p.T))
+    if not np.all(P < 0):
+        raise StableRangeError(_underflow(fl, p.T - t_stop))
 
     return RiccatiSolution(
         params=p,
-        t=t_grid,
-        P=P_grid,
-        dPdt=f_grid,
-        well_posed=well_posed,
+        t=t,
+        P=P,
+        dPdt=f,
+        well_posed=t_blow is None,
         t_blow=t_blow,
         case_label=case_label,
         coeffs=coeffs,
         classification=classification,
         t_lo=t_lo,
         tol=tol,
-        max_midpoint_residual=max_resid,
+        max_midpoint_residual=fl.midpoint_residual(t, u, fl.du_dt(u)),
+        log_w=u,
     )
 
 
@@ -385,19 +642,31 @@ def riccati_sigma2_zero(p: ModelParams, t):
     Q = 1/P, which turns the equation linear:
 
         Q' = -(2*rho - sigma1^2)*Q - exp(c*t),    Q(T) = -1/gamma.
+
+    StableRangeError where a term of the formula leaves the float range.
     """
     require(p)
     if p.sigma2 != 0:
         raise ParamError("sigma2 = 0")
-    a = 2.0 * p.rho - p.sigma1 ** 2
-    k = a + p.c
     t = np.asarray(t, dtype=float)
-    if k != 0:
-        accum = (np.exp(k * p.T) - np.exp(k * t)) / k
-    else:
-        accum = p.T - t
-    Q = np.exp(-a * t) * (-math.exp(a * p.T) / p.gamma + accum)
-    out = 1.0 / Q
+    if not np.all(np.isfinite(t)):
+        raise ParamError("t finite")
+    if p.gamma == 0:
+        raise StableRangeError("gamma0*exp(-c*T) underflows to 0 (c=%g, T=%g)" % (p.c, p.T))
+    a, _ = _rhs_coeffs(p)
+    k = a + p.c
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if k != 0:
+            accum = (np.exp(k * p.T) - np.exp(k * t)) / k
+        else:
+            accum = p.T - t
+        Q = np.exp(-a * t) * (-np.exp(a * p.T) / p.gamma + accum)
+        out = 1.0 / Q
+    if not (math.isfinite(k) and np.all(np.isfinite(accum)) and np.all(np.isfinite(Q))
+            and np.all(np.isfinite(out))):
+        raise StableRangeError(
+            "sigma2 = 0 closed form leaves the float range (rho=%g, c=%g, T=%g, sigma1=%g)"
+            % (p.rho, p.c, p.T, p.sigma1))
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -432,22 +701,13 @@ def riccati_sigma2_zero_blow(p: ModelParams) -> Optional[float]:
 
 
 def lq_feedback(sol: RiccatiSolution, p: ModelParams) -> Policy:
-    """Markov policy u(t, x) = max(G(t) x, 0) with
-    G = -(1 + sigma1*sigma2) P / D >= 0; P is interpolated
-    monotone-cubically between stored nodes. Queries outside
-    [t_lo, T] fault."""
+    """Markov policy u(t, x) = max(G(t) x, 0) with the closed-form gain
+    G = -(1 + sigma1*sigma2) P / D >= 0 of sol, which uses sol.params.
+    Queries outside [t_lo, T] fault."""
     if not sol.well_posed:
         raise SolverError("Riccati solution not well posed; no feedback law")
-    one = 1.0 + p.sigma1 * p.sigma2
-    s2 = p.sigma2 ** 2
-
-    def gain(t):
-        P = float(sol.P_at(t))
-        D = math.exp(-p.c * t) + s2 * P
-        return -one * P / D
-
     return Policy.linear_feedback(
-        gain, float(sol.t[0]), float(p.T), ControlSet(0.0, math.inf)
+        sol.gain_at, float(sol.t[0]), float(p.T), ControlSet(0.0, math.inf)
     )
 
 

@@ -1,11 +1,12 @@
 """Brute-force reference solvers.
 
 Nothing here shares code with the closed forms it checks: a switching
-grid search for the linear problem, an implicit (backward-Euler)
-upwind scheme with a lagged brute-force control for the LQ Bellman
-PDE, one banded LAPACK solve per time step, and a Markov-chain obstacle
-iteration for the stopping problem. All three are deterministic, so
-comparisons against them reproduce exactly.
+grid search for the linear problem, an adaptive Runge-Kutta integration
+of the Riccati equation, an implicit (backward-Euler) upwind scheme
+with a lagged brute-force control for the LQ Bellman PDE, one banded
+LAPACK solve per time step, and a Markov-chain obstacle iteration for
+the stopping problem. All are deterministic, so comparisons against
+them reproduce exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +17,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scipy import get_lapack_funcs
+from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
+from .lq import GUARD_FRAC, P_CAP, riccati_coeffs
 from .model import ModelParams, require
 from .stopping import StoppingParams
+
+# right-hand-side evaluations one Riccati integration may make; the
+# criterion-8 instance and every cli_sweep instance take 308. Stiff or
+# non-finite integrations stop here after about 1 s instead of running
+# for minutes
+MAX_NFEV = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,152 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
         value_hat=float(values[j]),
         s_grid=s,
         values=values,
+    )
+
+
+@dataclass(frozen=True)
+class RiccatiOracle:
+    """Grid solution of the Riccati equation on [t_lo, T], or on
+    [t_blow, T] where a constraint event stopped the integration."""
+
+    t: np.ndarray
+    P: np.ndarray
+    dPdt: np.ndarray
+    well_posed: bool
+    t_blow: Optional[float]
+    max_midpoint_residual: float
+
+
+def _riccati_rhs(p: ModelParams, guard_stage: float):
+    """Right-hand side that raises SolverError on evaluation MAX_NFEV + 1."""
+    try:
+        a, q = 2.0 * p.rho - p.sigma1 ** 2, (1.0 + p.sigma1 * p.sigma2) ** 2
+    except OverflowError:
+        raise StableRangeError("Riccati right-hand side overflows (sigma1=%g, sigma2=%g)"
+                               % (p.sigma1, p.sigma2)) from None
+    s2 = p.sigma2 ** 2
+    c = p.c
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV:
+            raise SolverError("Riccati integration needs more than %d right-hand-side "
+                              "evaluations (stiff or not finite)" % MAX_NFEV)
+        P = y[0]
+        D = math.exp(-c * t) + s2 * P
+        if D < guard_stage:  # keep stage evaluations finite near blow-down
+            D = guard_stage
+        return [a * P + q * P * P / D]
+
+    return rhs, a, q
+
+
+def riccati_oracle(
+    p: ModelParams, t_lo: float = 0.0, tol: float = 1e-8, n_nodes: int = 2001
+) -> RiccatiOracle:
+    """Integrate the Riccati equation backward from T by RK45 with
+    adaptive error control and constraint monitoring; halts and records
+    t_blow if D <= GUARD_FRAC*D(T), P >= 0 or P <= -P_CAP is about to
+    occur. well_posed means t_lo was reached. The stored grid is the
+    dense output on n_nodes equally spaced nodes."""
+    require(p)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParamError("tol > 0 and finite")
+    if n_nodes < 2:
+        raise ParamError("n_nodes >= 2")
+    if not t_lo < p.T:
+        raise ParamError("t_lo < T")
+    try:
+        math.exp(-p.c * t_lo)  # exp(-c*t) is largest at t_lo
+    except OverflowError:
+        raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
+    if p.sigma2 > 0:
+        # raises if sigma2^2 overflows, or if a4 <= 0, which is D_T <= 0
+        riccati_coeffs(p)
+    s2 = p.sigma2 ** 2
+    gamma = p.gamma
+    D_T = math.exp(-p.c * p.T) - s2 * gamma
+
+    guard = GUARD_FRAC * D_T
+    rhs, a, q = _riccati_rhs(p, guard / 10.0)
+
+    def ev_pzero(t, y):
+        return y[0]
+
+    ev_pzero.terminal = True
+    ev_pzero.direction = 1
+
+    def ev_cap(t, y):
+        return P_CAP + y[0]
+
+    ev_cap.terminal = True
+    ev_cap.direction = -1
+
+    events = [ev_pzero, ev_cap]
+    if s2 > 0:
+
+        def ev_denom(t, y):
+            return math.exp(-p.c * t) + s2 * y[0] - guard
+
+        ev_denom.terminal = True
+        ev_denom.direction = -1
+        events.append(ev_denom)
+
+    # a stage that overflows for extreme parameters fails its step's error
+    # test; an integration that cannot go on ends with status -1 below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            r = solve_ivp(
+                rhs,
+                (p.T, t_lo),
+                [-gamma],
+                method="RK45",
+                rtol=tol,
+                atol=tol,
+                max_step=(p.T - t_lo) / 50.0,
+                events=events,
+                dense_output=True,
+            )
+        except ValueError as e:
+            # solve_ivp times a fired event by brentq on the step's dense
+            # output. Where sigma2^2 is large against 1 - gamma0*sigma2^2,
+            # the denominator event magnifies rounding in P, so the dense
+            # output can put both ends of a step on one side of the event
+            # although the step's own end value crossed it; brentq then
+            # raises ValueError
+            raise SolverError("Riccati integration failed: %s" % e) from None
+    if r.status == -1:
+        raise SolverError("Riccati integration failed: %s" % r.message)
+
+    fired = [te[0] for te in r.t_events if te.size]
+    well_posed = r.status == 0 and not fired
+    t_blow = max(fired) if fired else None
+    t_stop = t_lo if well_posed else float(t_blow)
+    if not t_stop < p.T:
+        raise SolverError("Riccati constraint fails at T itself; no retained interval")
+
+    t_grid = np.linspace(t_stop, p.T, n_nodes)
+    P_grid = r.sol(t_grid)[0]
+    P_grid[-1] = -gamma  # terminal condition stored exactly
+    D_grid = np.maximum(np.exp(-p.c * t_grid) + s2 * P_grid, guard / 10.0)
+    f_grid = a * P_grid + q * P_grid ** 2 / D_grid
+
+    # cubic-Hermite midpoint audit of the stored grid
+    h = np.diff(t_grid)
+    tm = t_grid[:-1] + h / 2.0
+    Pm = 0.5 * (P_grid[:-1] + P_grid[1:]) + h * (f_grid[:-1] - f_grid[1:]) / 8.0
+    dPm = 3.0 * (P_grid[1:] - P_grid[:-1]) / (2.0 * h) - (f_grid[:-1] + f_grid[1:]) / 4.0
+    Dm = np.maximum(np.exp(-p.c * tm) + s2 * Pm, guard / 10.0)
+    resid = np.abs(dPm - (a * Pm + q * Pm ** 2 / Dm))
+    return RiccatiOracle(
+        t=t_grid,
+        P=P_grid,
+        dPdt=f_grid,
+        well_posed=well_posed,
+        t_blow=t_blow,
+        max_midpoint_residual=float(resid.max()),
     )
 
 

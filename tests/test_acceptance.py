@@ -31,6 +31,7 @@ from adkit import (
     qvi_residual,
     riccati_coeffs,
     riccati_integrate,
+    riccati_oracle,
     riccati_sigma2_zero,
     solve_budget,
     solve_linear,
@@ -125,7 +126,7 @@ def test_criterion_03_budget_identities_and_discrepancy_report():
 
 
 def test_criterion_04_riccati_matches_bernoulli_closed_form():
-    worst = 0.0
+    worst = worst_oracle = 0.0
     for p in (
         ModelParams(rho=0.5, c=0.0, T=1.0, gamma0=0.5),
         ModelParams(rho=0.8, c=0.2, T=2.0, gamma0=0.6),
@@ -134,9 +135,16 @@ def test_criterion_04_riccati_matches_bernoulli_closed_form():
         sol = riccati_integrate(p)
         assert sol.well_posed
         gap = float(np.max(np.abs(sol.P - riccati_sigma2_zero(p, sol.t))))
+        # the adaptive integration is a third, independent computation
+        ref = riccati_oracle(p)
+        assert ref.well_posed and np.array_equal(ref.t, sol.t)
+        gap_oracle = float(np.max(np.abs(sol.P - ref.P)))
         worst = max(worst, gap)
+        worst_oracle = max(worst_oracle, gap_oracle)
         assert gap <= 1e-8, (p, gap)
-    print("criterion 4: worst sigma2=0 closed-form gap %.2e" % worst)
+        assert gap_oracle <= 1e-8, (p, gap_oracle)
+    print("criterion 4: worst sigma2=0 closed-form gap %.2e, oracle gap %.2e"
+          % (worst, worst_oracle))
 
 
 def test_criterion_05_fd_hjb_value_agreement_and_convergence():
@@ -177,17 +185,33 @@ def test_criterion_06_riccati_sign_and_denominator_invariants():
             sigma2=s2,
             gamma0=rng.uniform(0.1, 0.9) / s2 ** 2,
         ))
+    # the invariants hold on the retained window of a blow-down instance too
+    instances.append(ModelParams(rho=0.5, c=0.0, T=1.0, sigma2=1.0, gamma0=0.75))
+    worst_rel = worst_blow = 0.0
+    n_ill = 0
     for p in instances:
         sol = riccati_integrate(p)
         assert np.all(sol.P < 0), p
         assert np.all(np.asarray(sol.D_at(sol.t)) > 0), p
-    # the invariants hold on the retained window of a blow-down instance too
-    ill = riccati_integrate(ModelParams(rho=0.5, c=0.0, T=1.0, sigma2=1.0, gamma0=0.75))
-    assert not ill.well_posed
-    assert np.all(ill.P < 0)
-    assert np.all(np.asarray(ill.D_at(ill.t)) > 0)
-    print("criterion 6: P < 0 and D > 0 on all retained nodes of %d instances"
-          % (len(instances) + 1))
+        # the oracle integration checks the same invariants independently
+        ref = riccati_oracle(p)
+        assert np.all(ref.P < 0), p
+        assert np.all(np.exp(-p.c * ref.t) + p.sigma2 ** 2 * ref.P > 0), p
+        assert ref.well_posed == sol.well_posed, p
+        if sol.well_posed:
+            rel = float(np.max(np.abs(sol.P / ref.P - 1.0)))
+            worst_rel = max(worst_rel, rel)
+            assert rel <= 1e-10, (p, rel)
+        else:
+            # the oracle stops at its guard, a little before D = 0
+            n_ill += 1
+            gap = abs(sol.t_blow - ref.t_blow)
+            worst_blow = max(worst_blow, gap)
+            assert gap <= 1e-6, (p, gap)
+    assert n_ill >= 1 and not sol.well_posed
+    print("criterion 6: P < 0 and D > 0 on all retained nodes of %d instances; "
+          "oracle gaps: P %.1e relative (well posed), t_blow %.1e (%d ill posed)"
+          % (len(instances), worst_rel, worst_blow, n_ill))
 
 
 def test_criterion_07_zeta_identity_and_case_v_unreachable():

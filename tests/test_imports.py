@@ -72,8 +72,36 @@ def test_linear_budget_and_rejected_configs_load_no_scipy(tmp_path):
     assert not (tmp_path / "rejected").exists()
 
 
+@pytest.mark.parametrize("expr", [
+    "float(riccati_integrate(P_LQ).P_at(0.25))",
+    "float(riccati_integrate(P_LQ).gain_at(riccati_integrate(P_LQ).t[7:9]).sum())",
+    "riccati_integrate(ModelParams(rho=0.5, c=0.0, T=1.0, sigma2=1.0, gamma0=0.75)).t_blow",
+])
+def test_riccati_closed_form_loads_no_scipy(expr):
+    here = {}
+    exec(SETUP, here)
+    out, loaded = fresh(SETUP + "print(repr(%s))" % expr)
+    assert out == [repr(eval(expr, here))]
+    assert loaded == []
+
+
+def test_lq_cli_run_loads_no_scipy(tmp_path):
+    # the criterion-12 lq config
+    model = {"rho": 0.5, "c": 0.1, "T": 1.0, "sigma1": 0.2, "sigma2": 0.5, "gamma0": 0.5}
+    path = tmp_path / "lq.json"
+    path.write_text(json.dumps({"problem": "lq", "model": model, "lq": {"n_grid": 201},
+                                "output_dir": str(tmp_path / "out")}))
+    out, loaded = fresh("""
+        from adkit.cli import main
+        print(main(["lq", "--config", %r, "--quiet"]))
+    """ % str(path))
+    assert out == ["0"]
+    assert loaded == []
+    assert sorted(os.listdir(tmp_path / "out")) == ["lq.json", "riccati.csv"]
+
+
 @pytest.mark.parametrize("expr, submodules", [
-    ("float(riccati_integrate(P_LQ).P_at(0.25))", {"scipy.integrate", "scipy.interpolate"}),
+    ("riccati_oracle(P_LQ).P[0]", {"scipy.integrate"}),
     ("solve_stopping(SP).x0", {"scipy.optimize", "scipy.special"}),
     ("float(fd_hjb_lq(P_LQ, Grid2D(0.0, 3.0, 31, 40), [0.0, 0.5, 1.0]).v0[10])",
      {"scipy.linalg"}),

@@ -123,6 +123,19 @@ def test_spend_bound_reference():
     assert spend_bound(P) == pytest.approx((1.0 / 0.1) * (1.0 - math.exp(-0.1)), abs=1e-15)
 
 
+def test_spend_bound_without_discount_is_m_T():
+    # m / c raised a raw ZeroDivisionError at c = 0; the c -> 0 limit is m*T
+    assert spend_bound(ModelParams(rho=0.5, c=0.0, T=1.0)) == 1.0
+    assert spend_bound(ModelParams(rho=0.5, c=0.0, T=2.0, m=3.0)) == 6.0
+
+
+def test_spend_bound_overflow_is_stable_range_error():
+    # m*T = 1e300*1e300 used to come back as inf
+    for c in (0.0, 1e-300):
+        with pytest.raises(StableRangeError, match="spend bound"):
+            spend_bound(ModelParams(rho=0.5, c=c, T=1e300, m=1e300))
+
+
 def test_budget_reference_values():
     sol = solve_budget(P, M)
     assert sol.t_star == pytest.approx(B_T_STAR, abs=1e-14)

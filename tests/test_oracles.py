@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import adkit.oracles
 from adkit import (
     Grid2D,
     ModelParams,
@@ -15,6 +17,7 @@ from adkit import (
     dp_qvi_stopping,
     fd_hjb_lq,
     riccati_integrate,
+    riccati_oracle,
     solve_linear,
     solve_stopping,
     u_max_oracle,
@@ -22,6 +25,8 @@ from adkit import (
 
 P_LIN = ModelParams(rho=0.5, c=0.1, T=1.0, gamma0=1.2)
 P_LQ = ModelParams(rho=0.5, c=0.1, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=0.5)
+# P(0) of P_LQ from the oracle at its default tolerance
+P_LQ_P0 = -0.29692583966290625
 SP = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
 
 
@@ -381,3 +386,49 @@ def test_dp_qvi_zero_last_pivot_is_solver_error():
     g = Grid2D(0.0, 2.0, 21, 16)
     with pytest.raises(SolverError, match="lost positivity"):
         dp_qvi_stopping(sp, g, [0.0])
+
+
+# --- the Riccati oracle: adaptive RK45 with constraint events ---
+
+def test_tolerance_scales_residual():
+    loose = riccati_oracle(P_LQ, tol=1e-6)
+    tight = riccati_oracle(P_LQ, tol=1e-10)
+    assert tight.max_midpoint_residual < loose.max_midpoint_residual
+    assert float(tight.P[0]) == pytest.approx(P_LQ_P0, abs=1e-11)
+
+
+@pytest.mark.parametrize("p, error, match", [
+    # sigma1**2 overflows in the right-hand side; sigma2 = 0 skips riccati_coeffs.
+    # This was a raw OverflowError
+    (ModelParams(rho=1e150, c=1e300, T=1.0, sigma1=1e300, gamma0=1e-300, m=1e12),
+     StableRangeError, "right-hand side overflows"),
+    # 1 - gamma0*sigma2^2 is one rounding unit, and solve_ivp's event root
+    # finding raised a raw ValueError ("f(a) and f(b) must have different signs")
+    (ModelParams(rho=0.5, c=1e-300, T=1e-12, sigma0=1e12, sigma1=0.5, sigma2=1e150,
+                 gamma0=1e-300, m=1e12),
+     SolverError, "Riccati integration failed"),
+    # the right-hand side at P(T) = -1e300 is not finite, so the step size
+    # went NaN and the integration ran for minutes
+    (ModelParams(rho=1e12, c=0.0, T=1e-300, sigma0=1e-12, sigma1=0.5, gamma0=1e300,
+                 m=1e-300),
+     SolverError, "right-hand-side evaluations"),
+    # the denominator event fires at T itself, which left an empty grid and
+    # a NaN max_midpoint_residual
+    (ModelParams(rho=1e-300, c=1e-12, T=1.0, sigma0=1.0, sigma1=0.5, sigma2=1e150,
+                 gamma0=1e-300, m=0.5),
+     SolverError, "fails at T itself"),
+])
+def test_integrate_extreme_inputs_raise_in_bounded_time(p, error, match):
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        riccati_oracle(p)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_integrate_evaluation_budget(monkeypatch):
+    # P_LQ (the criterion-8 instance) takes 308 evaluations
+    monkeypatch.setattr(adkit.oracles, "MAX_NFEV", 300)
+    with pytest.raises(SolverError, match="more than 300"):
+        riccati_oracle(P_LQ)
+    monkeypatch.setattr(adkit.oracles, "MAX_NFEV", 308)
+    assert float(riccati_oracle(P_LQ).P[0]) == P_LQ_P0
