@@ -282,20 +282,6 @@ class _Flow:
         w = np.exp(u)
         return (self.alpha - self.q * w) * (1.0 + self.s2 * w)
 
-    def midpoint_residual(self, t, u, m) -> float:
-        """Audit of a stored grid: the largest |du/dt - (alpha - q*w)*(1 + s2*w)|
-        at the interval midpoints of the cubic Hermite interpolant
-        through the nodes t, values u and slopes m."""
-        h = np.diff(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            um = 0.5 * (u[:-1] + u[1:]) + h * (m[:-1] - m[1:]) / 8.0
-            dum = 1.5 * (u[1:] - u[:-1]) / h - (m[:-1] + m[1:]) / 4.0
-            resid = float(np.abs(dum - self.du_dt(um)).max())
-        if not math.isfinite(resid):
-            raise StableRangeError("Riccati grid audit overflows (du/dt up to %g)"
-                                   % float(np.max(np.abs(m))))
-        return resid
-
     def blow_offset(self) -> float:
         """t_blow - T, the limit of t(u) - T as u -> inf (A_T < 0)."""
         with np.errstate(all="ignore"):
@@ -314,10 +300,10 @@ class _Flow:
         """u with t(u) = T - tau on every entry, by Newton's method on
         g(u) = tau + t(u) - T, kept inside the bracket [lo, hi] by
         bisection. g is increasing in u where w decays, decreasing where
-        it blows up."""
+        it blows up. An iteration that stops short of rounding level is
+        accepted where |g| <= tol*(|T| + |T - tau|)."""
         increasing = self.A_T > 0
         scale = np.abs(self.T) + np.abs(self.T - tau)
-        g = None
         for _ in range(MAX_NEWTON):
             off, dudt = self.offset(u)
             g = tau + off
@@ -331,12 +317,11 @@ class _Flow:
             u = new
             if done.all():
                 return u
-        if not np.all(np.abs(g) <= tol * scale):
-            raise SolverError("closed-form Riccati inversion did not converge in %d "
-                              "Newton steps" % MAX_NEWTON)
+        if not np.all(np.abs(tau + self.offset(u)[0]) <= tol * scale):
+            raise SolverError(_no_convergence(tol))
         return u
 
-    def invert1(self, tau: float, lo: float, hi: float, u: float) -> float:
+    def invert1(self, tau: float, lo: float, hi: float, u: float, tol: float) -> float:
         """invert() on one float."""
         increasing = self.A_T > 0
         scale = abs(self.T) + abs(self.T - tau)
@@ -354,8 +339,14 @@ class _Flow:
                     or abs(g) <= 4.0 * _EPS * (scale + abs(off))):
                 return new
             u = new
-        raise SolverError("closed-form Riccati inversion did not converge in %d "
-                          "Newton steps" % MAX_NEWTON)
+        if not abs(tau + self.offset1(u)[0]) <= tol * scale:
+            raise SolverError(_no_convergence(tol))
+        return u
+
+
+def _no_convergence(tol: float) -> str:
+    return ("closed-form Riccati inversion did not converge in %d Newton steps "
+            "to tol = %g" % (MAX_NEWTON, tol))
 
 
 def _scaled_flow(p: ModelParams) -> _Flow:
@@ -406,6 +397,21 @@ def _rhs_coeffs(p: ModelParams):
                                % (p.sigma1, p.sigma2)) from None
 
 
+def midpoint_residual(p: ModelParams, t, P, f, d_floor: float) -> float:
+    """Audit of a stored grid: the largest |dP/dt - f(t, P)|, f the
+    right-hand side, at the interval midpoints of the cubic Hermite
+    interpolant through the nodes t, values P and slopes f, with D held
+    at or above d_floor."""
+    a, q = _rhs_coeffs(p)
+    h = np.diff(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tm = t[:-1] + h / 2.0
+        Pm = 0.5 * (P[:-1] + P[1:]) + h * (f[:-1] - f[1:]) / 8.0
+        dPm = 3.0 * (P[1:] - P[:-1]) / (2.0 * h) - (f[:-1] + f[1:]) / 4.0
+        Dm = np.maximum(np.exp(-p.c * tm) + p.sigma2 ** 2 * Pm, d_floor)
+        return float(np.abs(dPm - (a * Pm + q * Pm ** 2 / Dm)).max())
+
+
 def _hermite(t, t0, t1, u0, u1, m0, m1):
     """Cubic Hermite interpolant through (t0, u0, m0) and (t1, u1, m1) at
     t, on floats or arrays."""
@@ -420,7 +426,9 @@ class RiccatiSolution:
     """Grid solution of the Riccati equation on [t_lo, T] (or on the
     retained interval (t_blow, T] when the constraint fails). P_at,
     D_at and gain_at evaluate the closed form anywhere on the grid's
-    span; log_w holds the solved variable on the nodes."""
+    span; a time outside the span takes the value at its nearer end,
+    which on an ill-posed instance is all the solution holds before the
+    retained interval. log_w holds the solved variable on the nodes."""
 
     params: ModelParams
     t: np.ndarray
@@ -434,7 +442,7 @@ class RiccatiSolution:
     t_lo: float
     tol: float
     max_midpoint_residual: float
-    log_w: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    log_w: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def _flow(self) -> _Flow:
@@ -450,12 +458,9 @@ class RiccatiSolution:
         return self.t.tolist(), self.log_w.tolist(), self._slopes.tolist()
 
     def _u1(self, t: float) -> float:
-        """log w at one time, by Newton's method from the cubic Hermite
-        seed, bracketed by the two nodes around it."""
+        """log w at one time inside the node span, by Newton's method
+        from the cubic Hermite seed, bracketed by the two nodes around it."""
         tl, ul, ml = self._nodes
-        if not tl[0] - 1e-12 <= t <= tl[-1] + 1e-12:
-            raise PolicyError("Riccati solution queried at t=%g outside [%g, %g]"
-                              % (t, tl[0], tl[-1]))
         k = min(max(bisect_right(tl, t) - 1, 0), len(tl) - 2)
         t0, t1, u0, u1 = tl[k], tl[k + 1], ul[k], ul[k + 1]
         if t <= t0 or u0 == u1:
@@ -464,13 +469,12 @@ class RiccatiSolution:
             return u1
         lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
         seed = _hermite(t, t0, t1, u0, u1, ml[k], ml[k + 1])
-        return self._flow.invert1(self.params.T - t, lo, hi, min(max(seed, lo), hi))
+        return self._flow.invert1(self.params.T - t, lo, hi, min(max(seed, lo), hi),
+                                  self.tol)
 
     def _u(self, t):
-        """log w at an array of times."""
+        """log w at an array of times inside the node span."""
         tn, un = self.t, self.log_w
-        if np.any(t < tn[0] - 1e-12) or np.any(t > tn[-1] + 1e-12):
-            raise PolicyError("Riccati solution queried outside [%g, %g]" % (tn[0], tn[-1]))
         k = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
         t0, t1, u0, u1 = tn[k], tn[k + 1], un[k], un[k + 1]
         u = np.where(t >= t1, u1, u0)
@@ -483,38 +487,58 @@ class RiccatiSolution:
                                          np.clip(seed, lo, hi), self.tol)
         return u
 
-    def P_at(self, t):
-        p = self.params
-        if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            u = self._u1(t)
-            try:
-                return -math.exp(u - p.c * t) / (1.0 + self._flow.s2 * math.exp(u))
-            except OverflowError:
-                raise StableRangeError("P(%g) overflows" % t) from None
+    def _PD1(self, t: float):
+        """P and D at one time, both from one log w."""
+        if math.isnan(t):
+            raise PolicyError("Riccati solution queried at t = nan")
+        tl = self._nodes[0]
+        t = min(max(t, tl[0]), tl[-1])
+        u = self._u1(t)
+        try:
+            r = 1.0 + self._flow.s2 * math.exp(u)
+            return -math.exp(u - self.params.c * t) / r, math.exp(-self.params.c * t) / r
+        except OverflowError:
+            raise StableRangeError("P(%g) overflows" % t) from None
+
+    def _PD(self, t):
+        """P and D at an array of times, both from one log w."""
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise PolicyError("Riccati solution queried at t = nan")
+        t = np.clip(t, self.t[0], self.t[-1])
         u = self._u(t)
-        with np.errstate(over="ignore"):
-            P = -np.exp(u - p.c * t) / (1.0 + self._flow.s2 * np.exp(u))
-        if not np.all(np.isfinite(P)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = 1.0 + self._flow.s2 * np.exp(u)
+            P = -np.exp(u - self.params.c * t) / r
+            D = np.exp(-self.params.c * t) / r
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(D))):
             raise StableRangeError("P overflows on the queried times")
-        return P
+        return P, D
+
+    def P_at(self, t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._PD1(float(t))[0]
+        return self._PD(t)[0]
 
     def D_at(self, t):
         """exp(-c*t) + sigma2^2*P, as exp(-c*t)/(1 + sigma2^2*w) > 0."""
-        p = self.params
         if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            return math.exp(-p.c * t) / (1.0 + self._flow.s2 * math.exp(self._u1(t)))
-        t = np.asarray(t, dtype=float)
-        return np.exp(-p.c * t) / (1.0 + self._flow.s2 * np.exp(self._u(t)))
+            return self._PD1(float(t))[1]
+        return self._PD(t)[1]
 
     def gain_at(self, t):
-        """-(1 + sigma1*sigma2) P / D, which is (1 + sigma1*sigma2)*w."""
+        """-(1 + sigma1*sigma2) P / D from the P and D that P_at and D_at
+        return; (1 + sigma1*sigma2)*w to rounding."""
         one = 1.0 + self.params.sigma1 * self.params.sigma2
         if isinstance(t, float) or np.ndim(t) == 0:
-            return one * math.exp(self._u1(float(t)))
-        return one * np.exp(self._u(np.asarray(t, dtype=float)))
+            P, D = self._PD1(float(t))
+            if not D > 0:
+                raise StableRangeError("D(%g) underflows to 0" % t)
+            return -one * P / D
+        P, D = self._PD(t)
+        if not np.all(D > 0):
+            raise StableRangeError("D underflows to 0 on the queried times")
+        return -one * P / D
 
     def closed_loop(self, t):
         """Gain G and closed-loop coefficients a = -rho + G and
@@ -535,10 +559,14 @@ def riccati_integrate(
     when that happens after t_lo. well_posed means t_lo was reached;
     otherwise t_blow is the exact blow-down time.
 
-    max_midpoint_residual audits how well the nodes resolve u = log(w)
-    (see _Flow.midpoint_residual). tol bounds the inversion residual in
-    t, relative to |T| + |t|, that is accepted from a Newton iteration
-    stopping short of rounding level. A P that underflows to 0 or
+    max_midpoint_residual audits the stored P and dPdt as the oracle
+    audits its grid (see midpoint_residual): it measures how well the
+    equally spaced nodes resolve P, and near the guard of a blow-down
+    instance it is large whatever the accuracy of the node values. The
+    closed form solves to rounding level whatever tol is; tol bounds the
+    inversion residual in t, relative to |T| + |t|, accepted from a
+    Newton iteration that stops short of that (on the nodes and in
+    P_at, D_at and gain_at alike). A P that underflows to 0 or
     overflows raises StableRangeError, since P < 0 must hold on every
     node."""
     require(p)
@@ -619,6 +647,11 @@ def riccati_integrate(
         raise StableRangeError("P leaves the float range on [%g, %g]" % (t_stop, p.T))
     if not np.all(P < 0):
         raise StableRangeError(_underflow(fl, p.T - t_stop))
+    # D(T) = exp(-c*T)*a4; the oracle holds D at or above a tenth of its guard too
+    audit = midpoint_residual(p, t, P, f, GUARD_FRAC * math.exp(-p.c * p.T) * a4 / 10.0)
+    if not math.isfinite(audit):
+        raise StableRangeError("Riccati grid audit overflows (|dP/dt| up to %g)"
+                               % float(np.max(np.abs(f))))
 
     return RiccatiSolution(
         params=p,
@@ -632,7 +665,7 @@ def riccati_integrate(
         classification=classification,
         t_lo=t_lo,
         tol=tol,
-        max_midpoint_residual=fl.midpoint_residual(t, u, fl.du_dt(u)),
+        max_midpoint_residual=audit,
         log_w=u,
     )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
-from .lq import GUARD_FRAC, P_CAP, riccati_coeffs
+from .lq import GUARD_FRAC, P_CAP, midpoint_residual, riccati_coeffs
 from .model import ModelParams, require
 from .stopping import StoppingParams
 
@@ -231,20 +231,13 @@ def riccati_oracle(
     D_grid = np.maximum(np.exp(-p.c * t_grid) + s2 * P_grid, guard / 10.0)
     f_grid = a * P_grid + q * P_grid ** 2 / D_grid
 
-    # cubic-Hermite midpoint audit of the stored grid
-    h = np.diff(t_grid)
-    tm = t_grid[:-1] + h / 2.0
-    Pm = 0.5 * (P_grid[:-1] + P_grid[1:]) + h * (f_grid[:-1] - f_grid[1:]) / 8.0
-    dPm = 3.0 * (P_grid[1:] - P_grid[:-1]) / (2.0 * h) - (f_grid[:-1] + f_grid[1:]) / 4.0
-    Dm = np.maximum(np.exp(-p.c * tm) + s2 * Pm, guard / 10.0)
-    resid = np.abs(dPm - (a * Pm + q * Pm ** 2 / Dm))
     return RiccatiOracle(
         t=t_grid,
         P=P_grid,
         dPdt=f_grid,
         well_posed=well_posed,
         t_blow=t_blow,
-        max_midpoint_residual=float(resid.max()),
+        max_midpoint_residual=midpoint_residual(p, t_grid, P_grid, f_grid, guard / 10.0),
     )
 
 

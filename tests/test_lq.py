@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,12 +341,20 @@ def test_node_values_and_scalar_queries_agree():
     assert np.max(np.abs(sol.P_at(fine.t) / fine.P - 1.0)) <= 1e-14
 
 
-def test_queries_outside_the_grid_fault():
+def test_queries_outside_the_grid_take_the_nearer_end():
     sol = riccati_integrate(P5, t_lo=0.5)
-    for t in (0.4, 1.1, np.array([0.6, 1.2])):
-        with pytest.raises(PolicyError):
-            sol.P_at(t)
-    assert sol.gain_at(0.5 - 1e-13) == sol.gain_at(0.5)
+    for name in ("P_at", "D_at", "gain_at"):
+        fn = getattr(sol, name)
+        assert fn(0.4) == fn(0.5) and fn(1.1) == fn(1.0), name
+        assert np.array_equal(fn(np.array([0.4, 0.6, 1.2])), fn(np.array([0.5, 0.6, 1.0]))), name
+        for t in (math.nan, np.array([0.6, math.nan])):
+            with pytest.raises(PolicyError, match="nan"):
+                fn(t)
+    with pytest.raises(PolicyError, match="outside"):
+        closed_loop_coeffs(sol, P5, 0.4)
+    # P has no value before the blow-down; the retained grid starts after it
+    ill = riccati_integrate(P_ILL)
+    assert ill.P_at(0.0) == ill.P_at(float(ill.t[0])) == ill.P[0]
 
 
 def test_alpha_zero_is_the_limit_of_its_neighbours():
@@ -424,6 +433,28 @@ def test_near_cancelling_denominator_solves():
         a4 = 1.0 - p.gamma0 * p.sigma2 ** 2
         assert D[-1] == pytest.approx(math.exp(-p.c * p.T) * a4, rel=1e-12)
     assert solved >= 30
+
+
+def test_stalled_inversion_is_accepted_at_tol_on_both_paths():
+    # sigma2^2 = 2e108 against a4 of a few rounding units: Newton's method
+    # stalls at about 2e-14 relative on some nodes and midpoints, and the
+    # scalar path raised SolverError where the vector path accepted
+    p = ModelParams(rho=1.000000137244776, c=0.1, T=0.35932989874456606,
+                    sigma1=3.234172619707515e-296, sigma2=1.5416837991079323e+54,
+                    gamma0=4.2073571812420144e-109)
+    sol = riccati_integrate(p)
+    tm = 0.5 * (sol.t[1:] + sol.t[:-1])
+    vec = sol.P_at(tm)
+    one = np.array([sol.P_at(float(t)) for t in tm])
+    assert np.max(np.abs(one / vec - 1.0)) <= 1e-13
+    with pytest.raises(SolverError, match="tol = 1e-16"):
+        riccati_integrate(p, tol=1e-16)
+    tight = replace(sol, tol=1e-16)
+    with pytest.raises(SolverError, match="tol = 1e-16"):
+        tight.P_at(tm)
+    with pytest.raises(SolverError, match="tol = 1e-16"):
+        for t in tm:
+            tight.P_at(float(t))
 
 
 @pytest.mark.parametrize("p", [
