@@ -47,6 +47,9 @@ FORMATS = ("json", "csv")
 # cannot allocate arrays near 2^63 elements, and far below that they
 # no longer fit in memory
 MAX_SIZE = 10 ** 7
+# largest simulate.n_paths * simulate.n_steps: five times criterion 8's
+# 100k paths x 2,000 steps, which take about 10 s on two CPUs
+MAX_WORK = 10 ** 9
 
 BLOCK_SCHEMAS = {
     "linear": {"required": (), "optional": ("n_grid",)},
@@ -331,6 +334,8 @@ def _run_simulate(cfg: RunConfig):
         raise ParamError("simulate.policy in {linear, budget, lq}")
     n_paths = _size(block, "n_paths", "simulate", 1)
     n_steps = _size(block, "n_steps", "simulate", 1)
+    if n_paths * n_steps > MAX_WORK:
+        raise ParamError("simulate.n_paths * simulate.n_steps at most %d" % MAX_WORK)
     seed = _int(block, "seed", "simulate")
     x_start = _num(block, "x_start", "simulate") if "x_start" in block else p.x_init
     antithetic = block.get("antithetic", False)

@@ -162,10 +162,18 @@ class Policy:
     ) -> "Policy":
         """u(t, x) = clip(gain(t) * x into the control set)."""
         cs = control_set if control_set is not None else ControlSet(0.0, math.inf)
+        lower, upper, bounded = cs.lower, cs.upper, cs.bounded
 
         def fn(t, x):
-            g = float(gain(t))
-            return cs.clip(g * np.asarray(x, dtype=float))
+            v = float(gain(t)) * np.asarray(x, dtype=float)
+            if not isinstance(v, np.ndarray):  # a scalar x: out= needs an array
+                return cs.clip(v)
+            # np.clip in place: this argument order keeps its NaN, signed
+            # zeros and infinities bit for bit
+            np.maximum(lower, v, out=v)
+            if bounded:
+                np.minimum(upper, v, out=v)
+            return v
 
         return Policy("linear-feedback", fn, cs, t_lo, t_hi)
 

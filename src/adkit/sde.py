@@ -9,6 +9,15 @@ inverse CDF acts element by element, so the normals of steps k0..k1-1 of
 any set of paths, drawn after moving each substream's counter to k0, are
 bit for bit that slice of the full block.
 
+A large draw splits its rows (paths) into contiguous runs of whole
+_ROW_CHUNK-row chunks, one per thread, up to the number of CPUs in the
+process's affinity mask; Philox and ndtri release the GIL, so the
+threads draw in parallel. Each thread has its own generator and buffer
+and writes only its own columns of the one output array, so the bits
+depend on neither the thread count nor the scheduling. There is no
+setting; a draw of fewer than 2*_THREAD_NORMALS normals stays on the
+calling thread.
+
 Blocks are stored time-major: block_normals returns its (paths, steps)
 matrix z as the transpose of a C-ordered (steps, paths) array, so z[:, k],
 the normals of step k across the block, is one contiguous row. The step
@@ -36,6 +45,8 @@ pages of the windows its paths reached are ever touched.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,6 +62,9 @@ DEFAULT_BLOCK = 4096
 # paths drawn row by row into one buffer before it is transposed into the
 # block; small enough to stay in cache at a few thousand steps
 _ROW_CHUNK = 64
+# fewest normals a draw gives each thread: about 5 ms of Philox and
+# ndtri, against 0.1 ms to start and join a thread
+_THREAD_NORMALS = 1 << 17
 # steps of normals the stopping kernel draws at a time for its running paths
 _WINDOW = 64
 
@@ -60,10 +74,55 @@ def path_normals(seed: int, index: int, n: int) -> np.ndarray:
     return block_normals(seed, [index], n)[0]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, so taskset and cgroup cpusets limit the draw's threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
           antithetic: bool = False) -> np.ndarray:
     """Time-major (k1 - k0, len(indices)) array of normals k0..k1-1 of
     each path's substream.
+
+    The rows are cut into contiguous slices of whole _ROW_CHUNK-row
+    chunks, one per thread, at most one thread per _THREAD_NORMALS
+    normals and per CPU. The calling thread draws the first slice and
+    worker threads the others; each writes only its own columns of out.
+    Every worker is joined before the exception of the first failed
+    slice is raised.
+    """
+    out = np.empty((k1 - k0, indices.size))
+    chunks = -(-indices.size // _ROW_CHUNK)
+    parts = max(1, min(_cpus(), chunks, out.size // _THREAD_NORMALS))
+    cuts = [min(chunks * i // parts * _ROW_CHUNK, indices.size) for i in range(parts + 1)]
+    errors = [None] * parts
+
+    def work(i):
+        try:
+            _draw_rows(seed, indices[cuts[i] : cuts[i + 1]], k0, antithetic,
+                       out[:, cuts[i] : cuts[i + 1]])
+        except BaseException as e:  # raised by the caller once all are joined
+            errors[i] = e
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return out
+
+
+def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
+               out: np.ndarray) -> None:
+    """Fill the time-major out with normals k0.. of each path's substream.
 
     Draw k of a substream is word k % 4 of the Philox block at counter
     k // 4 + 1, so each row starts from counter k0 // 4 and drops its
@@ -77,8 +136,7 @@ def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
     state["state"]["counter"][0] = k0 >> 2
     seed_word = int(seed) & _MASK64
     skip = k0 & 3
-    out = np.empty((k1 - k0, indices.size))
-    buf = np.empty((min(_ROW_CHUNK, indices.size), k1 - k0 + skip))
+    buf = np.empty((min(_ROW_CHUNK, indices.size), out.shape[0] + skip))
     for r0 in range(0, indices.size, _ROW_CHUNK):
         rows = indices[r0 : r0 + _ROW_CHUNK]
         for row, idx in enumerate(rows):
@@ -94,7 +152,6 @@ def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
         if antithetic:
             chunk[(rows & 1) == 1] *= -1.0
         out[:, r0 : r0 + rows.size] = chunk.T
-    return out
 
 
 # The two residents of the normals cache. _whole is (key, z) of the last
@@ -472,8 +529,10 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
             min_state = float(mn)
         if path is not None:
             path[0][k + 1 : k + 2] = y
-        keep = y > x0
-        if not keep.all():
+        # some path stopped exactly when the minimum is not above x0 (a
+        # NaN minimum included), so steps where none did skip the mask
+        if not mn > x0:
+            keep = y > x0
             stop = ~keep
             cost[act[stop]] = acc[stop] + y[stop] ** 2
             act, y, acc = act[keep], y[keep], acc[keep]

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import adkit.cli
 import adkit.stopping
 from adkit import SolverError, StoppingParams, solve_stopping
-from adkit.cli import (BLOCK_SCHEMAS, HANDLERS, MAX_SIZE, MODEL_KEYS, build_parser, emit,
-                       load_config, main)
+from adkit.cli import (BLOCK_SCHEMAS, HANDLERS, MAX_SIZE, MAX_WORK, MODEL_KEYS, build_parser,
+                       emit, load_config, main)
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
 
@@ -517,6 +517,30 @@ def test_simulate_sizes_past_limit_exit2(tmp_path):
         cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL),
                                    "output_dir": str(tmp_path / "out"), "simulate": block})
         assert main(["simulate", "--config", cfg]) == 2
+
+
+def test_simulate_work_past_limit_exit2(tmp_path, monkeypatch, capsys):
+    # each size within MAX_SIZE, their product past MAX_WORK: rejected
+    # before any path is drawn
+    block = {"policy": "linear", "n_paths": MAX_SIZE, "n_steps": MAX_WORK // MAX_SIZE + 1,
+             "seed": 1}
+    cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL),
+                               "output_dir": str(tmp_path / "out"), "simulate": block})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "simulate.n_paths * simulate.n_steps at most" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    # criterion 8's 100k paths x 2,000 steps passes the check and reaches
+    # the simulation, stubbed here to fail
+    def stub(*args, **kwargs):
+        raise SolverError("simulation reached")
+
+    monkeypatch.setattr(adkit.cli, "evaluate_policy", stub)
+    block.update(n_paths=100_000, n_steps=2000)
+    cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL),
+                               "output_dir": str(tmp_path / "out"), "simulate": block})
+    assert main(["simulate", "--config", cfg]) == 3
+    assert "simulation reached" in capsys.readouterr().err
 
 
 def test_seed_must_be_integer(tmp_path):

@@ -108,6 +108,29 @@ def test_linear_feedback_clips_and_windows():
     pol(1.0 + 1e-13, 0.0)
 
 
+@pytest.mark.parametrize("cs", [ControlSet(0.0, math.inf), ControlSet(0.0, 1.0),
+                                ControlSet(-0.0, 2.0), ControlSet(0.25, 0.25),
+                                ControlSet(-1.0, 0.0), ControlSet(-0.0, -0.0)])
+@pytest.mark.parametrize("g", [1.0, -1.0, 2.5, 0.0, -0.0])
+def test_linear_feedback_clip_matches_np_clip(cs, g):
+    # the in-place clip against np.clip on the gain times x, bit for bit
+    edge = np.array([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf,
+                     5e-324, -5e-324, 0.25, 0.5, 3.0, -2.0, 1e308, -1e308])
+    pol = Policy.linear_feedback(lambda t: g, 0.0, 1.0, cs)
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, 2.5 * 1e308
+        got = pol(0.5, edge)
+        want = np.clip(g * edge, cs.lower, cs.upper)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for x in edge:  # a scalar x returns np.clip's scalar
+            got = pol(0.5, float(x))
+            want = np.clip(g * np.asarray(float(x)), cs.lower, cs.upper)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = pol(0.5, edge.reshape(2, 7))
+        assert got.shape == (2, 7) and got.tobytes() == np.clip(
+            g * edge, cs.lower, cs.upper).tobytes()
+
+
 def test_from_table_interpolates():
     pol = Policy.from_table([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
     assert float(pol(0.5, 0.0)) == pytest.approx(1.0)

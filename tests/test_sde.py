@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -563,11 +565,122 @@ def test_window_equals_slice_of_full_block(indices, n, k0, k1, antithetic):
     np.testing.assert_array_equal(w.view(np.uint64), ref.T.view(np.uint64))
 
 
+# --- draws split across threads ---
+
+
+def _split(monkeypatch, cpus):
+    """Split every draw across up to cpus threads; returns the set of
+    threads that called sde.ndtri."""
+    monkeypatch.setattr(sde, "_cpus", lambda: cpus)
+    monkeypatch.setattr(sde, "_THREAD_NORMALS", 1)
+    seen = set()
+
+    def recording(x, out=None):
+        seen.add(threading.current_thread())
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(sde, "ndtri", recording)
+    return seen
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize(
+    "cpus, indices, k0, k1, threads",
+    [
+        (3, list(range(203)), 0, 70, 3),          # 4 chunks, last one partial
+        (2, list(range(129, -1, -1)), 0, 33, 2),  # descending, 3 chunks
+        (8, list(range(70)), 0, 40, 2),           # more workers than chunks
+        (4, list(range(900, 0, -7)), 0, 50, 3),   # descending, not contiguous
+        (3, list(range(5, 400, 2)), 65, 131, 3),  # window, k0 % 4 == 1
+        (2, [40, 3, 17, 2, 88, 5] * 20, 7, 10, 2),  # inside one Philox block
+        (5, list(range(300)), 194, 200, 5),       # a short last window
+    ],
+)
+def test_split_draw_bit_identical_to_reference(monkeypatch, cpus, indices, k0, k1, threads,
+                                               antithetic):
+    seen = _split(monkeypatch, cpus)
+    w = sde._draw(21, np.array(indices, dtype=np.int64), k0, k1, antithetic)
+    ref = _reference_normals(21, indices, k1, antithetic)[:, k0:]
+    assert w.shape == (k1 - k0, len(indices))
+    np.testing.assert_array_equal(w.view(np.uint64), ref.T.view(np.uint64))
+    # every thread looked ndtri up as the module global
+    assert len(seen) == threads
+
+
+def test_split_block_normals_bit_identical_and_cached(monkeypatch):
+    _empty_cache(monkeypatch)
+    seen = _split(monkeypatch, 3)
+    idx = np.arange(250)
+    z = block_normals(4, idx, 90, antithetic=True)
+    ref = _reference_normals(4, idx, 90, True)
+    np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+    assert not z.flags.writeable and z.T.flags.c_contiguous
+    assert len(seen) == 3
+    assert block_normals(4, idx, 90, antithetic=True) is z
+
+
+def test_split_draw_under_fast_thread_switching(monkeypatch):
+    # far more threads than cores, switching every microsecond
+    seen = _split(monkeypatch, 16)
+    idx = np.arange(1100, dtype=np.int64)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = threading.Thread(target=lambda: result.append(sde._draw(8, idx, 3, 60)))
+        t.start()
+        t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not t.is_alive() and len(result) == 1
+    ref = _reference_normals(8, idx, 60, False)[:, 3:]
+    np.testing.assert_array_equal(result[0].view(np.uint64), ref.T.view(np.uint64))
+    assert len(seen) == 16
+
+
+class _WorkerFault(Exception):
+    pass
+
+
+def test_split_draw_worker_error_reaches_caller(monkeypatch):
+    _empty_cache(monkeypatch)
+    _split(monkeypatch, 4)
+    caller = threading.current_thread()
+    threads = set()
+
+    def failing(x, out=None):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is not caller:
+            raise _WorkerFault("ndtri failed in a worker")
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(sde, "ndtri", failing)
+    idx = np.arange(256)
+    with pytest.raises(_WorkerFault, match="in a worker"):
+        block_normals(6, idx, 40)
+    assert sde._whole is None  # the failed block is not a resident
+    # the caller and three workers ran, and every worker was joined
+    assert len(threads) == 4
+    assert not any(t.is_alive() for t in threads if t is not caller)
+    # a failed window draw marks no path of the window as drawn
+    with pytest.raises(_WorkerFault):
+        sde._Windows(6, idx, 200).window(64, np.arange(256))
+    assert not sde._windowed[2].any()
+    # the next draw of the same key draws it afresh, bit for bit
+    monkeypatch.setattr(sde, "ndtri", ndtri)
+    z = block_normals(6, idx, 40)
+    np.testing.assert_array_equal(z.view(np.uint64),
+                                  _reference_normals(6, idx, 40, False).view(np.uint64))
+
+
 def _count_ndtri(monkeypatch):
+    # a split draw calls ndtri from several threads at once
     count = [0]
+    lock = threading.Lock()
 
     def counting(x, out=None):
-        count[0] += np.size(x)
+        with lock:
+            count[0] += np.size(x)
         return ndtri(x, out=out)
 
     monkeypatch.setattr(sde, "ndtri", counting)
@@ -859,6 +972,19 @@ def test_stopping_overflowing_cost_is_solver_error(stop_sol):
     with pytest.raises(SolverError, match="non-finite"):
         stopping_cost_report(sol=stop_sol, g=g, y_start=2.0, n_paths=10, seed=0,
                              control=lambda y: np.full(np.shape(y), 1e200), **SP_KW)
+
+
+def test_stopping_nan_state_stops_on_its_step(stop_sol):
+    # a NaN drift makes every state NaN after the first step: a NaN
+    # minimum counts as a stop, so the path ends there instead of running
+    # on to the horizon under the policy's control for NaN
+    g = PathGrid(0.0, 10.0, 100)
+    kw = dict(SP_KW, mu=math.nan)
+    res = simulate_stopped(sol=stop_sol, g=g, y_start=2.0, seed=0, **kw)
+    assert not res.truncated and res.tau == g.nodes()[1] and res.y_path.size == 2
+    assert math.isnan(res.cost)
+    with pytest.raises(SolverError, match="non-finite"):
+        stopping_cost_report(sol=stop_sol, g=g, y_start=2.0, n_paths=10, seed=0, **kw)
 
 
 def test_evaluate_policy_nan_loss_rejected():
