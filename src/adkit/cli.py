@@ -109,6 +109,17 @@ def _reject_constant(name):
     raise ParamError("config holds %s; numbers must be finite" % name)
 
 
+def _check_keys(obj, label, allowed, required, missing_fmt):
+    """ParamError for keys of obj outside allowed, then for keys of
+    required that obj lacks, each list sorted."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ParamError("unknown %s keys: %s" % (label, ", ".join(unknown)))
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ParamError(missing_fmt % ", ".join(missing))
+
+
 def load_config(path, output_override=None, format_override=None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,12 +135,7 @@ def load_config(path, output_override=None, format_override=None) -> RunConfig:
     if problem not in PROBLEMS:
         raise ParamError("problem must be one of %s" % (", ".join(PROBLEMS)))
 
-    allowed = set(TOP_KEYS) | {problem}
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ParamError("unknown config keys: %s" % ", ".join(unknown))
-    if problem not in raw:
-        raise ParamError("missing '%s' block" % problem)
+    _check_keys(raw, "config", TOP_KEYS + (problem,), (problem,), "missing '%s' block")
     block = raw[problem]
     if not isinstance(block, dict):
         raise ParamError("'%s' block must be an object" % problem)
@@ -137,24 +143,14 @@ def load_config(path, output_override=None, format_override=None) -> RunConfig:
     model = raw.get("model")
     if not isinstance(model, dict):
         raise ParamError("missing 'model' block")
-    unknown = sorted(set(model) - set(MODEL_KEYS))
-    if unknown:
-        raise ParamError("unknown model keys: %s" % ", ".join(unknown))
-    missing = sorted(set(MODEL_REQUIRED) - set(model))
-    if missing:
-        raise ParamError("model requires: %s" % ", ".join(missing))
+    _check_keys(model, "model", MODEL_KEYS, MODEL_REQUIRED, "model requires: %s")
     kwargs = {k: _num(model, k, "model") for k in model}
     params = ModelParams(**kwargs)
     require(params)
 
     schema = BLOCK_SCHEMAS[problem]
-    allowed = set(schema["required"]) | set(schema["optional"])
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ParamError("unknown %s keys: %s" % (problem, ", ".join(unknown)))
-    missing = sorted(set(schema["required"]) - set(block))
-    if missing:
-        raise ParamError("%s block requires: %s" % (problem, ", ".join(missing)))
+    _check_keys(block, problem, schema["required"] + schema["optional"], schema["required"],
+                problem + " block requires: %s")
 
     output_dir = output_override or raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -380,6 +376,11 @@ def _run_simulate(cfg: RunConfig):
         kind, rep.mean, rep.std_error)
 
 
+def _fixture(name, ok, **metrics):
+    """One verify result: its name, pass verdict, then its metrics in order."""
+    return {"name": name, "pass": bool(ok), **metrics}
+
+
 def _verify_fixtures():
     """Fast deterministic cross-checks of every solver family."""
     out = []
@@ -389,45 +390,31 @@ def _verify_fixtures():
     r = dp_linear(p_lin, 10 ** 4)
     gap = abs(min(max(sol.t_star, 0.0), p_lin.T) - r.t_star_hat)
     fit = abs(sol.b1_prime(sol.t_star))
-    out.append({
-        "name": "linear_switch_time",
-        "pass": bool(gap <= p_lin.T / 10 ** 4 and fit <= 1e-10),
-        "switch_gap": gap,
-        "smooth_fit": fit,
-    })
+    out.append(_fixture("linear_switch_time", gap <= p_lin.T / 10 ** 4 and fit <= 1e-10,
+                        switch_gap=gap, smooth_fit=fit))
 
     sol_b = solve_budget(p_lin, 0.5)
     g1 = abs(sol_b.discrepancy["spend_gap"])
     g2 = abs(sol_b.discrepancy["switch_identity_gap"])
-    out.append({
-        "name": "budget_identity",
-        "pass": bool(g1 <= 1e-12 and g2 <= 1e-12),
-        "spend_gap": g1,
-        "switch_identity_gap": g2,
-    })
+    out.append(_fixture("budget_identity", g1 <= 1e-12 and g2 <= 1e-12,
+                        spend_gap=g1, switch_identity_gap=g2))
 
     p_z = ModelParams(rho=0.5, c=0.0, T=1.0, gamma0=0.5)
     sol_z = riccati_integrate(p_z)
     gap = float(np.max(np.abs(sol_z.P - riccati_sigma2_zero(p_z, sol_z.t))))
-    out.append({
-        "name": "lq_bernoulli",
-        "pass": bool(sol_z.well_posed and gap <= 1e-8),
-        "closed_form_gap": gap,
-    })
+    out.append(_fixture("lq_bernoulli", sol_z.well_posed and gap <= 1e-8,
+                        closed_form_gap=gap))
 
     p_5 = ModelParams(rho=0.5, c=0.1, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=0.5)
     sol_5 = riccati_integrate(p_5)
-    ok = bool(
+    ok = (
         sol_5.well_posed
         and sol_5.max_midpoint_residual <= 10 * sol_5.tol
         and np.all(sol_5.P < 0)
         and np.all(sol_5.D_at(sol_5.t) > 0)
     )
-    out.append({
-        "name": "lq_riccati_residual",
-        "pass": ok,
-        "midpoint_residual": sol_5.max_midpoint_residual,
-    })
+    out.append(_fixture("lq_riccati_residual", ok,
+                        midpoint_residual=sol_5.max_midpoint_residual))
 
     sp = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
     ssol = solve_stopping(sp)
@@ -435,7 +422,7 @@ def _verify_fixtures():
     resid = abs((slope * ssol.x0 - 2.0 * sp.mu) * u2(ssol.x0, sp) - 1.0)
     u_gap = abs(float(ssol.policy(ssol.x0)) - ssol.x0 / sp.gamma1)
     rep = ssol.residual_report
-    ok = bool(
+    ok = (
         resid <= 1e-12
         and u_gap <= 1e-10
         and rep.stop_side_max <= 1e-12
@@ -443,21 +430,12 @@ def _verify_fixtures():
         and rep.obstacle_gap_min >= -1e-9
         and rep.u_clamp_hits == 0
     )
-    out.append({
-        "name": "stopping_boundary",
-        "pass": ok,
-        "fit_residual": resid,
-        "u_boundary_gap": u_gap,
-    })
+    out.append(_fixture("stopping_boundary", ok, fit_residual=resid, u_boundary_gap=u_gap))
 
     g = Grid2D(0.0, 5.4, 1081, 16)
     q = dp_qvi_stopping(sp, g, np.linspace(0.0, 1.0, 101))
     gap = abs(q.boundary_hat - ssol.x0)
-    out.append({
-        "name": "qvi_small_grid",
-        "pass": bool(gap <= 1e-2),
-        "boundary_gap": gap,
-    })
+    out.append(_fixture("qvi_small_grid", gap <= 1e-2, boundary_gap=gap))
 
     return out
 

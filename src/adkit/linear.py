@@ -75,10 +75,18 @@ class LinearSolution:
         return _as_float(t, out)
 
     def value(self, t, x):
+        """gamma_fn(t)*x + b_fn(t); StableRangeError where it is not finite."""
         t = np.asarray(t, dtype=float)
-        out = np.asarray(self.gamma_fn(t)) * np.asarray(x, dtype=float) + np.asarray(
-            self.b_fn(t)
-        )
+        # terms that leave the floating-point range are caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(self.gamma_fn(t)) * np.asarray(x, dtype=float) + np.asarray(
+                self.b_fn(t)
+            )
+        if not np.all(np.isfinite(out)):
+            p = self.params
+            raise StableRangeError("linear value leaves the floating-point range "
+                                   "(rho=%g, c=%g, T=%g, m=%g, gamma0=%g)"
+                                   % (p.rho, p.c, p.T, p.m, p.gamma0))
         if np.ndim(t) == 0 and np.ndim(x) == 0:
             return float(out)
         return out

@@ -95,12 +95,13 @@ class ControlSet:
     def bounded(self) -> bool:
         return math.isfinite(self.upper)
 
-    def contains(self, u, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, u) -> bool:
+        """Every entry of u finite and within MEMBERSHIP_TOL of the set."""
         u = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(u)):
             return False
-        lo_ok = bool(np.all(u >= self.lower - tol))
-        hi_ok = True if not self.bounded else bool(np.all(u <= self.upper + tol))
+        lo_ok = bool(np.all(u >= self.lower - MEMBERSHIP_TOL))
+        hi_ok = True if not self.bounded else bool(np.all(u <= self.upper + MEMBERSHIP_TOL))
         return lo_ok and hi_ok
 
     def clip(self, u):
@@ -176,22 +177,3 @@ class Policy:
             return v
 
         return Policy("linear-feedback", fn, cs, t_lo, t_hi)
-
-    @staticmethod
-    def from_table(
-        t_nodes, u_nodes, control_set: Optional[ControlSet] = None
-    ) -> "Policy":
-        """Open-loop policy linearly interpolated from a (t, u) table."""
-        t_nodes = np.asarray(t_nodes, dtype=float)
-        u_nodes = np.asarray(u_nodes, dtype=float)
-        if t_nodes.ndim != 1 or t_nodes.shape != u_nodes.shape or t_nodes.size < 2:
-            raise ParamError("table needs matching 1-d t and u arrays, length >= 2")
-        if np.any(np.diff(t_nodes) <= 0):
-            raise ParamError("table t nodes strictly increasing")
-        cs = control_set if control_set is not None else ControlSet(0.0, math.inf)
-
-        def fn(t, x):
-            level = float(np.interp(t, t_nodes, u_nodes))
-            return np.full(np.shape(x), level, dtype=float)
-
-        return Policy("grid-table", fn, cs, float(t_nodes[0]), float(t_nodes[-1]))

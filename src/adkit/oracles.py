@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from .stopping import StoppingParams
 # non-finite integrations stop here after about 1 s instead of running
 # for minutes
 MAX_NFEV = 100_000
+# dp_qvi_stopping stops once a sweep leaves the control unchanged and
+# moves the value by at most QVI_TOL in sup norm; SolverError if that
+# takes more than QVI_MAX_SWEEPS sweeps
+QVI_TOL = 1e-10
+QVI_MAX_SWEEPS = 300
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,6 @@ class Grid2D:
     x_hi: float
     n_x: int
     n_t: int
-    boundary_mode: str = "extrapolating"
 
     def __post_init__(self):
         bad = []
@@ -48,8 +52,6 @@ class Grid2D:
             bad.append("n_x >= 16")
         if self.n_t < 16:
             bad.append("n_t >= 16")
-        if self.boundary_mode not in ("reflecting", "extrapolating"):
-            bad.append("boundary_mode in {reflecting, extrapolating}")
         if bad:
             raise ParamError(bad)
 
@@ -272,25 +274,7 @@ def _controls(u_grid) -> np.ndarray:
     return u
 
 
-def _node_values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
-    """fn(x) as a fresh float array; ParamError unless it is finite with
-    the shape of x."""
-    out = fn(x)
-    try:
-        vals = np.array(out, dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != x.shape or not np.all(np.isfinite(vals)):
-        raise ParamError("%s(x) finite, shape (n_x,)" % name)
-    return vals
-
-
-def fd_hjb_lq(
-    p: ModelParams,
-    g: Grid2D,
-    u_grid,
-    terminal: Optional[Callable] = None,
-) -> FdHjbResult:
+def fd_hjb_lq(p: ModelParams, g: Grid2D, u_grid) -> FdHjbResult:
     """Backward-Euler upwind scheme for the Bellman PDE, marched from
     the terminal payoff gamma*x^2 (absolute-discount convention: the
     terminal weight is already inside gamma, the running cost carries
@@ -300,10 +284,11 @@ def fd_hjb_lq(
     the argmax over u_grid of the discrete Hamiltonian
     A^u v - exp(-c*t_k)*u^2 evaluated at v^{k+1}, then solves
     (I - dt*A^u) v^k = v^{k+1} - dt*exp(-c*t_k)*u^2 as one (2,2)-banded
-    system, the boundary ghosts folded into the band. The control is
-    lagged rather than re-optimized against v^k: with the cubic ghost
-    rows the matrix is not an M-matrix, and policy iteration can cycle
-    between two controls near the right edge.
+    system. Both edges use cubic-extrapolation ghosts,
+    v_{-1} = 3v_0 - 3v_1 + v_2 and its mirror at n, folded into the band.
+    The control is lagged rather than re-optimized against v^k: with the
+    cubic ghost rows the matrix is not an M-matrix, and policy iteration
+    can cycle between two controls near the right edge.
 
     The coefficients are stored node-major, (n_x, len(u_grid)), so each
     node's argmax reads contiguous memory. Every work array is allocated
@@ -319,21 +304,20 @@ def fd_hjb_lq(
     information only. cap_hit is True when any step's argmax lands on
     the largest control.
 
-    A u_grid that is not finite and nonnegative, or a terminal that is
-    not a finite array shaped like the nodes, raises ParamError.
+    A u_grid that is not finite and nonnegative raises ParamError.
     Coefficients or a value that leave the floating-point range raise
     StableRangeError, and a singular band raises SolverError.
     """
     require(p)
     u = _controls(u_grid)
     x = g.x_nodes()
-    v = p.gamma * x * x if terminal is None else _node_values(terminal, x, "terminal")
     n = g.n_x
     n_u = u.size
     dx = g.dx
     dt = p.T / (g.n_t - 1)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = p.gamma * x * x
         # node-major: row i holds node i's coefficients for every control
         b = u[None, :] - (p.rho * x)[:, None]
         sig = (p.sigma0 + p.sigma1 * np.abs(x))[:, None] + (p.sigma2 * u)[None, :]
@@ -367,19 +351,12 @@ def fd_hjb_lq(
         band = np.empty((7, n))
         gbsv, = get_lapack_funcs(("gbsv",), (band,))
         cap_hit = False
-        reflect = g.boundary_mode == "reflecting"
 
         for k in range(g.n_t - 2, -1, -1):
             w = math.exp(-p.c * k * dt)
-            if reflect:
-                lo_ghost = v[1]
-                hi_ghost = v[-2]
-            else:
-                lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
-                hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
-            ve[0] = lo_ghost
+            ve[0] = 3.0 * v[0] - 3.0 * v[1] + v[2]
             ve[1:-1] = v
-            ve[-1] = hi_ghost
+            ve[-1] = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
             np.subtract(ve[2:], v, out=dp)
             np.subtract(ve[:-2], v, out=dm)
             np.multiply(up, dp[:, None], out=ham)
@@ -406,18 +383,13 @@ def fd_hjb_lq(
             band[6] = 0.0
             lo_0 = float(a_lo[0])
             up_n = float(a_up[-1])
-            if reflect:
-                # mirror ghosts v_{-1} = v_1, v_n = v_{n-2}
-                band[3, 1] -= lo_0
-                band[5, n - 2] -= up_n
-            else:
-                # cubic ghosts v_{-1} = 3v_0 - 3v_1 + v_2, and mirrored at n
-                band[4, 0] -= 3.0 * lo_0
-                band[3, 1] += 3.0 * lo_0
-                band[2, 2] = -lo_0
-                band[4, -1] -= 3.0 * up_n
-                band[5, n - 2] += 3.0 * up_n
-                band[6, n - 3] = -up_n
+            # the cubic ghosts' weights on v_0, v_1, v_2 and their mirror
+            band[4, 0] -= 3.0 * lo_0
+            band[3, 1] += 3.0 * lo_0
+            band[2, 2] = -lo_0
+            band[4, -1] -= 3.0 * up_n
+            band[5, n - 2] += 3.0 * up_n
+            band[6, n - 3] = -up_n
             usq.take(pick, out=spend)
             spend *= dt * w
             np.subtract(v, spend, out=rhs)
@@ -446,17 +418,11 @@ class DpQviResult:
         return float(np.interp(x_query, self.x, self.v))
 
 
-def dp_qvi_stopping(
-    sp: StoppingParams,
-    g: Grid2D,
-    u_grid,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-    obstacle: Optional[Callable] = None,
-) -> DpQviResult:
-    """Stationary obstacle problem on a Markov-chain discretization,
-    iterated to a fixed point of the coupled value/control/stop-set
-    system to tolerance `tol`.
+def dp_qvi_stopping(sp: StoppingParams, g: Grid2D, u_grid) -> DpQviResult:
+    """Stationary obstacle problem with obstacle x^2 on a Markov-chain
+    discretization of [g.x_lo, g.x_hi] with g.n_x nodes (g.n_t is not
+    read), iterated to a fixed point of the coupled
+    value/control/stop-set system.
 
     Each sweep freezes the control at every node and solves the
     obstacle-constrained tridiagonal system exactly: reverse
@@ -467,7 +433,9 @@ def dp_qvi_stopping(
     nodes from one-step lookahead instead would free at most one node
     per sweep, since interior stop nodes only ever see
     obstacle-valued neighbors.) The outer loop re-optimizes the
-    control from the solved value and repeats until nothing moves.
+    control from the solved value and repeats until the control is
+    unchanged and the value moved by at most QVI_TOL, within
+    QVI_MAX_SWEEPS sweeps.
 
     The left edge is pinned to the obstacle. That is exact here: the
     value is nonnegative, the running cost is positive, and the
@@ -481,20 +449,15 @@ def dp_qvi_stopping(
     (tolist() of the frozen rows), which round exactly as float64 does
     but skip numpy's per-element scalar boxing. Each pivot is checked
     before it divides: one that is not positive and finite raises
-    SolverError. A tol that is not positive, max_iter < 1, a u_grid
-    that is not finite and nonnegative, or an obstacle that is not a
-    finite array shaped like the nodes raises ParamError.
+    SolverError, and so does a run past QVI_MAX_SWEEPS. A u_grid that
+    is not finite and nonnegative raises ParamError.
     """
-    if not tol > 0:
-        raise ParamError("tol > 0")
-    if not max_iter >= 1:
-        raise ParamError("max_iter >= 1")
     u = _controls(u_grid)
     x = g.x_nodes()
     dx = g.dx
     n = g.n_x
 
-    obs = x * x if obstacle is None else _node_values(obstacle, x, "obstacle")
+    obs = x * x
     obs_l = obs.tolist()
 
     b = sp.mu - sp.rho * x[None, :] - u[:, None]
@@ -523,7 +486,7 @@ def dp_qvi_stopping(
     iterations = 0
     converged = False
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, QVI_MAX_SWEEPS + 1):
         pu = p_up[u_idx, all_i]
         pd = p_dn[u_idx, all_i]
 
@@ -572,12 +535,12 @@ def dp_qvi_stopping(
         u_new = best_controls(v)
         stable = bool(np.array_equal(u_new, u_idx))
         u_idx = u_new
-        if stable and delta <= tol:
+        if stable and delta <= QVI_TOL:
             converged = True
             break
 
     if not converged:
-        raise SolverError("obstacle iteration did not converge in %d sweeps" % max_iter)
+        raise SolverError("obstacle iteration did not converge in %d sweeps" % QVI_MAX_SWEEPS)
 
     below = np.nonzero(obs - v > 1e-8)[0]
     boundary_hat = float(x[below[0]]) if below.size else float(x[-1])

@@ -69,11 +69,6 @@ _THREAD_NORMALS = 1 << 17
 _WINDOW = 64
 
 
-def path_normals(seed: int, index: int, n: int) -> np.ndarray:
-    """Standard normals of path `index` under `seed`, independent across indices."""
-    return block_normals(seed, [index], n)[0]
-
-
 def _cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, so taskset and cgroup cpusets limit the draw's threads."""

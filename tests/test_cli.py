@@ -425,51 +425,69 @@ def test_mismatched_subcommand_exit2(tmp_path, capsys):
     assert "subcommand" in capsys.readouterr().err
 
 
-def test_config_error_matrix(tmp_path):
+def test_config_error_matrix(tmp_path, capsys):
+    # each case with its exact stderr line: the key checks' order and
+    # wording are user-visible
     model = dict(BASE_MODEL)
     out = str(tmp_path / "out")
     cases = [
         # unknown top-level key
-        {"problem": "linear", "model": model, "output_dir": out, "linear": {},
-         "extra": 1},
+        ({"problem": "linear", "model": model, "output_dir": out, "linear": {},
+          "extra": 1}, "unknown config keys: extra"),
+        ({"problem": "linear", "model": model, "output_dir": out, "zz": 1, "aa": 2},
+         "unknown config keys: aa, zz"),
         # stray second problem block
-        {"problem": "linear", "model": model, "output_dir": out, "linear": {},
-         "budget": {"M": 1.0}},
+        ({"problem": "linear", "model": model, "output_dir": out, "linear": {},
+          "budget": {"M": 1.0}}, "unknown config keys: budget"),
         # missing problem block
-        {"problem": "linear", "model": model, "output_dir": out},
+        ({"problem": "linear", "model": model, "output_dir": out},
+         "missing 'linear' block"),
         # missing model
-        {"problem": "linear", "output_dir": out, "linear": {}},
+        ({"problem": "linear", "output_dir": out, "linear": {}}, "missing 'model' block"),
         # unknown model key
-        {"problem": "linear", "model": dict(model, zeta=1.0), "output_dir": out,
-         "linear": {}},
+        ({"problem": "linear", "model": dict(model, zeta=1.0), "output_dir": out,
+          "linear": {}}, "unknown model keys: zeta"),
+        ({"problem": "linear", "model": {"T": 1.0, "x0": 1, "a": 2}, "output_dir": out,
+          "linear": {}}, "unknown model keys: a, x0"),
         # missing required model key
-        {"problem": "linear", "model": {"rho": 0.5, "c": 0.1}, "output_dir": out,
-         "linear": {}},
+        ({"problem": "linear", "model": {"rho": 0.5, "c": 0.1}, "output_dir": out,
+          "linear": {}}, "model requires: T"),
+        ({"problem": "linear", "model": {"T": 1.0}, "output_dir": out, "linear": {}},
+         "model requires: c, rho"),
         # invalid parameter value
-        {"problem": "linear", "model": dict(model, rho=-1.0), "output_dir": out,
-         "linear": {}},
+        ({"problem": "linear", "model": dict(model, rho=-1.0), "output_dir": out,
+          "linear": {}}, "rho > 0"),
         # boolean smuggled into a numeric field
-        {"problem": "linear", "model": dict(model, rho=True), "output_dir": out,
-         "linear": {}},
+        ({"problem": "linear", "model": dict(model, rho=True), "output_dir": out,
+          "linear": {}}, "model.rho must be a number"),
         # unknown block key
-        {"problem": "linear", "model": model, "output_dir": out,
-         "linear": {"grid": 10}},
+        ({"problem": "linear", "model": model, "output_dir": out,
+          "linear": {"grid": 10}}, "unknown linear keys: grid"),
+        # missing required block keys
+        ({"problem": "budget", "model": model, "output_dir": out, "budget": {}},
+         "budget block requires: M"),
+        ({"problem": "stop", "model": dict(model, c=0.0), "output_dir": out,
+          "stop": {"k": 1.0}}, "stop block requires: gamma1, gamma2"),
         # bad formats
-        {"problem": "linear", "model": model, "output_dir": out, "linear": {},
-         "formats": ["yaml"]},
-        {"problem": "linear", "model": model, "output_dir": out, "linear": {},
-         "formats": []},
+        ({"problem": "linear", "model": model, "output_dir": out, "linear": {},
+          "formats": ["yaml"]}, "formats must be a non-empty subset of {csv, json}"),
+        ({"problem": "linear", "model": model, "output_dir": out, "linear": {},
+          "formats": []}, "formats must be a non-empty subset of {csv, json}"),
         # unknown problem name
-        {"problem": "ode", "model": model, "output_dir": out},
+        ({"problem": "ode", "model": model, "output_dir": out},
+         "problem must be one of linear, budget, lq, stop, simulate, verify"),
         # grid sizes below 2 or past the size limit
-        {"problem": "linear", "model": model, "output_dir": out,
-         "linear": {"n_grid": -1}},
-        {"problem": "linear", "model": model, "output_dir": out,
-         "linear": {"n_grid": 10 ** 400}},
+        ({"problem": "linear", "model": model, "output_dir": out,
+          "linear": {"n_grid": -1}}, "linear.n_grid in [2, 10000000]"),
+        ({"problem": "linear", "model": model, "output_dir": out,
+          "linear": {"n_grid": 10 ** 400}}, "linear.n_grid in [2, 10000000]"),
     ]
-    for i, body in enumerate(cases):
+    for i, (body, err) in enumerate(cases):
         cfg = write_cfg(tmp_path, body, name="bad%d.json" % i)
-        assert main(["linear", "--config", cfg]) == 2, body
+        cmd = body["problem"] if body["problem"] in adkit.cli.PROBLEMS else "linear"
+        assert main([cmd, "--config", cfg]) == 2, body
+        assert capsys.readouterr().err == "error: %s\n" % err, body
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model", [
@@ -483,6 +501,18 @@ def test_lq_overflow_exit3(tmp_path, model):
                                "output_dir": str(tmp_path / "out"), "lq": {}})
     assert main(["lq", "--config", cfg, "--quiet"]) == 3
     assert not (tmp_path / "out" / "lq.json").exists()
+
+
+def test_linear_non_finite_value_exit3(tmp_path, capsys):
+    # CSV only, so emit's JSON check cannot catch it: this wrote an
+    # all-NaN value.csv and exited 0
+    model = {"rho": 1e150, "c": 0.5, "T": 0.5, "m": 1e300, "gamma0": 1e150}
+    cfg = write_cfg(tmp_path, {"problem": "linear", "model": model, "formats": ["csv"],
+                               "output_dir": str(tmp_path / "out"),
+                               "linear": {"n_grid": 3}})
+    assert main(["linear", "--config", cfg, "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("solver error: linear value leaves")
+    assert not (tmp_path / "out").exists()
 
 
 def test_lq_sigma2_square_overflow_exit3(tmp_path, capsys):

@@ -97,6 +97,15 @@ def test_hjb_residual_on_both_branches():
         assert abs(resid) < 5e-9
 
 
+@pytest.mark.parametrize("t", [0.5, np.array([0.0, 0.25, 0.5])])
+def test_value_out_of_range_is_stable_range_error(t):
+    # m*gamma/rho overflows and meets 1 - exp(0) = 0 at t = T: the value
+    # used to come back NaN, with a RuntimeWarning
+    sol = solve_linear(ModelParams(rho=1e150, c=0.5, T=0.5, m=1e300, gamma0=1e150))
+    with pytest.raises(StableRangeError, match="linear value"):
+        sol.value(t, 1.0)
+
+
 def test_policy_matches_switch():
     sol = solve_linear(P)
     pol = linear_policy(sol)

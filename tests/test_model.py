@@ -131,22 +131,6 @@ def test_linear_feedback_clip_matches_np_clip(cs, g):
             g * edge, cs.lower, cs.upper).tobytes()
 
 
-def test_from_table_interpolates():
-    pol = Policy.from_table([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-    assert float(pol(0.5, 0.0)) == pytest.approx(1.0)
-    assert float(pol(1.5, 0.0)) == pytest.approx(1.0)
-    with pytest.raises(ParamError):
-        Policy.from_table([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(ParamError):
-        Policy.from_table([0.0], [1.0])
-
-
-def test_policy_window_check_applies_to_tables():
-    pol = Policy.from_table([0.2, 0.8], [1.0, 1.0])
-    with pytest.raises(PolicyError):
-        pol(0.0, 0.0)
-
-
 def test_membership_random_draws():
     rng = np.random.default_rng(42)
     cs = ControlSet(0.0, 1.0)

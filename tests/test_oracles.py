@@ -38,8 +38,6 @@ def test_grid2d_validation():
         Grid2D(2.0, 0.0, 21, 16)
     with pytest.raises(ParamError):
         Grid2D(0.0, 2.0, 4, 16)
-    with pytest.raises(ParamError):
-        Grid2D(0.0, 2.0, 21, 16, boundary_mode="periodic")
 
 
 def test_grid2d_reports_every_violation():
@@ -98,24 +96,6 @@ def test_fd_hjb_lq_large_step():
     assert res.value_at(P_LQ.x_init) == pytest.approx(ref, rel=0.02)
 
 
-def test_fd_hjb_lq_reflecting_maximum_principle():
-    # no control cost, mirror ghosts: each step solves with an M-matrix
-    # whose rows sum to 1, so the value stays within the terminal's range
-    p = ModelParams(rho=0.5, c=0.3, T=1.0, sigma0=0.3, sigma1=0.2)
-    g = Grid2D(0.0, 4.0, 201, 20, boundary_mode="reflecting")
-    res = fd_hjb_lq(p, g, [0.0], terminal=lambda x: np.sin(3.0 * x))
-    assert res.substeps == 19
-    assert float(np.max(np.abs(res.v0))) <= 1.0
-
-
-def test_fd_hjb_lq_custom_terminal():
-    # zero terminal reward, zero noise, u=0 only: value is identically zero
-    p = ModelParams(rho=0.5, c=0.0, T=1.0)
-    g = Grid2D(0.0, 2.0, 51, 51)
-    res = fd_hjb_lq(p, g, np.array([0.0]), terminal=lambda x: np.zeros_like(x))
-    assert float(np.max(np.abs(res.v0))) == 0.0
-
-
 def test_u_max_oracle_bounds_the_gain():
     sol = riccati_integrate(P_LQ)
     u_hi = u_max_oracle(P_LQ, sol)
@@ -141,13 +121,14 @@ def test_dp_qvi_value_below_obstacle():
     assert np.all(res.v >= 0.0)
 
 
-def test_dp_qvi_monotone_in_obstacle():
-    # raising the obstacle can only raise the fixed point
+def test_dp_qvi_monotone_in_running_cost():
+    # raising both running-cost weights can only raise the fixed point
     g = Grid2D(0.0, 5.4, 271, 16)
     u_grid = np.linspace(0.0, 1.0, 51)
     lo = dp_qvi_stopping(SP, g, u_grid)
-    hi = dp_qvi_stopping(SP, g, u_grid, obstacle=lambda x: x * x + 0.05)
+    hi = dp_qvi_stopping(StoppingParams(k=1.0, rho=0.5, gamma1=2.5, gamma2=2.5), g, u_grid)
     assert np.all(hi.v >= lo.v - 1e-12)
+    assert np.any(hi.v > lo.v)
 
 
 def test_dp_qvi_value_interpolator():
@@ -162,7 +143,7 @@ def test_dp_qvi_value_interpolator():
 # obstacle sweep on numpy scalars. The oracles must match them bit for bit.
 
 
-def _ref_fd_hjb_lq(p, g, u_grid, terminal=None):
+def _ref_fd_hjb_lq(p, g, u_grid):
     u = np.asarray(u_grid, dtype=float).reshape(-1)
     x = g.x_nodes()
     n = g.n_x
@@ -174,18 +155,14 @@ def _ref_fd_hjb_lq(p, g, u_grid, terminal=None):
     usq = u * u
     up = np.maximum(b, 0.0) / dx + s2h / (dx * dx)
     lo = np.maximum(-b, 0.0) / dx + s2h / (dx * dx)
-    v = p.gamma * x * x if terminal is None else np.asarray(terminal(x), dtype=float).copy()
+    v = p.gamma * x * x
     ab = np.zeros((5, n))
     nodes = np.arange(n)
     cap_hit = False
-    reflect = g.boundary_mode == "reflecting"
     for k in range(g.n_t - 2, -1, -1):
         w = math.exp(-p.c * k * dt)
-        if reflect:
-            lo_ghost, hi_ghost = v[1], v[-2]
-        else:
-            lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
-            hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
+        lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
+        hi_ghost = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
         ve = np.concatenate(([lo_ghost], v, [hi_ghost]))
         ham = up * (ve[2:] - v) + lo * (ve[:-2] - v) - (w * usq)[:, None]
         pick = np.argmax(ham, axis=0)
@@ -196,26 +173,22 @@ def _ref_fd_hjb_lq(p, g, u_grid, terminal=None):
         ab[2] = 1.0 + a_up + a_lo
         ab[1, 1:] = -a_up[:-1]
         ab[3, :-1] = -a_lo[1:]
-        if reflect:
-            ab[1, 1] -= a_lo[0]
-            ab[3, n - 2] -= a_up[-1]
-        else:
-            ab[2, 0] -= 3.0 * a_lo[0]
-            ab[1, 1] += 3.0 * a_lo[0]
-            ab[0, 2] = -a_lo[0]
-            ab[2, -1] -= 3.0 * a_up[-1]
-            ab[3, n - 2] += 3.0 * a_up[-1]
-            ab[4, n - 3] = -a_up[-1]
+        ab[2, 0] -= 3.0 * a_lo[0]
+        ab[1, 1] += 3.0 * a_lo[0]
+        ab[0, 2] = -a_lo[0]
+        ab[2, -1] -= 3.0 * a_up[-1]
+        ab[3, n - 2] += 3.0 * a_up[-1]
+        ab[4, n - 3] = -a_up[-1]
         v = solve_banded((2, 2), ab, v - dt * w * usq[pick], check_finite=False)
     return v, cap_hit
 
 
-def _ref_dp_qvi_stopping(sp, g, u_grid, tol=1e-10, max_iter=300, obstacle=None):
+def _ref_dp_qvi_stopping(sp, g, u_grid):
     u = np.asarray(u_grid, dtype=float).reshape(-1)
     x = g.x_nodes()
     dx = g.dx
     n = g.n_x
-    obs = x * x if obstacle is None else np.asarray(obstacle(x), dtype=float)
+    obs = x * x
     b = sp.mu - sp.rho * x[None, :] - u[:, None]
     norm = 1.0 + dx * np.abs(b)
     p_up = (0.5 + dx * np.maximum(b, 0.0)) / norm
@@ -229,7 +202,7 @@ def _ref_dp_qvi_stopping(sp, g, u_grid, tol=1e-10, max_iter=300, obstacle=None):
     v = obs.copy()
     all_i = np.arange(n)
     u_idx = best(v)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 301):
         pu = p_up[u_idx, all_i]
         pd = p_dn[u_idx, all_i]
         rhs = cost[u_idx, all_i]
@@ -255,14 +228,13 @@ def _ref_dp_qvi_stopping(sp, g, u_grid, tol=1e-10, max_iter=300, obstacle=None):
         u_new = best(v)
         stable = bool(np.array_equal(u_new, u_idx))
         u_idx = u_new
-        if stable and delta <= tol:
+        if stable and delta <= 1e-10:
             break
     below = np.nonzero(obs - v > 1e-8)[0]
     boundary_hat = float(x[below[0]]) if below.size else float(x[-1])
     return v, iterations, boundary_hat
 
 
-MODES = ("extrapolating", "reflecting")
 FD_CONTROLS = {
     "81": np.linspace(0.0, 3.1428571428571432, 81),
     "81-capped": np.linspace(0.0, 0.3, 81),
@@ -270,29 +242,24 @@ FD_CONTROLS = {
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("controls", sorted(FD_CONTROLS))
-@pytest.mark.parametrize("terminal", [None, lambda x: np.sin(3.0 * x)])
-def test_fd_hjb_lq_matches_solve_banded_reference(mode, controls, terminal):
-    g = Grid2D(0.0, 4.0, 41, 60, boundary_mode=mode)
+def test_fd_hjb_lq_matches_solve_banded_reference(controls):
+    g = Grid2D(0.0, 4.0, 41, 60)
     u = FD_CONTROLS[controls]
-    res = fd_hjb_lq(P_LQ, g, u, terminal=terminal)
-    v0, cap_hit = _ref_fd_hjb_lq(P_LQ, g, u, terminal=terminal)
+    res = fd_hjb_lq(P_LQ, g, u)
+    v0, cap_hit = _ref_fd_hjb_lq(P_LQ, g, u)
     assert np.array_equal(res.v0, v0)
     assert res.cap_hit == cap_hit
-    if terminal is None:
-        # both cap_hit outcomes are covered
-        assert res.cap_hit == (controls == "81-capped")
+    # both cap_hit outcomes are covered
+    assert res.cap_hit == (controls == "81-capped")
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n_u", [1, 81])
-@pytest.mark.parametrize("obstacle", [None, lambda x: x * x + 0.05])
-def test_dp_qvi_matches_numpy_scalar_reference(mode, n_u, obstacle):
-    g = Grid2D(0.0, 5.4, 271, 16, boundary_mode=mode)
+def test_dp_qvi_matches_numpy_scalar_reference(n_u):
+    g = Grid2D(0.0, 5.4, 271, 16)
     u = np.linspace(0.0, 1.0, n_u) if n_u > 1 else np.array([0.5])
-    res = dp_qvi_stopping(SP, g, u, obstacle=obstacle)
-    v, iterations, boundary_hat = _ref_dp_qvi_stopping(SP, g, u, obstacle=obstacle)
+    res = dp_qvi_stopping(SP, g, u)
+    v, iterations, boundary_hat = _ref_dp_qvi_stopping(SP, g, u)
     assert np.array_equal(res.v, v)
     assert res.iterations == iterations
     assert res.boundary_hat == boundary_hat
@@ -315,29 +282,12 @@ def test_fd_hjb_lq_control_cost_overflow_is_stable_range_error():
         fd_hjb_lq(P_LQ, FD_GRID, [0.0, 1e200])
 
 
-def _overflowing_terminal(x):
-    with np.errstate(over="ignore"):
-        return 1e308 * np.exp(x)
-
-
-@pytest.mark.parametrize("terminal", [
-    lambda x: np.full_like(x, math.nan),
-    _overflowing_terminal,
-    lambda x: x[:-1],
-    lambda x: 1.0,
-    lambda x: ["a"] * len(x),
-])
-def test_fd_hjb_lq_bad_terminal_is_param_error(terminal):
-    with pytest.raises(ParamError, match="terminal"):
-        fd_hjb_lq(P_LQ, FD_GRID, [0.0, 1.0], terminal=terminal)
-
-
 def test_fd_hjb_lq_value_overflow_is_stable_range_error():
-    # a finite terminal near the top of the double range: the march
-    # overflows, which used to come back as a non-finite v0
+    # gamma*x^2 overflows on [0, 4]: the terminal product warned before
+    # the StableRangeError, and the march used to return a non-finite v0
+    p = ModelParams(rho=0.5, c=0.1, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=1e308)
     with pytest.raises(StableRangeError, match="fd_hjb_lq"):
-        fd_hjb_lq(P_LQ, FD_GRID, np.linspace(0.0, 3.0, 21),
-                  terminal=lambda x: 1.7e308 * (x > 3.5))
+        fd_hjb_lq(p, FD_GRID, np.linspace(0.0, 3.0, 21))
 
 
 def test_fd_hjb_lq_lapack_failure_is_solver_error(monkeypatch):
@@ -357,26 +307,17 @@ def test_fd_hjb_lq_lapack_failure_is_solver_error(monkeypatch):
 QVI_GRID = Grid2D(0.0, 5.4, 271, 16)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"tol": math.nan},
-    {"tol": 0.0},
-    {"max_iter": 0},
-    {"max_iter": -3},
-])
-def test_dp_qvi_bad_iteration_control_is_param_error(kwargs):
-    with pytest.raises(ParamError):
-        dp_qvi_stopping(SP, QVI_GRID, np.linspace(0.0, 1.0, 11), **kwargs)
+def test_dp_qvi_sweep_limit_is_solver_error(monkeypatch):
+    # QVI_GRID takes more than one sweep to settle
+    monkeypatch.setattr(adkit.oracles, "QVI_MAX_SWEEPS", 1)
+    with pytest.raises(SolverError, match="did not converge in 1 sweeps"):
+        dp_qvi_stopping(SP, QVI_GRID, np.linspace(0.0, 1.0, 11))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_dp_qvi_non_finite_control_is_param_error(bad):
     with pytest.raises(ParamError, match="u_grid"):
         dp_qvi_stopping(SP, QVI_GRID, [0.0, bad])
-
-
-def test_dp_qvi_bad_obstacle_is_param_error():
-    with pytest.raises(ParamError, match="obstacle"):
-        dp_qvi_stopping(SP, QVI_GRID, [0.0], obstacle=lambda x: x[1:])
 
 
 def test_dp_qvi_zero_last_pivot_is_solver_error():

@@ -28,10 +28,15 @@ from adkit import (
 )
 from adkit import sde
 from adkit.model import ControlSet, diffusion, drift
-from adkit.sde import block_normals, path_normals
+from adkit.sde import block_normals
 from adkit.stopping import u2
 
 P = ModelParams(rho=0.5, c=0.1, T=1.0, sigma0=0.2, gamma0=1.2)
+
+
+def path_normals(seed, index, n):
+    """The n normals of one path's substream."""
+    return block_normals(seed, [index], n)[0]
 
 
 def test_path_grid_nodes():
@@ -421,7 +426,10 @@ def _policies():
     return {
         "constant": (P, Policy.constant(0.5)),
         "bang-bang": (P, linear_policy(solve_linear(P))),
-        "table": (P, Policy.from_table([0.0, 0.4, 1.0], [0.1, 0.9, 0.3])),
+        # open loop, piecewise linear in t, valid on [0, T] only
+        "table": (P, Policy("table", lambda t, x: np.full(
+            np.shape(x), float(np.interp(t, [0.0, 0.4, 1.0], [0.1, 0.9, 0.3]))),
+            ControlSet(0.0, math.inf), 0.0, 1.0)),
         "lq": (P_LQ, lq_feedback(ric, P_LQ)),
         # state-dependent, bounded, and one that returns the state array
         "custom": (P_LQ, Policy("custom", lambda t, x: np.clip(np.sin(3.0 * x) + t, 0.0, 2.0),
