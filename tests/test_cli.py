@@ -503,11 +503,12 @@ def test_lq_overflow_exit3(tmp_path, model):
     assert not (tmp_path / "out" / "lq.json").exists()
 
 
-def test_linear_non_finite_value_exit3(tmp_path, capsys):
-    # CSV only, so emit's JSON check cannot catch it: this wrote an
-    # all-NaN value.csv and exited 0
+@pytest.mark.parametrize("formats", [["csv"], ["json"], ["csv", "json"]])
+def test_linear_non_finite_value_exit3(tmp_path, capsys, formats):
+    # with CSV only, emit's JSON check could not catch it: this wrote an
+    # all-NaN value.csv and exited 0. Every format now stops at the solver
     model = {"rho": 1e150, "c": 0.5, "T": 0.5, "m": 1e300, "gamma0": 1e150}
-    cfg = write_cfg(tmp_path, {"problem": "linear", "model": model, "formats": ["csv"],
+    cfg = write_cfg(tmp_path, {"problem": "linear", "model": model, "formats": formats,
                                "output_dir": str(tmp_path / "out"),
                                "linear": {"n_grid": 3}})
     assert main(["linear", "--config", cfg, "--quiet"]) == 3

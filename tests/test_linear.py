@@ -106,6 +106,41 @@ def test_value_out_of_range_is_stable_range_error(t):
         sol.value(t, 1.0)
 
 
+@pytest.mark.parametrize("p", [
+    # m*gamma/rho overflows at moderate rho
+    ModelParams(rho=1.0, c=1e-10, T=1.0, m=1e300, gamma0=1e10),
+    ModelParams(rho=1e10, c=1.0, T=1.0, m=1e300, gamma0=1e10),
+    # gamma0 near the top of the range against a huge rho
+    ModelParams(rho=1e300, c=0.5, T=1.0, m=1e10, gamma0=1e300),
+])
+def test_value_overflow_cases_are_stable_range_error(p):
+    sol = solve_linear(p)
+    with pytest.raises(StableRangeError, match="linear value"):
+        sol.value(np.array([0.0, 0.5 * p.T, p.T]), 1.0)
+
+
+def test_value_is_finite_or_stable_range_error_on_extreme_lattice():
+    # parameters drawn from {0, 1e-300, ..., 1e300}: every accepted model
+    # gives a finite value or raises, and none returns NaN or inf
+    lattice = [0.0, 1e-300, 1e-150, 1e-10, 0.5, 1.0, 1e10, 1e150, 1e300]
+    rng = np.random.default_rng(0)
+    finite = raised = 0
+    for _ in range(400):
+        rho, c, T, m, gamma0 = (float(v) for v in rng.choice(lattice, 5))
+        try:
+            sol = solve_linear(ModelParams(rho=rho, c=c, T=T, m=m, gamma0=gamma0))
+        except (ParamError, StableRangeError):
+            continue
+        try:
+            v = sol.value(np.array([0.0, 0.5 * T, T]), 1.0)
+        except StableRangeError:
+            raised += 1
+            continue
+        assert np.all(np.isfinite(v))
+        finite += 1
+    assert finite > 0 and raised > 0
+
+
 def test_policy_matches_switch():
     sol = solve_linear(P)
     pol = linear_policy(sol)

@@ -14,6 +14,7 @@ from adkit import (
     require,
     validate,
 )
+from adkit.model import MEMBERSHIP_TOL
 
 
 def test_gamma_is_derived():
@@ -129,6 +130,28 @@ def test_linear_feedback_clip_matches_np_clip(cs, g):
         got = pol(0.5, edge.reshape(2, 7))
         assert got.shape == (2, 7) and got.tobytes() == np.clip(
             g * edge, cs.lower, cs.upper).tobytes()
+
+
+@pytest.mark.parametrize("u, inside", [
+    (0.0 - MEMBERSHIP_TOL, True),
+    (0.0 - 2.0 * MEMBERSHIP_TOL, False),
+    (1.0 + MEMBERSHIP_TOL, True),
+    (1.0 + 2.0 * MEMBERSHIP_TOL, False),
+])
+def test_membership_tolerance_is_the_module_constant(u, inside):
+    assert ControlSet(0.0, 1.0).contains(u) is inside
+    assert ControlSet(0.0, 1.0).contains(np.array([0.5, u])) is inside
+
+
+def test_policy_window_check_applies_to_any_fn():
+    # the window belongs to Policy, not to its constructors
+    pol = Policy("custom", lambda t, x: np.full(np.shape(x), t), ControlSet(0.0, 1.0),
+                 0.2, 0.8)
+    assert float(pol(0.2, 0.0)) == 0.2
+    assert float(pol(0.8 + 1e-13, 0.0)) == pytest.approx(0.8)
+    for t in (0.0, 0.2 - 1e-9, 0.8 + 1e-9, 1.0):
+        with pytest.raises(PolicyError):
+            pol(t, 0.0)
 
 
 def test_membership_random_draws():

@@ -242,6 +242,19 @@ FD_CONTROLS = {
 }
 
 
+# model and grid pairs for the FD reference check, beside P_LQ above: a
+# state-noise kink at x = 0 inside the grid with c = 0, a noiseless model
+# (pure upwind drift) on the smallest grid Grid2D accepts, and constant
+# plus strong control noise on a wide grid
+FD_CASES = {
+    "noisy": (ModelParams(rho=0.8, c=0.3, T=1.5, sigma0=0.3, sigma2=1.0, gamma0=0.2),
+              Grid2D(0.0, 6.0, 61, 25)),
+    "kink": (ModelParams(rho=0.3, c=0.0, T=0.8, sigma0=0.1, sigma1=0.3, sigma2=0.2,
+                         gamma0=0.7), Grid2D(-2.0, 3.0, 51, 40)),
+    "no-noise": (ModelParams(rho=1.0, c=0.5, T=2.0, gamma0=2.0), Grid2D(0.0, 2.0, 16, 16)),
+}
+
+
 @pytest.mark.parametrize("controls", sorted(FD_CONTROLS))
 def test_fd_hjb_lq_matches_solve_banded_reference(controls):
     g = Grid2D(0.0, 4.0, 41, 60)
@@ -254,15 +267,55 @@ def test_fd_hjb_lq_matches_solve_banded_reference(controls):
     assert res.cap_hit == (controls == "81-capped")
 
 
+@pytest.mark.parametrize("controls", sorted(FD_CONTROLS))
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_fd_hjb_lq_matches_reference_across_models(case, controls):
+    p, g = FD_CASES[case]
+    u = FD_CONTROLS[controls]
+    res = fd_hjb_lq(p, g, u)
+    v0, cap_hit = _ref_fd_hjb_lq(p, g, u)
+    assert np.array_equal(res.v0, v0)
+    assert np.array_equal(res.x, g.x_nodes())
+    assert res.cap_hit == cap_hit
+    assert res.substeps == g.n_t - 1
+
+
+# stopping instances for the QVI reference check, beside SP above: no
+# drift (k = 0), a faster mean reversion on a shorter grid, and a slower
+# one with a far target on a wide grid
+QVI_CASES = {
+    "slow": (StoppingParams(k=2.0, rho=0.25, gamma1=3.0, gamma2=1.5), Grid2D(0.0, 8.0, 161, 16)),
+    "k0": (StoppingParams(k=0.0, rho=0.5, gamma1=2.0, gamma2=2.0), Grid2D(0.0, 3.0, 151, 16)),
+    "fast": (StoppingParams(k=0.5, rho=1.0, gamma1=1.5, gamma2=3.0), Grid2D(0.0, 3.0, 151, 16)),
+}
+
+
+def _qvi_controls(n_u):
+    return np.linspace(0.0, 1.0, n_u) if n_u > 1 else np.array([0.5])
+
+
 @pytest.mark.parametrize("n_u", [1, 81])
 def test_dp_qvi_matches_numpy_scalar_reference(n_u):
     g = Grid2D(0.0, 5.4, 271, 16)
-    u = np.linspace(0.0, 1.0, n_u) if n_u > 1 else np.array([0.5])
+    u = _qvi_controls(n_u)
     res = dp_qvi_stopping(SP, g, u)
     v, iterations, boundary_hat = _ref_dp_qvi_stopping(SP, g, u)
     assert np.array_equal(res.v, v)
     assert res.iterations == iterations
     assert res.boundary_hat == boundary_hat
+
+
+@pytest.mark.parametrize("n_u", [1, 11, 81])
+@pytest.mark.parametrize("case", sorted(QVI_CASES))
+def test_dp_qvi_matches_reference_across_models(case, n_u):
+    sp, g = QVI_CASES[case]
+    u = _qvi_controls(n_u)
+    res = dp_qvi_stopping(sp, g, u)
+    v, iterations, boundary_hat = _ref_dp_qvi_stopping(sp, g, u)
+    assert np.array_equal(res.v, v)
+    assert res.iterations == iterations
+    assert res.boundary_hat == boundary_hat
+    assert res.converged
 
 
 # ---- input contract
@@ -290,6 +343,15 @@ def test_fd_hjb_lq_value_overflow_is_stable_range_error():
         fd_hjb_lq(p, FD_GRID, np.linspace(0.0, 3.0, 21))
 
 
+@pytest.mark.parametrize("g", [Grid2D(-4.0, 0.0, 41, 30), Grid2D(-4.0, 4.0, 81, 16)],
+                         ids=["negative", "two-sided"])
+def test_fd_hjb_lq_terminal_overflow_left_of_zero(g):
+    # the terminal gamma*x^2 overflows at x_lo as well as at x_hi
+    p = ModelParams(rho=0.5, c=0.1, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=1e308)
+    with pytest.raises(StableRangeError, match="fd_hjb_lq"):
+        fd_hjb_lq(p, g, [0.0, 1.0])
+
+
 def test_fd_hjb_lq_lapack_failure_is_solver_error(monkeypatch):
     import adkit.oracles
 
@@ -312,6 +374,35 @@ def test_dp_qvi_sweep_limit_is_solver_error(monkeypatch):
     monkeypatch.setattr(adkit.oracles, "QVI_MAX_SWEEPS", 1)
     with pytest.raises(SolverError, match="did not converge in 1 sweeps"):
         dp_qvi_stopping(SP, QVI_GRID, np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("n_u", [1, 11, 81])
+def test_dp_qvi_sweep_limit_is_inclusive(monkeypatch, n_u):
+    # a run that settles on sweep N converges with QVI_MAX_SWEEPS = N,
+    # to the same value, and fails with QVI_MAX_SWEEPS = N - 1
+    u = _qvi_controls(n_u)
+    free = dp_qvi_stopping(SP, QVI_GRID, u)
+    monkeypatch.setattr(adkit.oracles, "QVI_MAX_SWEEPS", free.iterations)
+    capped = dp_qvi_stopping(SP, QVI_GRID, u)
+    assert capped.converged and capped.iterations == free.iterations
+    assert np.array_equal(capped.v, free.v)
+    monkeypatch.setattr(adkit.oracles, "QVI_MAX_SWEEPS", free.iterations - 1)
+    with pytest.raises(SolverError, match="did not converge in %d sweeps"
+                       % (free.iterations - 1)):
+        dp_qvi_stopping(SP, QVI_GRID, u)
+
+
+@pytest.mark.parametrize("tol, sweeps_saved", [(1e-3, 1), (1e-6, 0)])
+def test_dp_qvi_looser_tol_stops_no_later(monkeypatch, tol, sweeps_saved):
+    # the stopping rule reads QVI_TOL at call time; on QVI_GRID the
+    # fourth sweep moves the value by less than 1e-3 but more than 1e-6
+    u = _qvi_controls(81)
+    tight = dp_qvi_stopping(SP, QVI_GRID, u)
+    monkeypatch.setattr(adkit.oracles, "QVI_TOL", tol)
+    loose = dp_qvi_stopping(SP, QVI_GRID, u)
+    assert loose.converged
+    assert loose.iterations == tight.iterations - sweeps_saved
+    assert float(np.max(np.abs(loose.v - tight.v))) <= 10.0 * tol
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
