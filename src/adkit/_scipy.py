@@ -1,13 +1,14 @@
 """The scipy functions adkit calls, each importing its scipy submodule on
-its first call.
+its first call; no other module of adkit imports scipy.
 
-Importing scipy.integrate, .optimize, .special and .linalg
-loads several hundred modules, which takes longer than solving a linear
-or budget problem; those closed forms, and the Riccati closed form,
-need only numpy. So no scipy module is imported with adkit: the Riccati
-oracle loads scipy.integrate, the launch problem scipy.optimize and
-scipy.special, Monte Carlo normals scipy.special, and the FD oracle
-scipy.linalg, each when first called. An import statement for a module
+Importing scipy.integrate or .linalg loads several hundred modules,
+which takes longer than solving a linear or budget problem; those
+closed forms, and the Riccati closed form, need only numpy. So no scipy
+module is imported with adkit: the Riccati oracle loads scipy.integrate
+(which brings in scipy.optimize), the launch problem and Monte Carlo
+normals scipy.special, and the FD oracle scipy.linalg, each when first
+called. The launch problem's root finder is Brent's method in
+stopping.py, not scipy.optimize. An import statement for a module
 already loaded costs well under a microsecond.
 """
 
@@ -20,11 +21,6 @@ def ndtri(x, out=None):
 def erfcx(x, out=None):
     import scipy.special
     return scipy.special.erfcx(x, out=out)
-
-
-def brentq(f, a, b, **kwargs):
-    import scipy.optimize
-    return scipy.optimize.brentq(f, a, b, **kwargs)
 
 
 def solve_ivp(fun, t_span, y0, **kwargs):

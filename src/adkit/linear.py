@@ -54,39 +54,56 @@ class LinearSolution:
         t = np.asarray(t, dtype=float)
         return _as_float(t, p.gamma * np.exp(-p.rho * (p.T - t)))
 
-    def b1_fn(self, t):
+    def _b1(self, t):
         # solves b1' = m*(exp(-c*t) - gamma_fn(t)) with b1(T) = 0,
         # i.e. b1(t) = m * int_t^T (gamma_fn(s) - exp(-c*s)) ds
         p = self.params
-        t = np.asarray(t, dtype=float)
-        out = (p.m * p.gamma / p.rho) * (1.0 - np.exp(-p.rho * (p.T - t))) + (
+        return (p.m * p.gamma / p.rho) * (1.0 - np.exp(-p.rho * (p.T - t))) + (
             p.m / p.c
         ) * (np.exp(-p.c * p.T) - np.exp(-p.c * t))
+
+    def _b(self, t):
+        return np.where(t <= self.t_split, self._b1(self.t_split), self._b1(t))
+
+    def _require_finite(self, name, out):
+        if not np.all(np.isfinite(out)):
+            p = self.params
+            raise StableRangeError("linear %s leaves the floating-point range "
+                                   "(rho=%g, c=%g, T=%g, m=%g, gamma0=%g)"
+                                   % (name, p.rho, p.c, p.T, p.m, p.gamma0))
+
+    def b1_fn(self, t):
+        """b1(t); StableRangeError where it is not finite."""
+        t = np.asarray(t, dtype=float)
+        # terms that leave the floating-point range are caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._b1(t)
+        self._require_finite("b1_fn", out)
         return _as_float(t, out)
 
     def b1_prime(self, t):
+        """m*(exp(-c*t) - gamma_fn(t)); StableRangeError where it is not finite."""
         p = self.params
         t = np.asarray(t, dtype=float)
-        return _as_float(t, p.m * (np.exp(-p.c * t) - np.asarray(self.gamma_fn(t))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = p.m * (np.exp(-p.c * t) - np.asarray(self.gamma_fn(t)))
+        self._require_finite("b1_prime", out)
+        return _as_float(t, out)
 
     def b_fn(self, t):
+        """b1(max(t, t_split)); StableRangeError where it is not finite."""
         t = np.asarray(t, dtype=float)
-        out = np.where(t <= self.t_split, self.b1_fn(self.t_split), np.asarray(self.b1_fn(t)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._b(t)
+        self._require_finite("b_fn", out)
         return _as_float(t, out)
 
     def value(self, t, x):
         """gamma_fn(t)*x + b_fn(t); StableRangeError where it is not finite."""
         t = np.asarray(t, dtype=float)
-        # terms that leave the floating-point range are caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(self.gamma_fn(t)) * np.asarray(x, dtype=float) + np.asarray(
-                self.b_fn(t)
-            )
-        if not np.all(np.isfinite(out)):
-            p = self.params
-            raise StableRangeError("linear value leaves the floating-point range "
-                                   "(rho=%g, c=%g, T=%g, m=%g, gamma0=%g)"
-                                   % (p.rho, p.c, p.T, p.m, p.gamma0))
+            out = np.asarray(self.gamma_fn(t)) * np.asarray(x, dtype=float) + self._b(t)
+        self._require_finite("value", out)
         if np.ndim(t) == 0 and np.ndim(x) == 0:
             return float(out)
         return out

@@ -16,20 +16,29 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._scipy import brentq, erfcx
+from ._scipy import erfcx
 from .errors import ParamError, SolverError, StableRangeError
 
 SQRT_PI = math.sqrt(math.pi)
 # |sqrt(rho)*(x - mu/rho)| <= W_STABLE keeps erfcx within 1e-12 relative
 # error; below -W_STABLE the underlying exp(w^2) overflows
 W_STABLE = 26.0
+# log of the largest float (709.7827...), rounded down
+LOG_FLOAT_MAX = 709.78
+# the largest |x| whose obstacle x^2 is finite
+X_MAX = math.sqrt(sys.float_info.max)
 RESIDUAL_TOL = 1e-12
 GAMMA2_RATIO_TOL = 1e-12
+# Brent's absolute and relative tolerances on the root, and its step cap
+BRENT_XTOL = 1e-15
+BRENT_RTOL = 8.9e-16
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -76,14 +85,23 @@ def _scaled_arg(x, sp: StoppingParams):
     return math.sqrt(sp.rho) * (np.asarray(x, dtype=float) - sp.mu / sp.rho)
 
 
-def _require_stable(w):
-    """StableRangeError where some scaled argument w < -W_STABLE; NaN
+def _w_floor(sp: StoppingParams) -> float:
+    """Lowest scaled argument w that u2 accepts: -W_STABLE, or higher for
+    rho below about 1.4e-29, where u2's scale sqrt(pi)/(2*sqrt(rho)) times
+    erfcx(w) < 2*exp(w^2) could overflow first."""
+    room = LOG_FLOAT_MAX - 0.5 * (math.log(math.pi) - math.log(sp.rho))
+    return -min(W_STABLE, math.sqrt(room))
+
+
+def _require_stable(w, sp: StoppingParams):
+    """StableRangeError where some scaled argument w < _w_floor(sp); NaN
     lanes pass (their results are NaN)."""
+    floor = _w_floor(sp)
     lowest = np.minimum.reduce(w, axis=None, initial=math.inf)
-    if not lowest >= -W_STABLE and np.any(w < -W_STABLE):
+    if not lowest >= floor and np.any(w < floor):
         raise StableRangeError(
-            "u2 out of stable range: need sqrt(rho)*(x - mu/rho) >= -26, got %g"
-            % float(lowest)
+            "u2 out of stable range: need sqrt(rho)*(x - mu/rho) >= %g, got %g"
+            % (floor, float(lowest))
         )
 
 
@@ -94,7 +112,7 @@ def u2(x, sp: StoppingParams):
     complementary error function, so no overlarge intermediate appears.
     """
     w = _scaled_arg(x, sp)
-    _require_stable(w)
+    _require_stable(w, sp)
     out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
     return _like(x, out)
 
@@ -125,6 +143,82 @@ def _fit_lhs_prime(x, sp: StoppingParams):
     return slope * u2(x, sp) + (slope * x - 2.0 * sp.mu) * u2_prime(x, sp)
 
 
+def _brent_root(f, a, b):
+    """Root of f between a and b, where f changes sign, by Brent's method
+    (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4).
+
+    A line-for-line port of scipy's brentq.c (the routine behind
+    scipy.optimize.brentq), so it visits the same points and returns the
+    same float. StableRangeError on a NaN value of f; SolverError when f
+    does not change sign or BRENT_MAXITER steps do not converge.
+    """
+
+    def at(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise StableRangeError("free boundary: the fit function is NaN at x = %r" % x)
+        return fx
+
+    def signbit(v):
+        return math.copysign(1.0, v) < 0
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = at(xpre)
+    fcur = at(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise SolverError("free boundary: the fit function does not change sign "
+                          "on [%r, %r]" % (a, b))
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # C division by zero gives an infinite or NaN step, which the
+            # test below rejects, so ZeroDivisionError means bisect
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = at(xcur)
+    raise SolverError("free boundary: Brent's method did not converge in %d steps "
+                      "(last x = %r)" % (BRENT_MAXITER, xcur))
+
+
 def free_boundary(sp: StoppingParams):
     """Bracket and solve the fit equation; returns (x0, alpha2).
 
@@ -133,30 +227,35 @@ def free_boundary(sp: StoppingParams):
     mu/rho, limited to u2's stable range. Samples that increase up to
     the first positive one and stay positive after it (the fit function
     may overshoot and fall back toward 1/(2*rho*gamma1)) back the
-    uniqueness assumption before the root is accepted.
+    uniqueness assumption before the root is accepted. Brent's method
+    (_brent_root) solves on the bracket and gives the same float as
+    scipy.optimize.brentq at the same tolerances; at most three Newton
+    steps then polish the residual to RESIDUAL_TOL.
     """
     center = sp.mu / sp.rho
     sqrho = math.sqrt(sp.rho)
     slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    lo = max(2.0 * sp.mu / slope, center - (W_STABLE - 0.1) / sqrho)
+    lo = max(2.0 * sp.mu / slope, center - (-_w_floor(sp) - 0.1) / sqrho)
     if not math.isfinite(lo):
         raise StableRangeError("free boundary bracket: lower end %r is not finite "
                                "(mu = rho*k = %r)" % (lo, sp.mu))
-    if _fit_lhs(lo, sp) >= 0:
-        raise SolverError("free boundary bracket: no negative end within stable range")
-    b = 1.0 / sqrho
-    b_max = (W_STABLE - 0.1) / sqrho
-    hi = center + b
-    while _fit_lhs(hi, sp) <= 0:
-        b *= 2.0
-        if b > b_max:
-            raise SolverError(
-                "free boundary bracket: no sign change over [mu/rho - B, mu/rho + B] "
-                "within the u2 stable range"
-            )
-        hi = center + min(b, b_max)
-
-    samples = _fit_lhs(np.linspace(lo, hi, 64), sp)
+    # fit values past the float range (u2 near its largest value for tiny
+    # rho) are caught by the finite check on the samples, lo and hi included
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _fit_lhs(lo, sp) >= 0:
+            raise SolverError("free boundary bracket: no negative end within stable range")
+        b = 1.0 / sqrho
+        b_max = (W_STABLE - 0.1) / sqrho
+        hi = center + b
+        while _fit_lhs(hi, sp) <= 0:
+            b *= 2.0
+            if b > b_max:
+                raise SolverError(
+                    "free boundary bracket: no sign change over [mu/rho - B, mu/rho + B] "
+                    "within the u2 stable range"
+                )
+            hi = center + min(b, b_max)
+        samples = _fit_lhs(np.linspace(lo, hi, 64), sp)
     if not np.isfinite(samples).all():
         raise StableRangeError("free boundary bracket: the fit function on [%r, %r] "
                                "is not finite" % (lo, hi))
@@ -165,7 +264,7 @@ def free_boundary(sp: StoppingParams):
         raise SolverError("fit equation not increasing up to its sign change on the "
                           "bracket; root may not be unique")
 
-    x0 = brentq(lambda x: _fit_lhs(x, sp), lo, hi, xtol=1e-15, rtol=8.9e-16)
+    x0 = _brent_root(lambda x: _fit_lhs(x, sp), lo, hi)
     for _ in range(3):
         r = _fit_lhs(x0, sp)
         if abs(r) <= RESIDUAL_TOL:
@@ -174,6 +273,11 @@ def free_boundary(sp: StoppingParams):
     if abs(_fit_lhs(x0, sp)) > RESIDUAL_TOL:
         raise SolverError("free boundary residual above 1e-12 after polish")
     alpha2 = math.exp(-x0 * x0 / (2.0 * sp.gamma1)) / u2(x0, sp)
+    if not 0.0 < alpha2 < math.inf:
+        # v = -2*gamma1*log(alpha2*u2) would be infinite everywhere
+        raise StableRangeError("free boundary: alpha2 = exp(-x0^2/(2*gamma1))/u2(x0) = %r "
+                               "leaves the floating-point range (x0 = %r, gamma1 = %r)"
+                               % (alpha2, x0, sp.gamma1))
     return float(x0), float(alpha2)
 
 
@@ -207,9 +311,17 @@ class StoppingSolution:
         return stopping_policy(self, self.params, y)
 
 
+def _require_square_finite(x):
+    """StableRangeError where some |x| > X_MAX, whose x^2 overflows."""
+    if np.any(np.abs(x) > X_MAX):
+        raise StableRangeError("stopping: some |x| > %g, where the obstacle x^2 overflows"
+                               % X_MAX)
+
+
 def stopping_value(sol: StoppingSolution, sp: StoppingParams, x):
     """x^2 at and below the boundary, the log form above it."""
     x_arr = np.asarray(x, dtype=float)
+    _require_square_finite(x_arr)
     # clamp the u2 argument so stop-region queries never leave the
     # stable range; the where() discards those lanes anyway
     cont = -2.0 * sp.gamma1 * np.log(sol.alpha2 * u2(np.maximum(x_arr, sol.x0), sp))
@@ -229,7 +341,7 @@ def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
     d = np.maximum(y_arr, sol.x0)
     d -= sp.mu / sp.rho
     w = d * math.sqrt(sp.rho)
-    _require_stable(w)
+    _require_stable(w, sp)
     erfcx(w, out=w)
     w *= SQRT_PI / (2.0 * math.sqrt(sp.rho))  # u2(max(y, x0))
     np.divide(1.0, w, out=w)
@@ -245,6 +357,7 @@ def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
     the stop-region inequality, the continuation PDE residual, and the
     obstacle bound. Violations are reported, not raised."""
     x = np.asarray(grid, dtype=float)
+    _require_square_finite(x)
     is_stop = x <= sol.x0
     is_cont = x > sol.x0
     stop = x[is_stop]

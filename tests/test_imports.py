@@ -2,6 +2,8 @@
 none at import. Every check runs in a fresh interpreter, because this
 test process has imported scipy itself."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -100,17 +102,60 @@ def test_lq_cli_run_loads_no_scipy(tmp_path):
     assert sorted(os.listdir(tmp_path / "out")) == ["lq.json", "riccati.csv"]
 
 
-@pytest.mark.parametrize("expr, submodules", [
-    ("riccati_oracle(P_LQ).P[0]", {"scipy.integrate"}),
-    ("solve_stopping(SP).x0", {"scipy.optimize", "scipy.special"}),
-    ("float(fd_hjb_lq(P_LQ, Grid2D(0.0, 3.0, 31, 40), [0.0, 0.5, 1.0]).v0[10])",
-     {"scipy.linalg"}),
-    ("evaluate_policy(P_LIN, linear_policy(solve_linear(P_LIN)), lambda x: x, lambda u: u,"
-     " 0.0, 1.0, PathGrid(0.0, 1.0, 20), 64, 5).mean", {"scipy.special"}),
+@pytest.mark.parametrize("problem, block, artifacts", [
+    ("stop", {"k": 1.0, "gamma1": 2.0, "gamma2": 2.0, "n_grid": 101},
+     ["stop.json", "stopping.csv"]),
+    ("verify", {}, ["verify.csv", "verify.json"]),
 ])
-def test_first_call_matches_and_loads_its_submodules(expr, submodules):
+def test_stop_and_verify_cli_runs_load_no_scipy_optimize(tmp_path, problem, block, artifacts):
+    # the criterion-12 stop and verify configs; Brent's method for the free
+    # boundary is in adkit itself, so only scipy.special (erfcx) is loaded
+    path = tmp_path / ("%s.json" % problem)
+    path.write_text(json.dumps({"problem": problem, "model": {"rho": 0.5, "c": 0.0, "T": 1.0},
+                                problem: block, "output_dir": str(tmp_path / "out")}))
+    out, loaded = fresh("""
+        from adkit.cli import main
+        print(main([%r, "--config", %r, "--quiet"]))
+    """ % (problem, str(path)))
+    assert out == ["0"]
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+    assert sorted(os.listdir(tmp_path / "out")) == artifacts
+
+
+@pytest.mark.parametrize("expr, submodules, absent", [
+    ("riccati_oracle(P_LQ).P[0]", {"scipy.integrate"}, set()),
+    ("solve_stopping(SP).x0", {"scipy.special"}, {"scipy.optimize"}),
+    ("float(fd_hjb_lq(P_LQ, Grid2D(0.0, 3.0, 31, 40), [0.0, 0.5, 1.0]).v0[10])",
+     {"scipy.linalg"}, set()),
+    ("evaluate_policy(P_LIN, linear_policy(solve_linear(P_LIN)), lambda x: x, lambda u: u,"
+     " 0.0, 1.0, PathGrid(0.0, 1.0, 20), 64, 5).mean", {"scipy.special"}, set()),
+])
+def test_first_call_matches_and_loads_its_submodules(expr, submodules, absent):
     here = {}
     exec(SETUP, here)
     out, loaded = fresh(SETUP + "print(repr(%s))" % expr)
     assert out == [repr(eval(expr, here))]
     assert submodules <= set(loaded)
+    assert not absent & set(loaded)
+
+
+def test_only_the_scipy_shim_imports_scipy():
+    # every scipy import goes through _scipy.py, which loads each
+    # submodule on its first call
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "adkit", "*.py"))):
+        if os.path.basename(path) == "_scipy.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += ["%s:%d %s" % (os.path.basename(path), node.lineno, name)
+                          for name in names if name == "scipy" or name.startswith("scipy.")]
+    assert offenders == []

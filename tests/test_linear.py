@@ -106,6 +106,16 @@ def test_value_out_of_range_is_stable_range_error(t):
         sol.value(t, 1.0)
 
 
+@pytest.mark.parametrize("t", [0.5, np.array([0.0, 0.25, 0.5])])
+@pytest.mark.parametrize("method", ["b_fn", "b1_fn", "b1_prime"])
+def test_b_terms_out_of_range_are_stable_range_error(method, t):
+    # the same instance: b1 and b_fn meet inf*0 at t = T, and b1_prime's
+    # m*gamma overflows; each used to warn and return NaN or inf
+    sol = solve_linear(ModelParams(rho=1e150, c=0.5, T=0.5, m=1e300, gamma0=1e150))
+    with pytest.raises(StableRangeError, match="linear %s" % method):
+        getattr(sol, method)(t)
+
+
 @pytest.mark.parametrize("p", [
     # m*gamma/rho overflows at moderate rho
     ModelParams(rho=1.0, c=1e-10, T=1.0, m=1e300, gamma0=1e10),

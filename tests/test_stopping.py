@@ -276,8 +276,8 @@ def test_free_boundary_overshooting_fit_against_dp():
 
 @pytest.mark.parametrize("k, rho", [(1e12, 1e300), (1e300, 1e12), (1e150, 1e300)])
 def test_free_boundary_overflowing_drift_is_stable_range_error(k, rho):
-    # mu = rho*k overflows, so the bracket has no finite end; brentq used
-    # to raise a raw ValueError on the NaN fit values
+    # mu = rho*k overflows, so the bracket has no finite end; the bracket
+    # check rejects it before any root step sees a NaN fit value
     sp = StoppingParams(k=k, rho=rho, gamma1=1.5, gamma2=2.0 * rho * 1.5)
     with pytest.raises(StableRangeError, match="not finite"):
         solve_stopping(sp)
@@ -302,3 +302,122 @@ def test_free_boundary_rejects_second_sign_change(monkeypatch):
     )
     with pytest.raises(SolverError, match="not be unique"):
         free_boundary(SP)
+
+
+def _brent_bracket(sp, monkeypatch):
+    """(f, lo, hi) that free_boundary hands to _brent_root for sp, or None
+    where it raises before the root step."""
+    seen = []
+    root = stopping._brent_root
+
+    def recording_root(f, a, b):
+        seen.append((f, a, b))
+        return root(f, a, b)
+
+    monkeypatch.setattr(stopping, "_brent_root", recording_root)
+    try:
+        free_boundary(sp)
+    except SolverError:
+        pass
+    monkeypatch.setattr(stopping, "_brent_root", root)
+    return seen[0] if seen else None
+
+
+def _visits(solver, f, a, b, **kwargs):
+    """(root, the points solver evaluates f at, in order)."""
+    xs = []
+
+    def recording_f(x):
+        xs.append(x)
+        return f(x)
+
+    return solver(recording_f, a, b, **kwargs), xs
+
+
+def test_brent_root_matches_scipy_brentq_bit_for_bit(monkeypatch):
+    # same root and the same sequence of evaluation points as scipy's
+    # brentq at free_boundary's tolerances, on free_boundary's brackets
+    from scipy.optimize import brentq
+    rng = np.random.default_rng(20)
+    compared = 0
+    while compared < 1000:
+        k, rho, g = np.exp(rng.uniform(-4.0, 3.0, 3))
+        sp = StoppingParams(k=float(k), rho=float(rho), gamma1=1.0 + float(g),
+                            gamma2=2.0 * float(rho) * (1.0 + float(g)))
+        bracket = _brent_bracket(sp, monkeypatch)
+        if bracket is None:
+            continue
+        ours, our_xs = _visits(stopping._brent_root, *bracket)
+        theirs, their_xs = _visits(brentq, *bracket, xtol=stopping.BRENT_XTOL,
+                                   rtol=stopping.BRENT_RTOL, maxiter=stopping.BRENT_MAXITER)
+        assert ours == theirs and math.copysign(1.0, ours) == math.copysign(1.0, theirs), sp
+        assert our_xs == their_xs, sp
+        compared += 1
+
+
+def test_brent_root_nan_fit_value_is_stable_range_error(monkeypatch):
+    # NaN at the third point Brent's method visits, which is not a node of
+    # the 64-point sample grid, so only the root step sees it
+    f, lo, hi = _brent_bracket(SP, monkeypatch)
+    _, xs = _visits(stopping._brent_root, f, lo, hi)
+    bad = xs[2]
+    assert bad not in np.linspace(lo, hi, 64)
+    fit = stopping._fit_lhs
+    monkeypatch.setattr(stopping, "_fit_lhs",
+                        lambda x, sp: np.where(np.asarray(x) == bad, np.nan, fit(x, sp))[()])
+    with pytest.raises(StableRangeError, match="NaN"):
+        free_boundary(SP)
+
+
+def test_brent_root_past_iteration_cap_is_solver_error(monkeypatch):
+    monkeypatch.setattr(stopping, "BRENT_MAXITER", 1)
+    with pytest.raises(SolverError, match="did not converge in 1 steps"):
+        free_boundary(SP)
+
+
+def test_brent_root_without_sign_change_is_solver_error():
+    with pytest.raises(SolverError, match="does not change sign"):
+        stopping._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("rho", [1e-100, 2e-193, 5e-324])
+def test_u2_floor_keeps_tiny_rho_finite(rho):
+    # the scale sqrt(pi)/(2*sqrt(rho)) ~ 1e161 times erfcx(-26) ~ 1e294
+    # overflowed with a warning; the floor on w rises for such rho
+    sp = StoppingParams(k=1.0, rho=rho, gamma1=2.0, gamma2=4.0 * rho)
+    floor = stopping._w_floor(sp)
+    assert -stopping.W_STABLE < floor
+    at_floor = sp.mu / sp.rho + floor / math.sqrt(rho)
+    assert math.isfinite(u2(at_floor, sp))
+    with pytest.raises(StableRangeError, match="stable range"):
+        u2(sp.mu / sp.rho - 25.9 / math.sqrt(rho), sp)
+
+
+@pytest.mark.parametrize("k, rho, gamma1, match", [
+    # the fit function overflows on the bracket samples
+    (3.2e53, 9.224e-321, 2.04, "not finite"),
+    # the verification grid reaches x0 + 10/sqrt(rho) ~ 5e155, whose x^2 overflows
+    (0.0264, 3.57e-310, 8.15, "x\\^2 overflows"),
+])
+def test_tiny_rho_is_stable_range_error(k, rho, gamma1, match):
+    sp = StoppingParams(k=k, rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
+    with pytest.raises(StableRangeError, match=match):
+        solve_stopping(sp, n_grid=65)
+
+
+def test_obstacle_overflow_is_stable_range_error():
+    sol = solve_stopping(SP)
+    for x in (1e200, np.array([0.0, -1e200])):
+        with pytest.raises(StableRangeError, match="x\\^2 overflows"):
+            sol.value(x)
+        with pytest.raises(StableRangeError, match="x\\^2 overflows"):
+            qvi_residual(sol, SP, np.atleast_1d(x))
+    assert math.isfinite(sol.value(stopping.X_MAX))
+
+
+def test_free_boundary_alpha2_underflow_is_stable_range_error():
+    # exp(-x0^2/(2*gamma1)) underflows to 0 with x0 ~ 770 and gamma1 ~ 8,
+    # so alpha2 = 0 and the value -2*gamma1*log(alpha2*u2) would be +inf
+    sp = StoppingParams(k=770.0, rho=5e4, gamma1=8.0, gamma2=2.0 * 5e4 * 8.0)
+    with pytest.raises(StableRangeError, match="alpha2"):
+        free_boundary(sp)
