@@ -7,9 +7,9 @@ closed forms, and the Riccati closed form, need only numpy. So no scipy
 module is imported with adkit: the Riccati oracle loads scipy.integrate
 (which brings in scipy.optimize), the launch problem and Monte Carlo
 normals scipy.special, and the FD oracle scipy.linalg, each when first
-called. The launch problem's root finder is Brent's method in
-stopping.py, not scipy.optimize. An import statement for a module
-already loaded costs well under a microsecond.
+called. The launch problem's root finder is a bracketed Newton
+iteration in stopping.py, not scipy.optimize. An import statement for a
+module already loaded costs well under a microsecond.
 """
 
 

@@ -90,7 +90,9 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
 
     The larger-magnitude root comes from the non-cancelling half of the
     quadratic formula, the other from the product a3/a1. The discount
-    rate does not enter; riccati_integrate classifies c > 0 on the
+    rate does not enter, so for c > 0 classify_wellposedness on these
+    coefficients gives the c = 0 verdict. The exact verdict for c > 0 is
+    riccati_integrate(p).classification, which classifies the
     coefficients of the scaled problem (rho + c/2 in place of rho).
     """
     require(p)
@@ -156,8 +158,10 @@ def classify_wellposedness(co: RiccatiCoeffs, T: float) -> WellPosednessReport:
     real root at zeta < 0, in which case every start value blows down).
     zeta < 0 cannot arise from model parameters and is flagged
     unreachable; its horizon bound is still evaluated for completeness.
-    The verdict is exact for c = 0; for c > 0 pass the coefficients of
-    the scaled problem, as riccati_integrate does.
+    The verdict is exact for c = 0. riccati_coeffs drops c, so called on
+    riccati_coeffs(p) with c > 0 this gives the c = 0 verdict; the exact
+    one is riccati_integrate(p).classification, which passes the
+    coefficients of the scaled problem (rho + c/2 in place of rho).
     """
     z = co.zeta
     z_eff = 0.0 if abs(z) <= ZETA_SNAP_REL * co.a2 * co.a2 else z

@@ -33,17 +33,18 @@ W_STABLE = 26.0
 LOG_FLOAT_MAX = 709.78
 # the largest |x| whose obstacle x^2 is finite
 X_MAX = math.sqrt(sys.float_info.max)
-RESIDUAL_TOL = 1e-12
 GAMMA2_RATIO_TOL = 1e-12
-# Brent's absolute and relative tolerances on the root, and its step cap
-BRENT_XTOL = 1e-15
-BRENT_RTOL = 8.9e-16
-BRENT_MAXITER = 100
+# step cap of the free boundary's Newton iteration
+NEWTON_MAXITER = 100
 
 
 @dataclass(frozen=True)
 class StoppingParams:
-    """Launch-timing problem data; mu = rho*k is derived.
+    """Launch-timing problem data; mu = rho*k is derived, and so is
+    w_floor, the lowest scaled argument w = sqrt(rho)*(x - mu/rho) that u2
+    accepts: -W_STABLE, or higher for rho below about 1.4e-29, where u2's
+    scale sqrt(pi)/(2*sqrt(rho)) times erfcx(w) < 2*exp(w^2) could
+    overflow first.
 
     gamma2 must equal 2*rho*gamma1 (checked to 1e-12 relative); the
     general-ratio problem needs a different special-function basis and
@@ -55,6 +56,7 @@ class StoppingParams:
     gamma1: float
     gamma2: float
     mu: float = field(init=False)
+    w_floor: float = field(init=False)
 
     def __post_init__(self):
         bad = []
@@ -74,6 +76,8 @@ class StoppingParams:
         if bad:
             raise ParamError(bad)
         object.__setattr__(self, "mu", self.rho * self.k)
+        room = LOG_FLOAT_MAX - 0.5 * (math.log(math.pi) - math.log(self.rho))
+        object.__setattr__(self, "w_floor", -min(W_STABLE, math.sqrt(room)))
 
 
 def _like(x, out):
@@ -85,18 +89,10 @@ def _scaled_arg(x, sp: StoppingParams):
     return math.sqrt(sp.rho) * (np.asarray(x, dtype=float) - sp.mu / sp.rho)
 
 
-def _w_floor(sp: StoppingParams) -> float:
-    """Lowest scaled argument w that u2 accepts: -W_STABLE, or higher for
-    rho below about 1.4e-29, where u2's scale sqrt(pi)/(2*sqrt(rho)) times
-    erfcx(w) < 2*exp(w^2) could overflow first."""
-    room = LOG_FLOAT_MAX - 0.5 * (math.log(math.pi) - math.log(sp.rho))
-    return -min(W_STABLE, math.sqrt(room))
-
-
 def _require_stable(w, sp: StoppingParams):
-    """StableRangeError where some scaled argument w < _w_floor(sp); NaN
+    """StableRangeError where some scaled argument w < sp.w_floor; NaN
     lanes pass (their results are NaN)."""
-    floor = _w_floor(sp)
+    floor = sp.w_floor
     lowest = np.minimum.reduce(w, axis=None, initial=math.inf)
     if not lowest >= floor and np.any(w < floor):
         raise StableRangeError(
@@ -133,129 +129,95 @@ def u2_second(x, sp: StoppingParams):
 
 
 def _fit_lhs(x, sp: StoppingParams):
-    """Smooth-fit equation LHS minus one: root is the free boundary."""
+    """Smooth-fit equation LHS minus one, whose root is the free boundary,
+    and its derivative in x, both from one u2 value."""
     slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    return (slope * x - 2.0 * sp.mu) * u2(x, sp) - 1.0
+    u = u2(x, sp)
+    lin = slope * x - 2.0 * sp.mu
+    u_prime = 2.0 * sp.rho * (x - sp.mu / sp.rho) * u - 1.0
+    return lin * u - 1.0, slope * u + lin * u_prime
 
 
-def _fit_lhs_prime(x, sp: StoppingParams):
-    slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    return slope * u2(x, sp) + (slope * x - 2.0 * sp.mu) * u2_prime(x, sp)
+def _newton_root(f, a, b):
+    """Root of f on [a, b], a < b, where f(a) <= 0 <= f(b); f(x) returns
+    the value and the derivative at x.
 
-
-def _brent_root(f, a, b):
-    """Root of f between a and b, where f changes sign, by Brent's method
-    (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4).
-
-    A line-for-line port of scipy's brentq.c (the routine behind
-    scipy.optimize.brentq), so it visits the same points and returns the
-    same float. StableRangeError on a NaN value of f; SolverError when f
-    does not change sign or BRENT_MAXITER steps do not converge.
+    Newton's method from the end with the smaller |f|, each point found
+    replacing the bracket end of its sign; a step that leaves the bracket
+    is replaced by bisection, and one that rounds to no move goes one
+    float toward the root. Ends at f == 0 or when the bracket ends are
+    adjacent floats, a sign change of the computed f that no float can
+    narrow, and returns the end with the smaller |f|.
+    StableRangeError on a non-finite f; SolverError when f does not go
+    from negative to positive or NEWTON_MAXITER steps do not converge.
     """
 
     def at(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise StableRangeError("free boundary: the fit function is NaN at x = %r" % x)
-        return fx
+        fx, dfx = f(x)
+        if not math.isfinite(fx):
+            raise StableRangeError("free boundary: the fit function is not finite at x = %r"
+                                   % x)
+        return fx, dfx
 
-    def signbit(v):
-        return math.copysign(1.0, v) < 0
-
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre = at(xpre)
-    fcur = at(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if signbit(fpre) == signbit(fcur):
-        raise SolverError("free boundary: the fit function does not change sign "
-                          "on [%r, %r]" % (a, b))
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # C division by zero gives an infinite or NaN step, which the
-            # test below rejects, so ZeroDivisionError means bisect
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.nan
-            limit = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    end_a, end_b = at(a), at(b)
+    fa, fb = end_a[0], end_b[0]
+    if not fa <= 0.0 <= fb:
+        raise SolverError("free boundary: the fit function does not go from negative "
+                          "to positive on [%r, %r]" % (a, b))
+    x, (fx, dfx) = (a, end_a) if -fa < fb else (b, end_b)
+    for _ in range(NEWTON_MAXITER):
+        if fx == 0:
+            return x
+        if fx < 0:
+            a, fa = x, fx
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = at(xcur)
-    raise SolverError("free boundary: Brent's method did not converge in %d steps "
-                      "(last x = %r)" % (BRENT_MAXITER, xcur))
+            b, fb = x, fx
+        if math.nextafter(a, b) == b:
+            return a if -fa <= fb else b
+        step = x - fx / dfx if dfx else math.nan
+        if step == x:
+            step = math.nextafter(x, a if fx > 0 else b)
+        x = step if a < step < b else a + 0.5 * (b - a)
+        fx, dfx = at(x)
+    raise SolverError("free boundary: Newton's method did not converge in %d steps "
+                      "(bracket [%r, %r])" % (NEWTON_MAXITER, a, b))
 
 
 def free_boundary(sp: StoppingParams):
     """Bracket and solve the fit equation; returns (x0, alpha2).
 
     The point where the linear factor vanishes gives a guaranteed
-    negative end; the positive end is found by geometric expansion from
-    mu/rho, limited to u2's stable range. Samples that increase up to
-    the first positive one and stay positive after it (the fit function
-    may overshoot and fall back toward 1/(2*rho*gamma1)) back the
-    uniqueness assumption before the root is accepted. Brent's method
-    (_brent_root) solves on the bracket and gives the same float as
-    scipy.optimize.brentq at the same tolerances; at most three Newton
-    steps then polish the residual to RESIDUAL_TOL.
+    negative end, raised to the lower end of u2's stable range where
+    that lies higher; a fit still >= 0 there puts the root at or past
+    the edge where u2 overflows (StableRangeError). The positive end is
+    found by doubling the distance from mu/rho: the fit tends to
+    1/(2*rho*gamma1) > 0, so the doubling ends at a sign change or at a
+    non-finite sample. Samples that increase up to the first positive
+    one and stay positive after it (the fit function may overshoot and
+    fall back toward its limit) back the uniqueness assumption before
+    the root is accepted. _newton_root then solves to adjacent floats
+    around the sign change.
     """
     center = sp.mu / sp.rho
     sqrho = math.sqrt(sp.rho)
     slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    lo = max(2.0 * sp.mu / slope, center - (-_w_floor(sp) - 0.1) / sqrho)
+    lo = max(2.0 * sp.mu / slope, center - (-sp.w_floor - 0.1) / sqrho)
     if not math.isfinite(lo):
         raise StableRangeError("free boundary bracket: lower end %r is not finite "
                                "(mu = rho*k = %r)" % (lo, sp.mu))
     # fit values past the float range (u2 near its largest value for tiny
-    # rho) are caught by the finite check on the samples, lo and hi included
+    # rho, or the doubling reaching infinity) are caught by the finite
+    # check on the samples, lo and hi included
     with np.errstate(over="ignore", invalid="ignore"):
-        if _fit_lhs(lo, sp) >= 0:
-            raise SolverError("free boundary bracket: no negative end within stable range")
+        if _fit_lhs(lo, sp)[0] >= 0:
+            raise StableRangeError("free boundary bracket: the fit function is still >= 0 "
+                                   "at the lower end of u2's stable range, x = %r" % lo)
         b = 1.0 / sqrho
-        b_max = (W_STABLE - 0.1) / sqrho
         hi = center + b
-        while _fit_lhs(hi, sp) <= 0:
+        while _fit_lhs(hi, sp)[0] <= 0:
             b *= 2.0
-            if b > b_max:
-                raise SolverError(
-                    "free boundary bracket: no sign change over [mu/rho - B, mu/rho + B] "
-                    "within the u2 stable range"
-                )
-            hi = center + min(b, b_max)
-        samples = _fit_lhs(np.linspace(lo, hi, 64), sp)
+            hi = center + b
+        samples = _fit_lhs(np.linspace(lo, hi, 64), sp)[0]
     if not np.isfinite(samples).all():
         raise StableRangeError("free boundary bracket: the fit function on [%r, %r] "
                                "is not finite" % (lo, hi))
@@ -264,14 +226,7 @@ def free_boundary(sp: StoppingParams):
         raise SolverError("fit equation not increasing up to its sign change on the "
                           "bracket; root may not be unique")
 
-    x0 = _brent_root(lambda x: _fit_lhs(x, sp), lo, hi)
-    for _ in range(3):
-        r = _fit_lhs(x0, sp)
-        if abs(r) <= RESIDUAL_TOL:
-            break
-        x0 = x0 - r / _fit_lhs_prime(x0, sp)
-    if abs(_fit_lhs(x0, sp)) > RESIDUAL_TOL:
-        raise SolverError("free boundary residual above 1e-12 after polish")
+    x0 = _newton_root(lambda x: _fit_lhs(x, sp), lo, hi)
     alpha2 = math.exp(-x0 * x0 / (2.0 * sp.gamma1)) / u2(x0, sp)
     if not 0.0 < alpha2 < math.inf:
         # v = -2*gamma1*log(alpha2*u2) would be infinite everywhere

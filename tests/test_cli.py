@@ -297,6 +297,24 @@ def test_stop_overshooting_fit_exit0(tmp_path):
     assert data["qvi"]["u_clamp_hits"] == 0
 
 
+@pytest.mark.parametrize("k, rho, gamma1", [
+    # one ulp of x0 moves the fit by about 5e-11 here
+    (22.478, 8.379, 1.3867),
+    # the root lies past sqrt(rho)*(x - mu/rho) = 26
+    (0.0024, 7.05, 131.6),
+])
+def test_stop_root_at_float_resolution_or_far_right_exit0(tmp_path, k, rho, gamma1):
+    cfg = write_cfg(tmp_path, {
+        "problem": "stop",
+        "model": {"rho": rho, "c": 0.0, "T": 1.0},
+        "output_dir": str(tmp_path / "out"),
+        "stop": {"k": k, "gamma1": gamma1, "gamma2": 2.0 * rho * gamma1, "n_grid": 41},
+    })
+    assert main(["stop", "--config", cfg, "--quiet"]) == 0
+    data = json.loads((tmp_path / "out" / "stop.json").read_text())
+    assert data["qvi"]["stop_side_max"] < 0 and data["qvi"]["u_clamp_hits"] == 0
+
+
 def test_verify_failure_exit4_still_writes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(adkit.cli, "_verify_fixtures",
                         lambda: [{"name": "broken", "pass": False}])

@@ -108,8 +108,8 @@ def test_lq_cli_run_loads_no_scipy(tmp_path):
     ("verify", {}, ["verify.csv", "verify.json"]),
 ])
 def test_stop_and_verify_cli_runs_load_no_scipy_optimize(tmp_path, problem, block, artifacts):
-    # the criterion-12 stop and verify configs; Brent's method for the free
-    # boundary is in adkit itself, so only scipy.special (erfcx) is loaded
+    # the criterion-12 stop and verify configs; the free boundary's root
+    # finder is in adkit itself, so only scipy.special (erfcx) is loaded
     path = tmp_path / ("%s.json" % problem)
     path.write_text(json.dumps({"problem": problem, "model": {"rho": 0.5, "c": 0.0, "T": 1.0},
                                 problem: block, "output_dir": str(tmp_path / "out")}))

@@ -326,6 +326,17 @@ def test_scaled_classification_is_exact_for_discount():
     assert rep.zeta == pytest.approx((0.2 + 1.0 - 0.49) ** 2, rel=1e-9)
 
 
+def test_exact_discounted_verdict_is_riccati_integrate_classification():
+    # the route the riccati_coeffs and classify_wellposedness docstrings
+    # name for c > 0; called on riccati_coeffs(p) itself, the
+    # classification gives the c = 0 verdict
+    p = ModelParams(rho=0.1, c=1.0, T=5.0, sigma1=0.7, sigma2=0.5, gamma0=1.0)
+    assert riccati_integrate(p).classification.T_max == 0.2702313714062321
+    direct = classify_wellposedness(riccati_coeffs(p), p.T)
+    undiscounted = classify_wellposedness(riccati_coeffs(replace(p, c=0.0)), p.T)
+    assert direct.T_max == undiscounted.T_max == pytest.approx(0.2068245205026869, rel=1e-12)
+
+
 def test_node_values_and_scalar_queries_agree():
     sol = riccati_integrate(P5)
     assert np.array_equal(sol.P_at(sol.t[:-1]), sol.P[:-1])

@@ -283,101 +283,121 @@ def test_free_boundary_overflowing_drift_is_stable_range_error(k, rho):
         solve_stopping(sp)
 
 
-def test_free_boundary_rejects_non_finite_fit_samples(monkeypatch):
+def _patch_fit_value(monkeypatch, change):
+    """Replace the fit value f at x by change(x, f), keeping its derivative."""
     fit = stopping._fit_lhs
-    monkeypatch.setattr(
-        stopping, "_fit_lhs",
-        lambda x, sp: np.where(np.asarray(x) > 2.0, np.nan, fit(x, sp)),
-    )
+
+    def patched(x, sp):
+        f, df = fit(x, sp)
+        return change(np.asarray(x), f), df
+
+    monkeypatch.setattr(stopping, "_fit_lhs", patched)
+
+
+def test_free_boundary_rejects_non_finite_fit_samples(monkeypatch):
+    _patch_fit_value(monkeypatch, lambda x, f: np.where(x > 2.0, np.nan, f))
     with pytest.raises(StableRangeError, match="not finite"):
         free_boundary(SP)
 
 
 def test_free_boundary_rejects_second_sign_change(monkeypatch):
     # a dip below zero between the root and the bracket's right end
-    fit = stopping._fit_lhs
-    monkeypatch.setattr(
-        stopping, "_fit_lhs",
-        lambda x, sp: fit(x, sp) - 5.0 * np.exp(-(((np.asarray(x) - 2.0) / 0.1) ** 2)),
-    )
+    _patch_fit_value(monkeypatch, lambda x, f: f - 5.0 * np.exp(-(((x - 2.0) / 0.1) ** 2)))
     with pytest.raises(SolverError, match="not be unique"):
         free_boundary(SP)
 
 
-def _brent_bracket(sp, monkeypatch):
-    """(f, lo, hi) that free_boundary hands to _brent_root for sp, or None
-    where it raises before the root step."""
+def _params(triples):
+    """StoppingParams from (k, rho, gamma1 - 1) triples, gamma2 = 2*rho*gamma1."""
+    for k, rho, g in triples:
+        k, rho, gamma1 = float(k), float(rho), 1.0 + float(g)
+        yield StoppingParams(k=k, rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
+
+
+def _assert_certified(sp, x0):
+    """The fit function is 0 at x0, or changes sign between x0 and its
+    neighbouring float toward the root, with the smaller |f| at x0."""
+    f0 = stopping._fit_lhs(x0, sp)[0]
+    if f0 != 0:
+        f1 = stopping._fit_lhs(math.nextafter(x0, -math.inf if f0 > 0 else math.inf), sp)[0]
+        assert (f0 < 0 < f1 or f1 < 0 < f0) and abs(f0) <= abs(f1), (sp, x0, f0, f1)
+
+
+def _root_visits(sp, monkeypatch):
+    """(lo, hi, the points _newton_root evaluates the fit at, in order, x0)
+    of free_boundary's solve for sp."""
     seen = []
-    root = stopping._brent_root
+    root = stopping._newton_root
 
     def recording_root(f, a, b):
-        seen.append((f, a, b))
-        return root(f, a, b)
+        xs = []
+        seen.append((a, b, xs))
 
-    monkeypatch.setattr(stopping, "_brent_root", recording_root)
-    try:
-        free_boundary(sp)
-    except SolverError:
-        pass
-    monkeypatch.setattr(stopping, "_brent_root", root)
-    return seen[0] if seen else None
+        def recording_f(x):
+            xs.append(x)
+            return f(x)
 
+        return root(recording_f, a, b)
 
-def _visits(solver, f, a, b, **kwargs):
-    """(root, the points solver evaluates f at, in order)."""
-    xs = []
-
-    def recording_f(x):
-        xs.append(x)
-        return f(x)
-
-    return solver(recording_f, a, b, **kwargs), xs
+    with monkeypatch.context() as m:
+        m.setattr(stopping, "_newton_root", recording_root)
+        x0, _ = free_boundary(sp)
+    return seen[0] + (x0,)
 
 
-def test_brent_root_matches_scipy_brentq_bit_for_bit(monkeypatch):
-    # same root and the same sequence of evaluation points as scipy's
-    # brentq at free_boundary's tolerances, on free_boundary's brackets
-    from scipy.optimize import brentq
+def test_free_boundary_root_is_best_float():
+    # every one of these draws solves
     rng = np.random.default_rng(20)
-    compared = 0
-    while compared < 1000:
-        k, rho, g = np.exp(rng.uniform(-4.0, 3.0, 3))
-        sp = StoppingParams(k=float(k), rho=float(rho), gamma1=1.0 + float(g),
-                            gamma2=2.0 * float(rho) * (1.0 + float(g)))
-        bracket = _brent_bracket(sp, monkeypatch)
-        if bracket is None:
+    for sp in _params(np.exp(rng.uniform(-4.0, 3.0, 3)) for _ in range(1003)):
+        _assert_certified(sp, free_boundary(sp)[0])
+
+
+def test_free_boundary_log_uniform_sweep():
+    # k, rho and gamma1 - 1 log-uniform over 1e-3..1e3: the draws that
+    # do not solve have a root at or past the edge of u2's stable range,
+    # or an alpha2 that underflows, and raise StableRangeError
+    rng = np.random.default_rng(1)
+    solved = 0
+    for sp in _params(10.0 ** rng.uniform(-3.0, 3.0, 3) for _ in range(1500)):
+        try:
+            x0, _ = free_boundary(sp)
+        except StableRangeError:
             continue
-        ours, our_xs = _visits(stopping._brent_root, *bracket)
-        theirs, their_xs = _visits(brentq, *bracket, xtol=stopping.BRENT_XTOL,
-                                   rtol=stopping.BRENT_RTOL, maxiter=stopping.BRENT_MAXITER)
-        assert ours == theirs and math.copysign(1.0, ours) == math.copysign(1.0, theirs), sp
-        assert our_xs == their_xs, sp
-        compared += 1
+        _assert_certified(sp, x0)
+        solved += 1
+    assert solved >= 1300
 
 
-def test_brent_root_nan_fit_value_is_stable_range_error(monkeypatch):
-    # NaN at the third point Brent's method visits, which is not a node of
+def test_free_boundary_agrees_with_brentq(monkeypatch):
+    from scipy.optimize import brentq
+    xtol, rtol = 2e-12, 4 * np.finfo(float).eps  # brentq's defaults
+    rng = np.random.default_rng(20)
+    for sp in _params(np.exp(rng.uniform(-4.0, 3.0, 3)) for _ in range(1003)):
+        lo, hi, _, x0 = _root_visits(sp, monkeypatch)
+        theirs = brentq(lambda x: stopping._fit_lhs(x, sp)[0], lo, hi, xtol=xtol, rtol=rtol)
+        assert abs(x0 - theirs) <= xtol + rtol * abs(theirs), sp
+
+
+def test_newton_root_non_finite_fit_value_is_stable_range_error(monkeypatch):
+    # NaN at the first point past the bracket ends, which is not a node of
     # the 64-point sample grid, so only the root step sees it
-    f, lo, hi = _brent_bracket(SP, monkeypatch)
-    _, xs = _visits(stopping._brent_root, f, lo, hi)
+    lo, hi, xs, _ = _root_visits(SP, monkeypatch)
     bad = xs[2]
     assert bad not in np.linspace(lo, hi, 64)
-    fit = stopping._fit_lhs
-    monkeypatch.setattr(stopping, "_fit_lhs",
-                        lambda x, sp: np.where(np.asarray(x) == bad, np.nan, fit(x, sp))[()])
-    with pytest.raises(StableRangeError, match="NaN"):
+    _patch_fit_value(monkeypatch, lambda x, f: np.where(x == bad, np.nan, f)[()])
+    with pytest.raises(StableRangeError, match="not finite at x"):
         free_boundary(SP)
 
 
-def test_brent_root_past_iteration_cap_is_solver_error(monkeypatch):
-    monkeypatch.setattr(stopping, "BRENT_MAXITER", 1)
+def test_newton_root_past_iteration_cap_is_solver_error(monkeypatch):
+    monkeypatch.setattr(stopping, "NEWTON_MAXITER", 1)
     with pytest.raises(SolverError, match="did not converge in 1 steps"):
         free_boundary(SP)
 
 
-def test_brent_root_without_sign_change_is_solver_error():
-    with pytest.raises(SolverError, match="does not change sign"):
-        stopping._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+def test_newton_root_without_sign_change_is_solver_error():
+    with pytest.raises(SolverError, match="negative to positive"):
+        stopping._newton_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("rho", [1e-100, 2e-193, 5e-324])
@@ -385,7 +405,7 @@ def test_u2_floor_keeps_tiny_rho_finite(rho):
     # the scale sqrt(pi)/(2*sqrt(rho)) ~ 1e161 times erfcx(-26) ~ 1e294
     # overflowed with a warning; the floor on w rises for such rho
     sp = StoppingParams(k=1.0, rho=rho, gamma1=2.0, gamma2=4.0 * rho)
-    floor = stopping._w_floor(sp)
+    floor = sp.w_floor
     assert -stopping.W_STABLE < floor
     at_floor = sp.mu / sp.rho + floor / math.sqrt(rho)
     assert math.isfinite(u2(at_floor, sp))
