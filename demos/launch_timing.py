@@ -3,7 +3,9 @@
 Pre-launch attention y drifts toward mu/rho and is steered down by
 costly damping u; launching at level y pays y^2. Below the free
 boundary x0 it is optimal to launch immediately; above it, damp with
-u = 1/u2(y) - 2 rho (y - mu/rho) and wait.
+u = 2 sqrt(rho) h(w), w = sqrt(rho) (y - mu/rho), and wait, where
+h(w) = 1/(sqrt(pi) erfcx(w)) - w is the rescaled normal inverse Mills
+ratio.
 """
 
 import numpy as np

@@ -79,8 +79,6 @@ from .stopping import (
     stopping_policy,
     stopping_value,
     u2,
-    u2_prime,
-    u2_second,
 )
 
 __version__ = "0.1.0"
@@ -141,8 +139,6 @@ __all__ = [
     "stopping_value",
     "switch_time",
     "u2",
-    "u2_prime",
-    "u2_second",
     "u_max_oracle",
     "validate",
 ]

@@ -7,8 +7,8 @@ closed forms, and the Riccati closed form, need only numpy. So no scipy
 module is imported with adkit: the Riccati oracle loads scipy.integrate
 (which brings in scipy.optimize), the launch problem and Monte Carlo
 normals scipy.special, and the FD oracle scipy.linalg, each when first
-called. The launch problem's root finder is a bracketed Newton
-iteration in stopping.py, not scipy.optimize. An import statement for a
+called. The launch problem's root finder is a Newton iteration in
+stopping.py, not scipy.optimize. An import statement for a
 module already loaded costs well under a microsecond.
 """
 
@@ -16,6 +16,11 @@ module already loaded costs well under a microsecond.
 def ndtri(x, out=None):
     import scipy.special
     return scipy.special.ndtri(x, out=out)
+
+
+def erfc(x, out=None):
+    import scipy.special
+    return scipy.special.erfc(x, out=out)
 
 
 def erfcx(x, out=None):

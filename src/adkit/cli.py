@@ -34,7 +34,7 @@ from .oracles import Grid2D, dp_linear, dp_qvi_stopping
 from .sde import PathGrid, evaluate_policy, simulate_path
 # free_boundary is unused here but stays importable: perfbench/tracing.py
 # patches it on this module by name
-from .stopping import StoppingParams, free_boundary, solve_stopping, u2  # noqa: F401
+from .stopping import StoppingParams, _fit, free_boundary, solve_stopping  # noqa: F401
 
 log = logging.getLogger("adkit.cli")
 
@@ -418,8 +418,7 @@ def _verify_fixtures():
 
     sp = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
     ssol = solve_stopping(sp)
-    slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    resid = abs((slope * ssol.x0 - 2.0 * sp.mu) * u2(ssol.x0, sp) - 1.0)
+    resid = abs(_fit(ssol.x0, sp)[0])
     u_gap = abs(float(ssol.policy(ssol.x0)) - ssol.x0 / sp.gamma1)
     rep = ssol.residual_report
     ok = (

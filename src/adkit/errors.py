@@ -28,6 +28,4 @@ class PolicyError(SolverError):
 
 
 class StableRangeError(SolverError, OverflowError):
-    # erfcx underflows to 0 somewhere past 26 standard deviations on the
-    # favourable side; past that the closed form has no representable value.
     """A closed-form expression left the floating-point range it is valid on."""

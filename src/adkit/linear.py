@@ -139,10 +139,10 @@ def spend_bound(p: ModelParams) -> float:
     """Largest discounted spend any admissible control can reach,
     (m/c)*(1 - exp(-c*T)), and its limit m*T at c = 0.
 
-    Where m/c overflows, c*T is small and 1 - exp(-c*T) may round to 0,
-    so the bound is m*T*(1 - exp(-c*T))/(c*T) from expm1 instead, with
-    its limit m*T where c*T underflows to 0. StableRangeError where the
-    bound itself overflows.
+    1 - exp(-c*T) is taken as -expm1(-c*T), which keeps its digits at
+    small c*T. Where m/c overflows, the bound is m*T*(-expm1(-c*T))/(c*T)
+    instead, with its limit m*T where c*T underflows to 0.
+    StableRangeError where the bound itself overflows.
     """
     require(p)
     bound = _spend_bound(p)
@@ -155,7 +155,7 @@ def _spend_bound(p: ModelParams) -> float:
     """spend_bound without its checks; inf where it overflows."""
     ratio = p.m / p.c if p.c else math.inf
     if math.isfinite(ratio):
-        return ratio * (1.0 - math.exp(-p.c * p.T))
+        return ratio * -math.expm1(-p.c * p.T)
     cT = p.c * p.T
     return p.m * (p.T if cT == 0 else p.T * (-math.expm1(-cT) / cT))
 

@@ -2,14 +2,20 @@
 
 State y follows dy = (mu - rho*y - u) dt + dw; the controller pays
 gamma1*u^2 + gamma2 per unit time until it stops and collects y_tau^2.
-Stopping is optimal at or below the free boundary x0. On the
-continuation side the value function has the log-of-Gaussian-tail form
+Stopping is optimal at or below the free boundary x0. gamma2 = 2*rho*gamma1
+is enforced exactly; it makes the exponential transform linearize the
+continuation PDE. Everything comes from the rescaled inverse Mills ratio
 
-    v(x) = -2*gamma1*log(alpha2 * u2(x)),
+    h(w) = 1/(sqrt(pi)*erfcx(w)) - w,  h' = 2*(h + w)*h - 1 in (-1, 0),
 
-where u2 solves 0.5*u2'' + (mu - rho*x)*u2' - rho*u2 = 0 and decays at
-+infinity. The ratio gamma2/(2*gamma1) = rho is enforced exactly; it is
-what makes the exponential transform linearize the continuation PDE.
+w = sqrt(rho)*(x - mu/rho); h is convex (Sampford 1953, Ann. Math.
+Stat. 24:130). The control is u* = 2*sqrt(rho)*h(w); x0 is the unique
+root of the concave fit function f(x) = x/gamma1 - u*(x), f' > 1/gamma1;
+and on the continuation side the value has the log-of-Gaussian-tail form
+
+    v(x) = x0^2 - 2*gamma1*(L(w) - L(w0)),  L(w) = log(erfcx(w)),
+
+with w0 = w(x0), and L(w) = w^2 + log(erfc(w)) for w < 0.
 """
 
 from __future__ import annotations
@@ -22,15 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._scipy import erfcx
+from ._scipy import erfc, erfcx
 from .errors import ParamError, SolverError, StableRangeError
 
 SQRT_PI = math.sqrt(math.pi)
-# |sqrt(rho)*(x - mu/rho)| <= W_STABLE keeps erfcx within 1e-12 relative
-# error; below -W_STABLE the underlying exp(w^2) overflows
-W_STABLE = 26.0
-# log of the largest float (709.7827...), rounded down
-LOG_FLOAT_MAX = 709.78
+# h takes Laplace's continued fraction from CF_FROM on, where its erfcx
+# form cancels; at w = CF_FROM, 40 terms reach rounding level (32: 4e-16)
+CF_FROM = 3.0
+CF_TERMS = 40
 # the largest |x| whose obstacle x^2 is finite
 X_MAX = math.sqrt(sys.float_info.max)
 GAMMA2_RATIO_TOL = 1e-12
@@ -40,11 +45,7 @@ NEWTON_MAXITER = 100
 
 @dataclass(frozen=True)
 class StoppingParams:
-    """Launch-timing problem data; mu = rho*k is derived, and so is
-    w_floor, the lowest scaled argument w = sqrt(rho)*(x - mu/rho) that u2
-    accepts: -W_STABLE, or higher for rho below about 1.4e-29, where u2's
-    scale sqrt(pi)/(2*sqrt(rho)) times erfcx(w) < 2*exp(w^2) could
-    overflow first.
+    """Launch-timing problem data; mu = rho*k is derived.
 
     gamma2 must equal 2*rho*gamma1 (checked to 1e-12 relative); the
     general-ratio problem needs a different special-function basis and
@@ -56,7 +57,6 @@ class StoppingParams:
     gamma1: float
     gamma2: float
     mu: float = field(init=False)
-    w_floor: float = field(init=False)
 
     def __post_init__(self):
         bad = []
@@ -76,8 +76,6 @@ class StoppingParams:
         if bad:
             raise ParamError(bad)
         object.__setattr__(self, "mu", self.rho * self.k)
-        room = LOG_FLOAT_MAX - 0.5 * (math.log(math.pi) - math.log(self.rho))
-        object.__setattr__(self, "w_floor", -min(W_STABLE, math.sqrt(room)))
 
 
 def _like(x, out):
@@ -86,154 +84,145 @@ def _like(x, out):
 
 
 def _scaled_arg(x, sp: StoppingParams):
-    return math.sqrt(sp.rho) * (np.asarray(x, dtype=float) - sp.mu / sp.rho)
-
-
-def _require_stable(w, sp: StoppingParams):
-    """StableRangeError where some scaled argument w < sp.w_floor; NaN
-    lanes pass (their results are NaN)."""
-    floor = sp.w_floor
-    lowest = np.minimum.reduce(w, axis=None, initial=math.inf)
-    if not lowest >= floor and np.any(w < floor):
-        raise StableRangeError(
-            "u2 out of stable range: need sqrt(rho)*(x - mu/rho) >= %g, got %g"
-            % (floor, float(lowest))
-        )
+    """w = sqrt(rho)*(x - mu/rho) for a float or a float array x."""
+    return math.sqrt(sp.rho) * (x - sp.mu / sp.rho)
 
 
 def u2(x, sp: StoppingParams):
     """Decaying solution of the homogeneous continuation ODE,
-    normalized as exp(w^2) * integral_x^inf exp(-rho*(s - mu/rho)^2) ds
-    with w = sqrt(rho)*(x - mu/rho); evaluated through the scaled
-    complementary error function, so no overlarge intermediate appears.
-    """
-    w = _scaled_arg(x, sp)
-    _require_stable(w, sp)
-    out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
+    exp(w^2) * integral_x^inf exp(-rho*(s - mu/rho)^2) ds, through erfcx;
+    StableRangeError where it overflows, as it does for w below about -26."""
+    w = _scaled_arg(np.asarray(x, dtype=float), sp)
+    with np.errstate(over="ignore"):
+        out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
+    if np.isinf(out).any():
+        raise StableRangeError("u2 overflows: some w = sqrt(rho)*(x - mu/rho) is as low as %g"
+                               % np.nanmin(w))
     return _like(x, out)
 
 
-def u2_prime(x, sp: StoppingParams):
-    # differentiating the defining integral: u2' = 2*rho*(x - mu/rho)*u2 - 1
-    x_arr = np.asarray(x, dtype=float)
-    out = 2.0 * sp.rho * (x_arr - sp.mu / sp.rho) * u2(x_arr, sp) - 1.0
-    return _like(x, out)
+def _h_below_zero(w):
+    """h and h' on w < 0: h = e - w with e = exp(-w^2)/(sqrt(pi)*erfc(w)),
+    a sum of two positive terms where erfcx(w) may overflow, and
+    h' = 2*e*h - 1."""
+    with np.errstate(over="ignore"):
+        e = np.exp(-(w * w)) / (SQRT_PI * erfc(w))
+    h = e - w
+    return h, 2.0 * e * h - 1.0
 
 
-def u2_second(x, sp: StoppingParams):
-    x_arr = np.asarray(x, dtype=float)
-    out = 2.0 * sp.rho * u2(x_arr, sp) + 2.0 * sp.rho * (
-        x_arr - sp.mu / sp.rho
-    ) * u2_prime(x_arr, sp)
-    return _like(x, out)
+def _h_fraction(w):
+    """h and h' on w >= CF_FROM from Laplace's continued fraction
+    (Abramowitz and Stegun 7.1.14): h = (1/2)/(w + t), with
+    t = 1/(w + (3/2)/(w + 2/(w + ...))) summed from its CF_TERMS-th term
+    back, and h' = 2*(h + w)*h - 1 = 2*h*(h - t), since 2*w*h - 1 = -2*h*t,
+    free of the cancellation of the first form; both are 0 at w = +inf."""
+    t = np.zeros_like(w)
+    for n in range(CF_TERMS, 1, -1):
+        t += w
+        np.divide(0.5 * n, t, out=t)
+    h = 0.5 / (w + t)
+    return h, 2.0 * h * (h - t)
 
 
-def _fit_lhs(x, sp: StoppingParams):
-    """Smooth-fit equation LHS minus one, whose root is the free boundary,
-    and its derivative in x, both from one u2 value."""
-    slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    u = u2(x, sp)
-    lin = slope * x - 2.0 * sp.mu
-    u_prime = 2.0 * sp.rho * (x - sp.mu / sp.rho) * u - 1.0
-    return lin * u - 1.0, slope * u + lin * u_prime
+def _control(d, sp: StoppingParams, w_low: float, derivative: bool = False):
+    """u* = 2*sqrt(rho)*h(w), w = sqrt(rho)*d, for a 1-d float array
+    d = x - mu/rho (overwritten) whose w are >= w_low or NaN; with
+    derivative also du*/dx = 2*rho*h'. The erfcx form, as 1/u2 - 2*rho*d,
+    covers 0 <= w < CF_FROM; the w < 0 branch runs only when w_low < 0,
+    and the continued fraction on the lanes w >= CF_FROM found by one max
+    reduce. Those lanes pass the erfcx pass at a point of its own range,
+    which keeps it finite, and are replaced."""
+    sqrho = math.sqrt(sp.rho)
+    w = d * sqrho
+    outer = []
+    if w_low < 0:
+        lanes = np.flatnonzero(w < 0)
+        outer.append((lanes, _h_below_zero(w[lanes])))
+        w[lanes] = 0.0
+    if np.fmax.reduce(w, axis=None, initial=-math.inf) >= CF_FROM:
+        lanes = np.flatnonzero(w >= CF_FROM)
+        outer.append((lanes, _h_fraction(w[lanes])))
+        w[lanes] = CF_FROM
+    erfcx(w, out=w)
+    w *= SQRT_PI / (2.0 * sqrho)  # u2
+    np.divide(1.0, w, out=w)
+    d *= 2.0 * sp.rho
+    w -= d
+    if derivative:
+        # 2*rho*h' = 2*rho*(2*(h + w)*h - 1) = (u* + 2*rho*d)*u* - 2*rho;
+        # the outer lanes, which may overflow here, are replaced
+        with np.errstate(over="ignore", invalid="ignore"):
+            du = (w + d) * w - 2.0 * sp.rho
+    for lanes, (h, h_prime) in outer:
+        w[lanes] = (2.0 * sqrho) * h
+        if derivative:
+            du[lanes] = (2.0 * sp.rho) * h_prime
+    return (w, du) if derivative else w
 
 
-def _newton_root(f, a, b):
-    """Root of f on [a, b], a < b, where f(a) <= 0 <= f(b); f(x) returns
-    the value and the derivative at x.
+def _log_erfcx(w: float) -> float:
+    """L(w) = log(erfcx(w)), as w^2 + log(erfc(w)) for w < 0, where
+    erfcx overflows."""
+    if w < 0:
+        return w * w + math.log(float(erfc(w)))
+    return math.log(float(erfcx(w)))
 
-    Newton's method from the end with the smaller |f|, each point found
-    replacing the bracket end of its sign; a step that leaves the bracket
-    is replaced by bisection, and one that rounds to no move goes one
-    float toward the root. Ends at f == 0 or when the bracket ends are
-    adjacent floats, a sign change of the computed f that no float can
-    narrow, and returns the end with the smaller |f|.
-    StableRangeError on a non-finite f; SolverError when f does not go
-    from negative to positive or NEWTON_MAXITER steps do not converge.
-    """
 
-    def at(x):
-        fx, dfx = f(x)
-        if not math.isfinite(fx):
-            raise StableRangeError("free boundary: the fit function is not finite at x = %r"
-                                   % x)
-        return fx, dfx
-
-    end_a, end_b = at(a), at(b)
-    fa, fb = end_a[0], end_b[0]
-    if not fa <= 0.0 <= fb:
-        raise SolverError("free boundary: the fit function does not go from negative "
-                          "to positive on [%r, %r]" % (a, b))
-    x, (fx, dfx) = (a, end_a) if -fa < fb else (b, end_b)
-    for _ in range(NEWTON_MAXITER):
-        if fx == 0:
-            return x
-        if fx < 0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        if math.nextafter(a, b) == b:
-            return a if -fa <= fb else b
-        step = x - fx / dfx if dfx else math.nan
-        if step == x:
-            step = math.nextafter(x, a if fx > 0 else b)
-        x = step if a < step < b else a + 0.5 * (b - a)
-        fx, dfx = at(x)
-    raise SolverError("free boundary: Newton's method did not converge in %d steps "
-                      "(bracket [%r, %r])" % (NEWTON_MAXITER, a, b))
+def _fit(x: float, sp: StoppingParams):
+    """f(x) = x/gamma1 - u*(x), whose root is the free boundary, and
+    f'(x) = 1/gamma1 - 2*rho*h'(w) > 1/gamma1."""
+    u, du = _control(np.array([x - sp.mu / sp.rho]), sp, _scaled_arg(x, sp), derivative=True)
+    return x / sp.gamma1 - float(u[0]), 1.0 / sp.gamma1 - float(du[0])
 
 
 def free_boundary(sp: StoppingParams):
-    """Bracket and solve the fit equation; returns (x0, alpha2).
+    """(x0, alpha2): the root of the fit function f, and the constant of
+    the log form v = -2*gamma1*log(alpha2*u2).
 
-    The point where the linear factor vanishes gives a guaranteed
-    negative end, raised to the lower end of u2's stable range where
-    that lies higher; a fit still >= 0 there puts the root at or past
-    the edge where u2 overflows (StableRangeError). The positive end is
-    found by doubling the distance from mu/rho: the fit tends to
-    1/(2*rho*gamma1) > 0, so the doubling ends at a sign change or at a
-    non-finite sample. Samples that increase up to the first positive
-    one and stay positive after it (the fit function may overshoot and
-    fall back toward its limit) back the uniqueness assumption before
-    the root is accepted. _newton_root then solves to adjacent floats
-    around the sign change.
+    f is concave and increasing with f(lo) = -1/u2(lo) < 0 at
+    lo = 2*mu/(2*rho + 1/gamma1), so Newton's method from lo climbs to
+    the root from the left. Past a point where rounding made f > 0,
+    steps that reach it bisect instead; a step that rounds to no move
+    goes one float up. It ends at f == 0, or at adjacent floats around
+    the sign change of the computed f with the smaller |f|, or at lo
+    itself where rounding makes f(lo) >= 0 (the root is then within a few
+    ulps of lo). StableRangeError on a non-finite lo or f; SolverError
+    past NEWTON_MAXITER steps.
+
+    alpha2 = exp(-x0^2/(2*gamma1))*g(x0), g = 1/u2 = 2*sqrt(rho)*(w + h),
+    is taken through log(g) so that no factor overflows; nothing reads
+    it, and it may round to 0.
     """
-    center = sp.mu / sp.rho
-    sqrho = math.sqrt(sp.rho)
-    slope = 2.0 * sp.rho + 1.0 / sp.gamma1
-    lo = max(2.0 * sp.mu / slope, center - (-sp.w_floor - 0.1) / sqrho)
+    lo = 2.0 * sp.mu / (2.0 * sp.rho + 1.0 / sp.gamma1)
     if not math.isfinite(lo):
-        raise StableRangeError("free boundary bracket: lower end %r is not finite "
-                               "(mu = rho*k = %r)" % (lo, sp.mu))
-    # fit values past the float range (u2 near its largest value for tiny
-    # rho, or the doubling reaching infinity) are caught by the finite
-    # check on the samples, lo and hi included
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _fit_lhs(lo, sp)[0] >= 0:
-            raise StableRangeError("free boundary bracket: the fit function is still >= 0 "
-                                   "at the lower end of u2's stable range, x = %r" % lo)
-        b = 1.0 / sqrho
-        hi = center + b
-        while _fit_lhs(hi, sp)[0] <= 0:
-            b *= 2.0
-            hi = center + b
-        samples = _fit_lhs(np.linspace(lo, hi, 64), sp)[0]
-    if not np.isfinite(samples).all():
-        raise StableRangeError("free boundary bracket: the fit function on [%r, %r] "
-                               "is not finite" % (lo, hi))
-    first = int(np.argmax(samples > 0))
-    if np.any(np.diff(samples[: first + 1]) <= 0) or np.any(samples[first:] <= 0):
-        raise SolverError("fit equation not increasing up to its sign change on the "
-                          "bracket; root may not be unique")
-
-    x0 = _newton_root(lambda x: _fit_lhs(x, sp), lo, hi)
-    alpha2 = math.exp(-x0 * x0 / (2.0 * sp.gamma1)) / u2(x0, sp)
-    if not 0.0 < alpha2 < math.inf:
-        # v = -2*gamma1*log(alpha2*u2) would be infinite everywhere
-        raise StableRangeError("free boundary: alpha2 = exp(-x0^2/(2*gamma1))/u2(x0) = %r "
-                               "leaves the floating-point range (x0 = %r, gamma1 = %r)"
-                               % (alpha2, x0, sp.gamma1))
-    return float(x0), float(alpha2)
+        raise StableRangeError("free boundary: the start point 2*mu/(2*rho + 1/gamma1) = %r "
+                               "is not finite (mu = rho*k = %r)" % (lo, sp.mu))
+    x, a, b, fb = lo, None, math.inf, math.inf
+    for _ in range(NEWTON_MAXITER):
+        fx, dfx = _fit(x, sp)
+        if not math.isfinite(fx):
+            raise StableRangeError("free boundary: the fit function is not finite at x = %r"
+                                   % x)
+        if fx >= 0:
+            if fx == 0 or a is None:
+                break
+            b, fb = x, fx
+        else:
+            a, fa, dfa = x, fx, dfx
+        if math.nextafter(a, b) == b:
+            x = a if -fa <= fb else b
+            break
+        x = a - fa / dfa
+        if not x > a:
+            x = math.nextafter(a, b)
+        elif not x < b:
+            x = a + 0.5 * (b - a)
+    else:
+        raise SolverError("free boundary: Newton's method did not converge in %d steps"
+                          % NEWTON_MAXITER)
+    log_g = math.log(2.0 * math.sqrt(sp.rho) / SQRT_PI) - _log_erfcx(_scaled_arg(x, sp))
+    return float(x), math.exp(log_g - x * x / (2.0 * sp.gamma1))
 
 
 @dataclass(frozen=True)
@@ -274,65 +263,74 @@ def _require_square_finite(x):
 
 
 def stopping_value(sol: StoppingSolution, sp: StoppingParams, x):
-    """x^2 at and below the boundary, the log form above it."""
+    """x^2 at and below the boundary, x0^2 - 2*gamma1*(L(w) - L(w0)) above
+    it; on w < 0 the difference is (w - w0)*(w + w0) + log(erfc(w)/erfc(w0)),
+    where w^2 and w0^2 may overflow."""
     x_arr = np.asarray(x, dtype=float)
     _require_square_finite(x_arr)
-    # clamp the u2 argument so stop-region queries never leave the
-    # stable range; the where() discards those lanes anyway
-    cont = -2.0 * sp.gamma1 * np.log(sol.alpha2 * u2(np.maximum(x_arr, sol.x0), sp))
+    # stop-region queries are clamped to x0, where the where() discards them
+    xc = np.maximum(x_arr, sol.x0).reshape(-1)
+    w = _scaled_arg(xc, sp)
+    w0 = _scaled_arg(sol.x0, sp)
+    lanes = np.flatnonzero(w < 0)  # none unless w0 < 0
+    neg = w[lanes]
+    diff = (math.sqrt(sp.rho) * (xc[lanes] - sol.x0)) * (neg + w0) + np.log(erfc(neg) / erfc(w0))
+    w[lanes] = 0.0  # keeps erfcx finite there
+    log_ratio = np.log(erfcx(w)) - _log_erfcx(w0)
+    log_ratio[lanes] = diff
+    cont = sol.x0 * sol.x0 - 2.0 * sp.gamma1 * log_ratio.reshape(x_arr.shape)
     out = np.where(x_arr <= sol.x0, x_arr * x_arr, cont)
     return _like(x, out)
 
 
 def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
-    """Feedback control: 1/u2(y) - 2*rho*(y - mu/rho) on the
-    continuation side (boundary included, where it equals x0/gamma1),
-    zero below (and for NaN). The max with 0 is defensive; it provably
-    never binds. u2 is evaluated at max(y, x0) in place, in one erfcx pass."""
+    """Feedback control: u* = 2*sqrt(rho)*h(w) on the continuation side
+    (boundary included, where it equals x0/gamma1), zero below (and for
+    NaN); 0 at y = +inf. The max with 0 is defensive; it provably never
+    binds. Every lane is evaluated at max(y, x0), so w(x0) bounds its w."""
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    if scalar:
-        y_arr = y_arr.reshape(1)
-    d = np.maximum(y_arr, sol.x0)
+    lanes = y_arr if y_arr.ndim == 1 else y_arr.reshape(-1)
+    d = np.maximum(lanes, sol.x0)
     d -= sp.mu / sp.rho
-    w = d * math.sqrt(sp.rho)
-    _require_stable(w, sp)
-    erfcx(w, out=w)
-    w *= SQRT_PI / (2.0 * math.sqrt(sp.rho))  # u2(max(y, x0))
-    np.divide(1.0, w, out=w)
-    d *= 2.0 * sp.rho
-    w -= d
-    out = np.zeros(y_arr.shape)
-    np.maximum(w, 0.0, out=out, where=y_arr >= sol.x0)
-    return float(out[0]) if scalar else out
+    u = _control(d, sp, _scaled_arg(sol.x0, sp))
+    out = np.zeros(lanes.shape)
+    np.maximum(u, 0.0, out=out, where=lanes >= sol.x0)
+    if y_arr.ndim == 1:
+        return out
+    return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
 def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
     """Checks the three pieces of the variational problem on a grid:
-    the stop-region inequality, the continuation PDE residual, and the
-    obstacle bound. Violations are reported, not raised."""
+    the stop-region inequality, the continuation HJB residual
+    v''/2 + (mu - rho*x)*v' - v'^2/(4*gamma1) + gamma2, and the obstacle
+    bound. Violations are reported, not raised; StableRangeError where
+    the residual leaves the floating-point range."""
     x = np.asarray(grid, dtype=float)
     _require_square_finite(x)
     is_stop = x <= sol.x0
     is_cont = x > sol.x0
     stop = x[is_stop]
     cont = x[is_cont]
+    d = cont - sp.mu / sp.rho
+    u, du = _control(d.copy(), sp, _scaled_arg(sol.x0, sp), derivative=True)
+    v1 = 2.0 * sp.gamma1 * u  # v' = 4*gamma1*sqrt(rho)*h
+    v2 = 2.0 * sp.gamma1 * du  # v'' = 4*gamma1*rho*h'
     residual = np.full_like(x, np.nan)
-    residual[is_stop] = (
-        (2.0 * sp.rho + 1.0 / sp.gamma1) * stop * stop
-        - 2.0 * sp.mu * stop
-        - (1.0 + sp.gamma2)
-    )
-    lin = 0.5 * u2_second(cont, sp) + (sp.mu - sp.rho * cont) * u2_prime(cont, sp)
-    residual[is_cont] = -(2.0 * sp.gamma1 / u2(cont, sp)) * lin + sp.gamma2
-    raw = 1.0 / u2(cont, sp) - 2.0 * sp.rho * (cont - sp.mu / sp.rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual[is_stop] = ((2.0 * sp.rho + 1.0 / sp.gamma1) * stop * stop
+                             - 2.0 * sp.mu * stop - (1.0 + sp.gamma2))
+        residual[is_cont] = (0.5 * v2 - sp.rho * d * v1 - v1 * v1 / (4.0 * sp.gamma1)
+                             + sp.gamma2)
+    if not np.isfinite(residual[is_stop | is_cont]).all():
+        raise StableRangeError("qvi_residual: the residual leaves the floating-point range")
 
     gap = x * x - stopping_value(sol, sp, x)
     return QviReport(
         stop_side_max=float(np.max(residual[is_stop], initial=-math.inf)),
         pde_residual_max=float(np.max(np.abs(residual[is_cont]), initial=0.0)),
         obstacle_gap_min=float(np.min(gap, initial=math.inf)),
-        u_clamp_hits=int(np.count_nonzero(raw < 0)),
+        u_clamp_hits=int(np.count_nonzero(u < 0)),
         x_grid=x,
         residual=residual,
     )

@@ -177,6 +177,13 @@ def test_spend_bound_reference():
     assert spend_bound(P) == pytest.approx((1.0 / 0.1) * (1.0 - math.exp(-0.1)), abs=1e-15)
 
 
+def test_spend_bound_small_discount_keeps_its_digits():
+    # (m/c)*(1 - exp(-c*T)) = 1 - c/2 + c^2/6 - ... at m = T = 1; formed
+    # as 1 - exp(-c), the difference keeps 5 digits and gives 0.99997788
+    bound = spend_bound(ModelParams(rho=0.5, c=1e-12, T=1.0))
+    assert abs(bound - (1.0 - 5e-13)) <= math.ulp(1.0)
+
+
 def test_spend_bound_without_discount_is_m_T():
     # m / c raised a raw ZeroDivisionError at c = 0; the c -> 0 limit is m*T
     assert spend_bound(ModelParams(rho=0.5, c=0.0, T=1.0)) == 1.0

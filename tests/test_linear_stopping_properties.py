@@ -35,8 +35,8 @@ GAMMA1 = st.one_of(MAGNITUDES, MAGNITUDES.map(lambda v: 1.0 + v))
 
 @st.composite
 def tiny_rho(draw):
-    """rho = 10**U(-323.3, -29), subnormals included, where u2's scale
-    sqrt(pi)/(2*sqrt(rho)) times erfcx can overflow and the verification
+    """rho = 10**U(-323.3, -29), subnormals included, where x0 shrinks
+    with sqrt(rho), the root can sit far below w = 0, and the verification
     grid x0 + 10/sqrt(rho) can pass sqrt(largest float)."""
     return {"k": 10.0 ** draw(st.floats(-3.0, 200.0)),
             "rho": 10.0 ** draw(st.floats(-323.3, -29.0)),

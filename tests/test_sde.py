@@ -922,7 +922,8 @@ def test_gain_at_matches_p_over_d(params):
 
 
 def _stopping_policy_where(sol, sp, y):
-    """stopping_policy with u2 at max(y, x0) and np.where for the stop side."""
+    """The control's erfcx form 1/u2 - 2*rho*(y - mu/rho) at max(y, x0),
+    and np.where for the stop side."""
     y_arr = np.asarray(y, dtype=float)
     y_c = np.maximum(y_arr, sol.x0)
     raw = 1.0 / u2(y_c, sp) - 2.0 * sp.rho * (y_c - sp.mu / sp.rho)
@@ -940,10 +941,18 @@ def test_stopping_policy_matches_where_form(stop_sol, shift):
         [x0, np.nextafter(x0, -math.inf), np.nextafter(x0, math.inf), -math.inf, 0.0, -0.0,
          math.nan, 1e150],
     ])
+    # bit for bit where the policy takes the erfcx form, 0 <= w < 3, and on
+    # the stop side; on w >= 3 it takes the continued fraction, which the
+    # erfcx form, cancelling there, matches only to rounding
+    fraction = math.sqrt(sp.rho) * (np.maximum(y, x0) - sp.mu / sp.rho) >= 3.0
     got = stopping_policy(sol, sp, y)
     want = _stopping_policy_where(sol, sp, y)
     assert type(got) is type(want)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(got[~fraction].view(np.uint64),
+                                  want[~fraction].view(np.uint64))
+    assert fraction.sum() > 100
+    np.testing.assert_allclose(got[fraction][:-1], want[fraction][:-1], rtol=1e-12)
+    assert got[-1] == pytest.approx(1.0 / (1e150 - sp.mu / sp.rho), rel=1e-15)
     assert got[y < x0].tolist() == [0.0] * int((y < x0).sum())
     assert got[np.isnan(y)].view(np.uint64).tolist() == [0]  # NaN maps to +0.0
     for q in (x0, x0 - 0.5, x0 + 0.5, math.nan, 3):
@@ -951,16 +960,20 @@ def test_stopping_policy_matches_where_form(stop_sol, shift):
         assert type(g) is type(w) is float
         assert math.copysign(1.0, g) == math.copysign(1.0, w) and (g == w)
     got2 = stopping_policy(sol, sp, y.reshape(-1, 7))
-    np.testing.assert_array_equal(got2.view(np.uint64), want.reshape(-1, 7).view(np.uint64))
+    np.testing.assert_array_equal(got2.view(np.uint64), got.reshape(-1, 7).view(np.uint64))
 
 
-def test_stopping_policy_out_of_stable_range_is_stable_range_error(stop_sol):
+def test_stopping_policy_where_erfcx_overflows(stop_sol):
+    # a boundary at w = -30, where erfcx overflows: the policy takes h's
+    # w < 0 branch there
     sp = stop_sol.params
     sol = dataclasses.replace(stop_sol, x0=sp.mu / sp.rho - 30.0 / math.sqrt(sp.rho))
-    with pytest.raises(StableRangeError, match="-26"):
-        stopping_policy(sol, sp, np.array([sol.x0, math.nan]))
-    # paths above the stable range's end never touch it
-    assert stopping_policy(sol, sp, sp.mu / sp.rho) > 0
+    u = stopping_policy(sol, sp, np.array([sol.x0, math.nan, sp.mu / sp.rho]))
+    # h = exp(-w^2)/(sqrt(pi)*erfc(w)) - w = 30 to rounding at w = -30
+    assert u[0] == pytest.approx(2.0 * math.sqrt(sp.rho) * 30.0, rel=1e-15)
+    assert u[1] == 0.0
+    # h(0) = 1/sqrt(pi), on the erfcx branch
+    assert u[2] == pytest.approx(2.0 * math.sqrt(sp.rho) / math.sqrt(math.pi), rel=1e-15)
 
 
 # --- no silent non-finite result ---

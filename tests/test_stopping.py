@@ -1,4 +1,7 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from adkit import (
     SolverError,
     StableRangeError,
     StoppingParams,
+    StoppingSolution,
     dp_qvi_stopping,
     free_boundary,
     qvi_residual,
@@ -18,8 +22,6 @@ from adkit import (
     stopping_policy,
     stopping_value,
     u2,
-    u2_prime,
-    u2_second,
 )
 
 SP = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
@@ -67,23 +69,43 @@ def test_u2_large_argument_asymptotics():
     assert 0.99 < ratio < 1.0
 
 
-def test_u2_derivative_identities():
-    # u2' = 2 rho (x - mu/rho) u2 - 1 and the second derivative recursion
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        x = rng.uniform(-2.0, 6.0)
-        w2 = 2.0 * SP.rho * (x - SP.mu / SP.rho)
-        assert u2_prime(x, SP) == pytest.approx(w2 * u2(x, SP) - 1.0, rel=1e-11, abs=1e-11)
-        assert u2_second(x, SP) == pytest.approx(
-            2.0 * SP.rho * u2(x, SP) + w2 * u2_prime(x, SP), rel=1e-11, abs=1e-11
-        )
+def _control(x, sp=SP, derivative=False):
+    """u* = 2*sqrt(rho)*h(w) (and du*/dx) at the points x, every branch enabled."""
+    d = np.asarray(x, dtype=float) - sp.mu / sp.rho
+    return stopping._control(d.copy(), sp, -math.inf, derivative=derivative)
 
 
-def test_u2_finite_difference():
-    h = 1e-6
-    for x in (0.5, 1.36, 3.0):
-        fd = (u2(x + h, SP) - u2(x - h, SP)) / (2 * h)
-        assert u2_prime(x, SP) == pytest.approx(fd, abs=1e-8)
+def test_control_is_one_over_u2_minus_drift_term():
+    # u* = 1/u2 - 2*rho*(x - mu/rho), the form of the erfcx branch
+    x = np.linspace(SP.mu / SP.rho - 20.0, SP.mu / SP.rho + 40.0, 601)
+    d = x - SP.mu / SP.rho
+    np.testing.assert_allclose(_control(x), 1.0 / u2(x, SP) - 2.0 * SP.rho * d,
+                               rtol=1e-12, atol=1e-13)
+
+
+def test_h_positive_and_decreasing():
+    # h lies above 0 and falls, with slope in (-1, 0), across all three branches
+    sp = StoppingParams(k=0.0, rho=0.25, gamma1=2.0, gamma2=1.0)
+    w = np.linspace(-40.0, 60.0, 20001)
+    u, du = _control(w / math.sqrt(sp.rho), sp, derivative=True)
+    h, h_prime = u / (2.0 * math.sqrt(sp.rho)), du / (2.0 * sp.rho)
+    assert np.all(h > 0) and np.all(np.diff(h) < 0)
+    assert np.all((-1.0 <= h_prime) & (h_prime < 0))
+    # h' = 2*(h + w)*h - 1 where that form does not cancel
+    near = np.abs(w) < 2.0
+    np.testing.assert_allclose(h_prime[near], (2.0 * (h + w) * h - 1.0)[near],
+                               rtol=1e-13, atol=1e-14)
+
+
+def test_control_derivative_finite_difference():
+    # du*/dx on every branch: w < 0, 0 <= w < 3, the continued fraction
+    # on w >= 3, and both sides of each cutover
+    w = np.array([-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.9, 2.999, 3.0, 3.001, 5.0,
+                  40.0, 1e4])
+    x = SP.mu / SP.rho + w / math.sqrt(SP.rho)
+    step = 1e-6 * np.maximum(1.0, np.abs(x))
+    fd = (_control(x + step) - _control(x - step)) / (2.0 * step)
+    np.testing.assert_allclose(_control(x, derivative=True)[1], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_u2_vectorized():
@@ -94,9 +116,11 @@ def test_u2_vectorized():
     assert isinstance(u2(1.0, SP), float)
 
 
-def test_u2_stable_range_guard():
-    with pytest.raises(StableRangeError, match="-26"):
+def test_u2_overflow_is_stable_range_error():
+    with pytest.raises(StableRangeError, match="u2 overflows"):
         u2(SP.mu / SP.rho - 40.0, SP)
+    with pytest.raises(StableRangeError, match="u2 overflows"):
+        u2(np.array([1.0, SP.mu / SP.rho - 40.0, math.nan]), SP)
 
 
 def test_free_boundary_reference():
@@ -244,8 +268,8 @@ def test_qvi_report_residual_empty_sides():
     assert empty.obstacle_gap_min == math.inf
 
 
-# k = 3 with gamma2 = 2*rho*gamma1: the fit function changes sign once,
-# overshoots, and falls back toward its positive asymptote
+# k = 3 with gamma2 = 2*rho*gamma1: the boundary lies right of the drift
+# rest point mu/rho
 K3_PAIRS = [(rho, g1) for rho in (0.1, 0.5, 2.0) for g1 in (1.1, 2.0, 4.0)]
 
 
@@ -276,35 +300,10 @@ def test_free_boundary_overshooting_fit_against_dp():
 
 @pytest.mark.parametrize("k, rho", [(1e12, 1e300), (1e300, 1e12), (1e150, 1e300)])
 def test_free_boundary_overflowing_drift_is_stable_range_error(k, rho):
-    # mu = rho*k overflows, so the bracket has no finite end; the bracket
-    # check rejects it before any root step sees a NaN fit value
+    # mu = rho*k overflows, so Newton's method has no finite start point
     sp = StoppingParams(k=k, rho=rho, gamma1=1.5, gamma2=2.0 * rho * 1.5)
     with pytest.raises(StableRangeError, match="not finite"):
         solve_stopping(sp)
-
-
-def _patch_fit_value(monkeypatch, change):
-    """Replace the fit value f at x by change(x, f), keeping its derivative."""
-    fit = stopping._fit_lhs
-
-    def patched(x, sp):
-        f, df = fit(x, sp)
-        return change(np.asarray(x), f), df
-
-    monkeypatch.setattr(stopping, "_fit_lhs", patched)
-
-
-def test_free_boundary_rejects_non_finite_fit_samples(monkeypatch):
-    _patch_fit_value(monkeypatch, lambda x, f: np.where(x > 2.0, np.nan, f))
-    with pytest.raises(StableRangeError, match="not finite"):
-        free_boundary(SP)
-
-
-def test_free_boundary_rejects_second_sign_change(monkeypatch):
-    # a dip below zero between the root and the bracket's right end
-    _patch_fit_value(monkeypatch, lambda x, f: f - 5.0 * np.exp(-(((x - 2.0) / 0.1) ** 2)))
-    with pytest.raises(SolverError, match="not be unique"):
-        free_boundary(SP)
 
 
 def _params(triples):
@@ -316,33 +315,29 @@ def _params(triples):
 
 def _assert_certified(sp, x0):
     """The fit function is 0 at x0, or changes sign between x0 and its
-    neighbouring float toward the root, with the smaller |f| at x0."""
-    f0 = stopping._fit_lhs(x0, sp)[0]
+    neighbouring float toward the root, with the smaller |f| at x0; or x0
+    is Newton's start point lo, where rounding already makes f >= 0."""
+    f0 = stopping._fit(x0, sp)[0]
+    if f0 > 0 and x0 == 2.0 * sp.mu / (2.0 * sp.rho + 1.0 / sp.gamma1):
+        return
     if f0 != 0:
-        f1 = stopping._fit_lhs(math.nextafter(x0, -math.inf if f0 > 0 else math.inf), sp)[0]
+        f1 = stopping._fit(math.nextafter(x0, -math.inf if f0 > 0 else math.inf), sp)[0]
         assert (f0 < 0 < f1 or f1 < 0 < f0) and abs(f0) <= abs(f1), (sp, x0, f0, f1)
 
 
-def _root_visits(sp, monkeypatch):
-    """(lo, hi, the points _newton_root evaluates the fit at, in order, x0)
-    of free_boundary's solve for sp."""
-    seen = []
-    root = stopping._newton_root
+def _fit_visits(sp, monkeypatch):
+    """(the points free_boundary evaluates the fit at, in order, x0)."""
+    xs = []
+    fit = stopping._fit
 
-    def recording_root(f, a, b):
-        xs = []
-        seen.append((a, b, xs))
-
-        def recording_f(x):
-            xs.append(x)
-            return f(x)
-
-        return root(recording_f, a, b)
+    def recording_fit(x, sp):
+        xs.append(x)
+        return fit(x, sp)
 
     with monkeypatch.context() as m:
-        m.setattr(stopping, "_newton_root", recording_root)
+        m.setattr(stopping, "_fit", recording_fit)
         x0, _ = free_boundary(sp)
-    return seen[0] + (x0,)
+    return xs, x0
 
 
 def test_free_boundary_root_is_best_float():
@@ -353,75 +348,87 @@ def test_free_boundary_root_is_best_float():
 
 
 def test_free_boundary_log_uniform_sweep():
-    # k, rho and gamma1 - 1 log-uniform over 1e-3..1e3: the draws that
-    # do not solve have a root at or past the edge of u2's stable range,
-    # or an alpha2 that underflows, and raise StableRangeError
+    # k, rho and gamma1 - 1 log-uniform over 1e-3..1e3: every draw solves,
+    # and the value is finite to the right of the boundary
     rng = np.random.default_rng(1)
-    solved = 0
     for sp in _params(10.0 ** rng.uniform(-3.0, 3.0, 3) for _ in range(1500)):
-        try:
-            x0, _ = free_boundary(sp)
-        except StableRangeError:
-            continue
+        x0, _ = free_boundary(sp)
         _assert_certified(sp, x0)
-        solved += 1
-    assert solved >= 1300
+        sol = StoppingSolution(params=sp, x0=x0, alpha2=math.nan)
+        x = x0 + np.array([0.0, 0.1, 1.0, 10.0]) / math.sqrt(sp.rho)
+        assert np.isfinite(stopping_value(sol, sp, x)).all(), sp
 
 
-def test_free_boundary_agrees_with_brentq(monkeypatch):
-    from scipy.optimize import brentq
-    xtol, rtol = 2e-12, 4 * np.finfo(float).eps  # brentq's defaults
-    rng = np.random.default_rng(20)
-    for sp in _params(np.exp(rng.uniform(-4.0, 3.0, 3)) for _ in range(1003)):
-        lo, hi, _, x0 = _root_visits(sp, monkeypatch)
-        theirs = brentq(lambda x: stopping._fit_lhs(x, sp)[0], lo, hi, xtol=xtol, rtol=rtol)
-        assert abs(x0 - theirs) <= xtol + rtol * abs(theirs), sp
+ROOTS = json.loads(Path(__file__).with_name("launch_roots.json").read_text())["roots"]
+# the largest distance of free_boundary's x0 from a table root, in units
+# of the root's last place: 25.4 on the 1,500 sweep draws, at w0 = 2.92,
+# where the erfcx form of h cancels most
+ROOT_ULPS = 32
 
 
-def test_newton_root_non_finite_fit_value_is_stable_range_error(monkeypatch):
-    # NaN at the first point past the bracket ends, which is not a node of
-    # the 64-point sample grid, so only the root step sees it
-    lo, hi, xs, _ = _root_visits(SP, monkeypatch)
+@pytest.mark.parametrize("row", ROOTS, ids=[r["note"] for r in ROOTS])
+def test_free_boundary_against_reference_roots(row):
+    # 50-digit roots of the exact problem, from tests/make_launch_roots.py
+    rho, gamma1 = row["rho"], row["gamma1"]
+    sp = StoppingParams(k=row["k"], rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
+    x0, alpha2 = free_boundary(sp)
+    ref = Fraction(row["x0"])
+    ulps = abs(Fraction(x0) - ref) / Fraction(math.ulp(float(ref)))
+    assert ulps <= ROOT_ULPS, (row, x0, float(ulps))
+    assert 0.0 <= alpha2 < math.inf
+
+
+def test_free_boundary_climbs_from_the_left(monkeypatch):
+    # Newton's method from lo = 2*mu/slope: the points rise, and only the
+    # last ones may cross the root
+    xs, x0 = _fit_visits(SP, monkeypatch)
+    slope = 2.0 * SP.rho + 1.0 / SP.gamma1
+    assert xs[0] == 2.0 * SP.mu / slope
+    assert xs == sorted(xs) and len(xs) <= 8
+    below = [x for x in xs if stopping._fit(x, SP)[0] < 0]
+    assert below == xs[: len(below)] and len(below) >= len(xs) - 2
+    assert x0 in xs[-2:]
+
+
+def test_free_boundary_non_finite_fit_value_is_stable_range_error(monkeypatch):
+    xs, _ = _fit_visits(SP, monkeypatch)
     bad = xs[2]
-    assert bad not in np.linspace(lo, hi, 64)
-    _patch_fit_value(monkeypatch, lambda x, f: np.where(x == bad, np.nan, f)[()])
+    fit = stopping._fit
+    monkeypatch.setattr(stopping, "_fit",
+                        lambda x, sp: (math.nan, 1.0) if x == bad else fit(x, sp))
     with pytest.raises(StableRangeError, match="not finite at x"):
         free_boundary(SP)
 
 
-def test_newton_root_past_iteration_cap_is_solver_error(monkeypatch):
+def test_free_boundary_past_iteration_cap_is_solver_error(monkeypatch):
     monkeypatch.setattr(stopping, "NEWTON_MAXITER", 1)
     with pytest.raises(SolverError, match="did not converge in 1 steps"):
         free_boundary(SP)
 
 
-def test_newton_root_without_sign_change_is_solver_error():
-    with pytest.raises(SolverError, match="negative to positive"):
-        stopping._newton_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
-
-
 @pytest.mark.parametrize("rho", [1e-100, 2e-193, 5e-324])
-def test_u2_floor_keeps_tiny_rho_finite(rho):
-    # the scale sqrt(pi)/(2*sqrt(rho)) ~ 1e161 times erfcx(-26) ~ 1e294
-    # overflowed with a warning; the floor on w rises for such rho
+def test_tiny_rho_solves_where_u2_overflows(rho):
+    # u2's scale sqrt(pi)/(2*sqrt(rho)) ~ 1e161 times erfcx(-26) ~ 1e294
+    # overflows; the solver never forms it
     sp = StoppingParams(k=1.0, rho=rho, gamma1=2.0, gamma2=4.0 * rho)
-    floor = sp.w_floor
-    assert -stopping.W_STABLE < floor
-    at_floor = sp.mu / sp.rho + floor / math.sqrt(rho)
-    assert math.isfinite(u2(at_floor, sp))
-    with pytest.raises(StableRangeError, match="stable range"):
-        u2(sp.mu / sp.rho - 25.9 / math.sqrt(rho), sp)
+    x0, alpha2 = free_boundary(sp)
+    # x0 ~ 2*gamma1*sqrt(rho)/sqrt(pi) with w0 ~ -sqrt(rho)*k ~ 0
+    assert x0 == pytest.approx(4.0 * math.sqrt(rho) / math.sqrt(math.pi), rel=1e-9)
+    sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)
+    assert float(sol.policy(x0)) == pytest.approx(x0 / 2.0, rel=1e-12)
+    assert np.isfinite(sol.value(np.array([2.0 * x0, 1.0, 1e100]))).all()
+    with pytest.raises(StableRangeError, match="u2 overflows"):
+        u2(sp.mu / sp.rho - 27.0 / math.sqrt(rho), sp)
 
 
-@pytest.mark.parametrize("k, rho, gamma1, match", [
-    # the fit function overflows on the bracket samples
-    (3.2e53, 9.224e-321, 2.04, "not finite"),
-    # the verification grid reaches x0 + 10/sqrt(rho) ~ 5e155, whose x^2 overflows
-    (0.0264, 3.57e-310, 8.15, "x\\^2 overflows"),
-])
-def test_tiny_rho_is_stable_range_error(k, rho, gamma1, match):
+@pytest.mark.parametrize("k, rho, gamma1", [(3.2e53, 9.224e-321, 2.04),
+                                            (0.0264, 3.57e-310, 8.15)])
+def test_tiny_rho_verification_grid_is_stable_range_error(k, rho, gamma1):
+    # the boundary solves, but the verification grid reaches
+    # x0 + 10/sqrt(rho) > 1e155, whose x^2 overflows
     sp = StoppingParams(k=k, rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
-    with pytest.raises(StableRangeError, match=match):
+    assert 0.0 < free_boundary(sp)[0] < 1e-150
+    with pytest.raises(StableRangeError, match="x\\^2 overflows"):
         solve_stopping(sp, n_grid=65)
 
 
@@ -435,9 +442,43 @@ def test_obstacle_overflow_is_stable_range_error():
     assert math.isfinite(sol.value(stopping.X_MAX))
 
 
-def test_free_boundary_alpha2_underflow_is_stable_range_error():
-    # exp(-x0^2/(2*gamma1)) underflows to 0 with x0 ~ 770 and gamma1 ~ 8,
-    # so alpha2 = 0 and the value -2*gamma1*log(alpha2*u2) would be +inf
+def test_qvi_residual_overflow_is_stable_range_error():
+    # the stop-side expression (2*rho + 1/gamma1)*x^2 overflows at x ~ 1e121
+    g = 1.942396122047502e123
+    sp = StoppingParams(k=g, rho=g, gamma1=g, gamma2=2.0 * g * g)
+    with pytest.raises(StableRangeError, match="qvi_residual"):
+        solve_stopping(sp, n_grid=65)
+
+
+def test_alpha2_underflow_solves():
+    # exp(-x0^2/(2*gamma1)) underflows to 0 with x0 ~ 770 and gamma1 = 8:
+    # alpha2 rounds to 0, and the value, which no longer reads it, is finite
     sp = StoppingParams(k=770.0, rho=5e4, gamma1=8.0, gamma2=2.0 * 5e4 * 8.0)
-    with pytest.raises(StableRangeError, match="alpha2"):
-        free_boundary(sp)
+    sol = solve_stopping(sp, n_grid=65)
+    assert sol.alpha2 == 0.0
+    rep = sol.residual_report
+    assert rep.u_clamp_hits == 0 and rep.obstacle_gap_min >= 0
+    assert rep.pde_residual_max <= 1e-9 * sp.gamma2
+    assert np.isfinite(sol.value(sol.x0 + np.array([0.0, 0.01, 1.0]))).all()
+
+
+def test_root_where_erfcx_overflows():
+    # w0 = -30: erfcx(w0) overflows, and h = -w0 to rounding
+    sp = StoppingParams(k=120.0, rho=1.0, gamma1=1.5, gamma2=3.0)
+    sol = solve_stopping(sp, n_grid=65)
+    w0 = sol.x0 - 120.0
+    assert w0 == pytest.approx(-30.0, abs=1e-12)
+    assert float(sol.policy(sol.x0)) == pytest.approx(-2.0 * w0, rel=1e-15)
+    assert float(sol.policy(sol.x0)) == pytest.approx(sol.x0 / sp.gamma1, rel=1e-15)
+    assert sol.residual_report.obstacle_gap_min >= 0
+
+
+def test_policy_at_plus_infinity_is_zero():
+    # h(+inf) = 0: no inf - inf, no warning
+    sol = solve_stopping(SP)
+    assert sol.policy(math.inf) == 0.0
+    y = np.array([sol.x0 + 1.0, math.inf, 2.0, math.inf, 0.0])
+    u = sol.policy(y)
+    assert u[1] == 0.0 and u[3] == 0.0
+    assert u[0] > 0 and u[2] > 0 and u[4] == 0.0
+    assert u[0] == sol.policy(sol.x0 + 1.0) and u[2] == sol.policy(2.0)
