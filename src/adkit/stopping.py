@@ -101,16 +101,6 @@ def u2(x, sp: StoppingParams):
     return _like(x, out)
 
 
-def _h_below_zero(w):
-    """h and h' on w < 0: h = e - w with e = exp(-w^2)/(sqrt(pi)*erfc(w)),
-    a sum of two positive terms where erfcx(w) may overflow, and
-    h' = 2*e*h - 1."""
-    with np.errstate(over="ignore"):
-        e = np.exp(-(w * w)) / (SQRT_PI * erfc(w))
-    h = e - w
-    return h, 2.0 * e * h - 1.0
-
-
 def _h_fraction(w):
     """h and h' on w >= CF_FROM from Laplace's continued fraction
     (Abramowitz and Stegun 7.1.14): h = (1/2)/(w + t), with
@@ -125,40 +115,36 @@ def _h_fraction(w):
     return h, 2.0 * h * (h - t)
 
 
-def _control(d, sp: StoppingParams, w_low: float, derivative: bool = False):
+def _control(d, sp: StoppingParams, derivative: bool = False):
     """u* = 2*sqrt(rho)*h(w), w = sqrt(rho)*d, for a 1-d float array
-    d = x - mu/rho (overwritten) whose w are >= w_low or NaN; with
-    derivative also du*/dx = 2*rho*h'. The erfcx form, as 1/u2 - 2*rho*d,
-    covers 0 <= w < CF_FROM; the w < 0 branch runs only when w_low < 0,
-    and the continued fraction on the lanes w >= CF_FROM found by one max
-    reduce. Those lanes pass the erfcx pass at a point of its own range,
-    which keeps it finite, and are replaced."""
+    d = x - mu/rho (overwritten); with derivative also
+    du*/dx = 2*rho*h' = r*u* - 2*rho, r = 1/u2 = 2*sqrt(rho)*(h + w).
+    The erfcx form u* = r - 2*rho*d covers w < CF_FROM: on w < 0 both its
+    terms are positive, and where u2 overflows (w below about -26.6, or
+    sooner for tiny rho) r = 0 leaves -2*rho*d, which is u* to rounding.
+    The continued fraction takes the lanes w >= CF_FROM, found by one max
+    reduce; they pass the erfcx pass at w = CF_FROM and are replaced."""
     sqrho = math.sqrt(sp.rho)
     w = d * sqrho
-    outer = []
-    if w_low < 0:
-        lanes = np.flatnonzero(w < 0)
-        outer.append((lanes, _h_below_zero(w[lanes])))
-        w[lanes] = 0.0
+    far = None
     if np.fmax.reduce(w, axis=None, initial=-math.inf) >= CF_FROM:
-        lanes = np.flatnonzero(w >= CF_FROM)
-        outer.append((lanes, _h_fraction(w[lanes])))
-        w[lanes] = CF_FROM
+        far = np.flatnonzero(w >= CF_FROM)
+        h, h_prime = _h_fraction(w[far])
+        w[far] = CF_FROM
     erfcx(w, out=w)
-    w *= SQRT_PI / (2.0 * sqrho)  # u2
-    np.divide(1.0, w, out=w)
+    with np.errstate(over="ignore"):
+        w *= SQRT_PI / (2.0 * sqrho)  # u2
+    r = np.divide(1.0, w, out=w)
     d *= 2.0 * sp.rho
-    w -= d
-    if derivative:
-        # 2*rho*h' = 2*rho*(2*(h + w)*h - 1) = (u* + 2*rho*d)*u* - 2*rho;
-        # the outer lanes, which may overflow here, are replaced
-        with np.errstate(over="ignore", invalid="ignore"):
-            du = (w + d) * w - 2.0 * sp.rho
-    for lanes, (h, h_prime) in outer:
-        w[lanes] = (2.0 * sqrho) * h
-        if derivative:
-            du[lanes] = (2.0 * sp.rho) * h_prime
-    return (w, du) if derivative else w
+    u = np.subtract(r, d, out=d)
+    if far is not None:
+        u[far] = (2.0 * sqrho) * h
+    if not derivative:
+        return u
+    du = r * u - 2.0 * sp.rho
+    if far is not None:
+        du[far] = (2.0 * sp.rho) * h_prime
+    return u, du
 
 
 def _log_erfcx(w: float) -> float:
@@ -172,7 +158,7 @@ def _log_erfcx(w: float) -> float:
 def _fit(x: float, sp: StoppingParams):
     """f(x) = x/gamma1 - u*(x), whose root is the free boundary, and
     f'(x) = 1/gamma1 - 2*rho*h'(w) > 1/gamma1."""
-    u, du = _control(np.array([x - sp.mu / sp.rho]), sp, _scaled_arg(x, sp), derivative=True)
+    u, du = _control(np.array([x - sp.mu / sp.rho]), sp, derivative=True)
     return x / sp.gamma1 - float(u[0]), 1.0 / sp.gamma1 - float(du[0])
 
 
@@ -287,12 +273,12 @@ def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
     """Feedback control: u* = 2*sqrt(rho)*h(w) on the continuation side
     (boundary included, where it equals x0/gamma1), zero below (and for
     NaN); 0 at y = +inf. The max with 0 is defensive; it provably never
-    binds. Every lane is evaluated at max(y, x0), so w(x0) bounds its w."""
+    binds. Every lane is evaluated at max(y, x0)."""
     y_arr = np.asarray(y, dtype=float)
     lanes = y_arr if y_arr.ndim == 1 else y_arr.reshape(-1)
     d = np.maximum(lanes, sol.x0)
     d -= sp.mu / sp.rho
-    u = _control(d, sp, _scaled_arg(sol.x0, sp))
+    u = _control(d, sp)
     out = np.zeros(lanes.shape)
     np.maximum(u, 0.0, out=out, where=lanes >= sol.x0)
     if y_arr.ndim == 1:
@@ -313,7 +299,7 @@ def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
     stop = x[is_stop]
     cont = x[is_cont]
     d = cont - sp.mu / sp.rho
-    u, du = _control(d.copy(), sp, _scaled_arg(sol.x0, sp), derivative=True)
+    u, du = _control(d.copy(), sp, derivative=True)
     v1 = 2.0 * sp.gamma1 * u  # v' = 4*gamma1*sqrt(rho)*h
     v2 = 2.0 * sp.gamma1 * du  # v'' = 4*gamma1*rho*h'
     residual = np.full_like(x, np.nan)

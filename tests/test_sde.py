@@ -964,8 +964,8 @@ def test_stopping_policy_matches_where_form(stop_sol, shift):
 
 
 def test_stopping_policy_where_erfcx_overflows(stop_sol):
-    # a boundary at w = -30, where erfcx overflows: the policy takes h's
-    # w < 0 branch there
+    # a boundary at w = -30, where erfcx overflows: 1/u2 is 0 there and
+    # the control is -2*rho*(y - mu/rho)
     sp = stop_sol.params
     sol = dataclasses.replace(stop_sol, x0=sp.mu / sp.rho - 30.0 / math.sqrt(sp.rho))
     u = stopping_policy(sol, sp, np.array([sol.x0, math.nan, sp.mu / sp.rho]))

@@ -70,9 +70,9 @@ def test_u2_large_argument_asymptotics():
 
 
 def _control(x, sp=SP, derivative=False):
-    """u* = 2*sqrt(rho)*h(w) (and du*/dx) at the points x, every branch enabled."""
+    """u* = 2*sqrt(rho)*h(w) (and du*/dx) at the points x."""
     d = np.asarray(x, dtype=float) - sp.mu / sp.rho
-    return stopping._control(d.copy(), sp, -math.inf, derivative=derivative)
+    return stopping._control(d.copy(), sp, derivative=derivative)
 
 
 def test_control_is_one_over_u2_minus_drift_term():
@@ -84,7 +84,8 @@ def test_control_is_one_over_u2_minus_drift_term():
 
 
 def test_h_positive_and_decreasing():
-    # h lies above 0 and falls, with slope in (-1, 0), across all three branches
+    # h lies above 0 and falls, with slope in (-1, 0), on both branches and
+    # below w = -26.6, where u2 overflows
     sp = StoppingParams(k=0.0, rho=0.25, gamma1=2.0, gamma2=1.0)
     w = np.linspace(-40.0, 60.0, 20001)
     u, du = _control(w / math.sqrt(sp.rho), sp, derivative=True)
@@ -98,8 +99,9 @@ def test_h_positive_and_decreasing():
 
 
 def test_control_derivative_finite_difference():
-    # du*/dx on every branch: w < 0, 0 <= w < 3, the continued fraction
-    # on w >= 3, and both sides of each cutover
+    # du*/dx on the erfcx form (w = -30 where u2 overflows, w < 0 and
+    # 0 <= w < 3), on the continued fraction (w >= 3), and on both sides of
+    # w = 0 and of the cutover
     w = np.array([-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.9, 2.999, 3.0, 3.001, 5.0,
                   40.0, 1e4])
     x = SP.mu / SP.rho + w / math.sqrt(SP.rho)
@@ -361,8 +363,8 @@ def test_free_boundary_log_uniform_sweep():
 
 ROOTS = json.loads(Path(__file__).with_name("launch_roots.json").read_text())["roots"]
 # the largest distance of free_boundary's x0 from a table root, in units
-# of the root's last place: 25.4 on the 1,500 sweep draws, at w0 = 2.92,
-# where the erfcx form of h cancels most
+# of the root's last place: 28.6 on the 1,500 sweep draws, at w0 = 2.22,
+# where the erfcx form of h cancels
 ROOT_ULPS = 32
 
 
