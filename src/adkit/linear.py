@@ -6,6 +6,10 @@ gamma_fn(t) = gamma*exp(-rho*(T-t)). The optimal control is off until the
 switch time t_star solving gamma_fn(t) = exp(-c*t), then runs at the cap m.
 Noise intensities never enter: the value is affine in x, so sigma only
 contributes a vanishing Ito term.
+
+Each quantity is one form for every c >= 0: the discount enters through
+int_0^s exp(-c*u) du = s*E(c*s), E(x) = -expm1(-x)/x, which keeps its
+digits as c*s -> 0 and is s, the undiscounted limit, at c = 0.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError, SolverError, StableRangeError
+from .lq import _h1
 from .model import ModelParams, Policy, require
 
 # tolerance on the budget-binding and multiplier fixed-point identities
@@ -26,6 +31,18 @@ def _as_float(t, val):
     if np.ndim(t) == 0:
         return float(val)
     return val
+
+
+def _span(c: float, s):
+    """int_0^s exp(-c*u) du = s*E(c*s) (E = 1 at 0) for c >= 0 and a float
+    or array s; from c*s = 1 on as -expm1(-c*s)/c, which stays right where
+    c*s overflows and E rounds to 0. Callers check finiteness."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.multiply(c, s)
+        big = x > 1.0
+        e1 = -np.expm1(-x)
+        return np.where(big, e1 / np.where(big, c, 1.0),
+                        s * np.divide(e1, x, out=np.ones_like(x), where=x != 0))
 
 
 def switch_time(p: ModelParams) -> float:
@@ -56,11 +73,11 @@ class LinearSolution:
 
     def _b1(self, t):
         # solves b1' = m*(exp(-c*t) - gamma_fn(t)) with b1(T) = 0,
-        # i.e. b1(t) = m * int_t^T (gamma_fn(s) - exp(-c*s)) ds
+        # i.e. b1(t) = m * int_t^T (gamma_fn(u) - exp(-c*u)) du
         p = self.params
-        return (p.m * p.gamma / p.rho) * (1.0 - np.exp(-p.rho * (p.T - t))) + (
-            p.m / p.c
-        ) * (np.exp(-p.c * p.T) - np.exp(-p.c * t))
+        s = p.T - t
+        return ((p.m * p.gamma / p.rho) * -np.expm1(-p.rho * s)
+                - p.m * np.exp(-p.c * t) * _span(p.c, s))
 
     def _b(self, t):
         return np.where(t <= self.t_split, self._b1(self.t_split), self._b1(t))
@@ -110,10 +127,9 @@ class LinearSolution:
 
 
 def solve_linear(p: ModelParams) -> LinearSolution:
+    """The bang-bang solution for any c >= 0; c = 0 is the undiscounted
+    problem, where b1(t) = (m*gamma/rho)*(1 - exp(-rho*(T - t))) - m*(T - t)."""
     require(p)
-    if p.c == 0:
-        # b1 carries a 1/c term; the undiscounted limit is not taken here
-        raise ParamError("c > 0")
     return LinearSolution(params=p, t_star=switch_time(p))
 
 
@@ -136,102 +152,82 @@ class BudgetSolution:
 
 
 def spend_bound(p: ModelParams) -> float:
-    """Largest discounted spend any admissible control can reach,
-    (m/c)*(1 - exp(-c*T)), and its limit m*T at c = 0.
-
-    1 - exp(-c*T) is taken as -expm1(-c*T), which keeps its digits at
-    small c*T. Where m/c overflows, the bound is m*T*(-expm1(-c*T))/(c*T)
-    instead, with its limit m*T where c*T underflows to 0.
-    StableRangeError where the bound itself overflows.
-    """
+    """Largest discounted spend any admissible control can reach, m*T*E(c*T):
+    (m/c)*(1 - exp(-c*T)) for c > 0 without its cancellation at small c*T,
+    and m*T at c = 0. StableRangeError where the bound overflows."""
     require(p)
-    bound = _spend_bound(p)
+    bound = p.m * float(_span(p.c, p.T))
     if not math.isfinite(bound):
         raise StableRangeError("spend bound overflows (m=%g, c=%g, T=%g)" % (p.m, p.c, p.T))
     return bound
 
 
-def _spend_bound(p: ModelParams) -> float:
-    """spend_bound without its checks; inf where it overflows."""
-    ratio = p.m / p.c if p.c else math.inf
-    if math.isfinite(ratio):
-        return ratio * -math.expm1(-p.c * p.T)
-    cT = p.c * p.T
-    return p.m * (p.T if cT == 0 else p.T * (-math.expm1(-cT) / cT))
-
-
-def _multiplier(name: str, log_scale: float, z: float, p: ModelParams) -> float:
-    """exp(log_scale) * z**(-(rho+c)/c), the budget multiplier whose log
-    gives the switch time; StableRangeError unless it is finite and
-    positive."""
-    try:
-        lam = math.exp(log_scale) * z ** (-(p.rho + p.c) / p.c)
-    except (OverflowError, ZeroDivisionError):
-        lam = math.inf
-    if not (math.isfinite(lam) and lam > 0):
-        raise StableRangeError("budget multiplier %s = %r leaves the floating-point range "
-                               "(rho=%g, c=%g, T=%g)" % (name, lam, p.rho, p.c, p.T))
-    return lam
-
-
 def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
-    """Bang-bang policy whose discounted spend exactly exhausts M.
+    """Bang-bang policy whose discounted spend exactly exhausts M; c > 0.
 
-    t_star comes from the binding-budget equation
-    int_{t*}^T m e^{-ct} dt = M; the multiplier lambda_star is whatever
-    makes t_star = (rho*T + log lambda)/(rho+c) hold. Both identities are
-    asserted to IDENTITY_TOL after construction.
+    t_star solves int_{t*}^T m e^{-ct} dt = M: with x = c*M/m + expm1(-c*T)
+    it is -log1p(x)/c = (T*E(c*T) - M/m)*log1p(x)/x, or -log(c*M/m +
+    exp(-c*T))/c where x < -0.5. lambda_star = exp((rho + c)*t_star - rho*T)
+    makes t_star = (rho*T + log lambda)/(rho + c). Both identities are
+    asserted to IDENTITY_TOL; the second, with lambda_star built from
+    t_star, only checks rounding. t_star tends to T - M/m as c -> 0, but
+    the comparison forms in discrepancy divide by c (t_star_alt -> -inf),
+    so c = 0 is a ParamError. StableRangeError where a multiplier or a
+    comparison value leaves the floating-point range.
     """
     require(p)
     if p.c == 0:
         raise ParamError("c > 0")
-    # a bound past the float range admits every finite M
-    bound = _spend_bound(p)
     if not math.isfinite(M):
         raise ParamError("M finite")
     if M <= 0:
         raise ParamError("M > 0")
-    if not M <= bound:
+    if not M <= p.m * float(_span(p.c, p.T)):  # an overflowing bound admits any M
         raise ParamError("M <= (m/c)*(1 - exp(-c*T))")
 
-    z = p.c * M / p.m + math.exp(-p.c * p.T)
-    if not z > 0:
-        raise StableRangeError("budget: e^{-c*t*} = c*M/m + e^{-c*T} underflows to 0 "
-                               "(c=%g, T=%g, M=%g, m=%g)" % (p.c, p.T, M, p.m))
-    t_star = -math.log(z) / p.c
-    lambda_star = _multiplier("lambda_star", -p.rho * p.T, z, p)
+    x = p.c * M / p.m + math.expm1(-p.c * p.T)
+    if x < -0.5:
+        z = p.c * M / p.m + math.exp(-p.c * p.T)
+        if not z > 0:
+            raise StableRangeError("budget: e^{-c*t*} = c*M/m + e^{-c*T} underflows to 0 "
+                                   "(c=%g, T=%g, M=%g, m=%g)" % (p.c, p.T, M, p.m))
+        t_star = -math.log(z) / p.c
+    else:
+        t_star = (float(_span(p.c, p.T)) - M / p.m) * _h1(x)
+    with np.errstate(over="ignore"):
+        lambda_star = float(np.exp((p.rho + p.c) * t_star - p.rho * p.T))
+        lambda_alt = float(np.exp((p.rho + p.c) * t_star + p.rho * p.T))
+    if not 0 < lambda_star < math.inf:
+        raise StableRangeError("budget multiplier lambda_star = %r leaves the floating-point "
+                               "range (rho=%g, c=%g, T=%g)" % (lambda_star, p.rho, p.c, p.T))
 
-    spend = (p.m / p.c) * (math.exp(-p.c * t_star) - math.exp(-p.c * p.T))
+    def spend_from(t):  # m*int_t^T exp(-c*u) du
+        return p.m * math.exp(-p.c * t) * float(_span(p.c, p.T - t))
+
+    spend = spend_from(t_star)
     gap_spend = abs(spend - M)
-    t_from_lambda = (p.rho * p.T + math.log(lambda_star)) / (p.rho + p.c)
-    gap_fixed_point = abs(t_from_lambda - t_star)
+    gap_fixed_point = abs((p.rho * p.T + math.log(lambda_star)) / (p.rho + p.c) - t_star)
     if not gap_spend <= IDENTITY_TOL * max(1.0, abs(M)):
         raise SolverError("budget identity failed: |spend - M| = %.3e" % gap_spend)
     if not gap_fixed_point <= IDENTITY_TOL * max(1.0, abs(t_star)):
-        raise SolverError(
-            "multiplier identity failed: |t* - (rho*T + log lambda*)/(rho+c)| = %.3e"
-            % gap_fixed_point
-        )
+        raise SolverError("multiplier identity failed: |t* - (rho*T + log lambda*)/(rho+c)| "
+                          "= %.3e" % gap_fixed_point)
 
     t_alt = 2.0 * p.rho * p.T / (p.rho + p.c) - (math.exp(-p.c * p.T) + p.c * M / p.m) / p.c
-    lambda_alt = _multiplier("lambda_star_alt", p.rho * p.T, z, p)
-    spend_alt = (p.m / p.c) * (math.exp(-p.c * t_alt) - math.exp(-p.c * p.T))
-    t_from_lambda_alt = (p.rho * p.T + math.log(lambda_alt)) / (p.rho + p.c)
     discrepancy = {
         "t_star_alt": t_alt,
         "lambda_star_alt": lambda_alt,
         "spend_gap": gap_spend,
-        "spend_gap_alt": abs(spend_alt - M),
+        "spend_gap_alt": abs(spend_from(t_alt) - M),
         "switch_identity_gap": gap_fixed_point,
-        "switch_identity_gap_alt": abs(t_from_lambda_alt - t_alt),
+        "switch_identity_gap_alt": abs((p.rho * p.T + math.log(lambda_alt)) / (p.rho + p.c)
+                                       - t_alt),
     }
+    bad = [name for name, value in discrepancy.items() if not math.isfinite(value)]
+    if bad:
+        raise StableRangeError("budget comparison values leave the floating-point range: "
+                               + ", ".join(bad))
 
-    return BudgetSolution(
-        params=p,
-        M=M,
-        t_star=t_star,
-        lambda_star=lambda_star,
-        policy=Policy.bang_bang(t_star, p.m),
-        discounted_spend=spend,
-        discrepancy=discrepancy,
-    )
+    return BudgetSolution(params=p, M=M, t_star=t_star, lambda_star=lambda_star,
+                          policy=Policy.bang_bang(t_star, p.m), discounted_spend=spend,
+                          discrepancy=discrepancy)

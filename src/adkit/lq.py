@@ -441,7 +441,6 @@ class RiccatiSolution:
     well_posed: bool
     t_blow: Optional[float]
     case_label: str
-    coeffs: Optional[RiccatiCoeffs]
     classification: Optional[WellPosednessReport]
     t_lo: float
     tol: float
@@ -585,11 +584,9 @@ def riccati_integrate(
     except OverflowError:
         raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
 
-    coeffs = None
     classification = None
     if p.sigma2 > 0:
         # raises if sigma2^2 overflows, or if a4 <= 0, which is D_T <= 0
-        coeffs = riccati_coeffs(p)
         classification = classify_wellposedness(riccati_coeffs(_scaled(p)), p.T - t_lo)
         case_label = classification.case_label
     else:
@@ -665,7 +662,6 @@ def riccati_integrate(
         well_posed=t_blow is None,
         t_blow=t_blow,
         case_label=case_label,
-        coeffs=coeffs,
         classification=classification,
         t_lo=t_lo,
         tol=tol,

@@ -166,15 +166,18 @@ def free_boundary(sp: StoppingParams):
     """(x0, alpha2): the root of the fit function f, and the constant of
     the log form v = -2*gamma1*log(alpha2*u2).
 
-    f is concave and increasing with f(lo) = -1/u2(lo) < 0 at
-    lo = 2*mu/(2*rho + 1/gamma1), so Newton's method from lo climbs to
-    the root from the left. Past a point where rounding made f > 0,
-    steps that reach it bisect instead; a step that rounds to no move
-    goes one float up. It ends at f == 0, or at adjacent floats around
-    the sign change of the computed f with the smaller |f|, or at lo
-    itself where rounding makes f(lo) >= 0 (the root is then within a few
-    ulps of lo). StableRangeError on a non-finite lo or f; SolverError
-    past NEWTON_MAXITER steps.
+    f is concave and increasing, so Newton's method from a point where
+    f <= 0 climbs to the root from the left. The start is x1, one float
+    left of the tangent step from xa, the root of the large-w asymptote
+    x*(x - mu/rho) = gamma1 (right of x0, since h(w) < 1/(2w)), where
+    x1 > lo and f(x1) <= 0, as it is where rho*gamma1 is large; otherwise it
+    is lo = 2*mu/(2*rho + 1/gamma1), where f(lo) = -1/u2(lo) < 0. Past a
+    point where rounding made f > 0, steps that reach it bisect instead;
+    a step that rounds to no move goes one float up. It ends at f == 0,
+    or at adjacent floats around the sign change of the computed f with
+    the smaller |f|, or at lo itself where rounding makes f(lo) >= 0 (the
+    root is then within a few ulps of lo). StableRangeError on a
+    non-finite lo or f; SolverError past NEWTON_MAXITER steps.
 
     alpha2 = exp(-x0^2/(2*gamma1))*g(x0), g = 1/u2 = 2*sqrt(rho)*(w + h),
     is taken through log(g) so that no factor overflows; nothing reads
@@ -185,6 +188,13 @@ def free_boundary(sp: StoppingParams):
         raise StableRangeError("free boundary: the start point 2*mu/(2*rho + 1/gamma1) = %r "
                                "is not finite (mu = rho*k = %r)" % (lo, sp.mu))
     x, a, b, fb = lo, None, math.inf, math.inf
+    half = 0.5 * sp.mu / sp.rho
+    xa = half + math.hypot(half, math.sqrt(sp.gamma1))
+    fxa, dfxa = _fit(xa, sp)
+    # one float left, so that a step that rounds to 0 still lands left of x0
+    x1 = math.nextafter(xa - fxa / dfxa, -math.inf)
+    if x1 > lo and _fit(x1, sp)[0] <= 0:
+        x = x1
     for _ in range(NEWTON_MAXITER):
         fx, dfx = _fit(x, sp)
         if not math.isfinite(fx):

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import adkit.cli
 import adkit.stopping
-from adkit import SolverError, StoppingParams, solve_stopping
+from adkit import ModelParams, SolverError, StoppingParams, solve_stopping
 from adkit.cli import (BLOCK_SCHEMAS, HANDLERS, MAX_SIZE, MAX_WORK, MODEL_KEYS, build_parser,
                        emit, load_config, main)
+from adkit.oracles import dp_linear
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
 
@@ -95,6 +96,33 @@ def test_budget_artifacts(tmp_path):
     assert data["lambda_star"] == pytest.approx(0.8003430548500416)
     assert abs(data["discrepancy"]["spend_gap"]) <= 1e-12
     assert data["discrepancy"]["spend_gap_alt"] > 0.1
+
+
+def test_budget_small_discount_exit0(tmp_path):
+    # at c = 1e-6, -log(c*M/m + exp(-c*T))/c and the (m/c)-scaled spend
+    # lost about 1e-10 and failed the budget identity: this exited 3
+    cfg = write_cfg(tmp_path, {
+        "problem": "budget", "model": dict(BASE_MODEL, c=1e-6),
+        "output_dir": str(tmp_path / "out"), "formats": ["json"], "budget": {"M": 0.5},
+    })
+    assert main(["budget", "--config", cfg, "--quiet"]) == 0
+    data = json.loads((tmp_path / "out" / "budget.json").read_text())
+    assert data["discrepancy"]["spend_gap"] <= 1e-15
+    assert data["t_star"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_linear_without_discount_exit0_matches_dp(tmp_path):
+    # c = 0 is the undiscounted linear problem: the switch time agrees with
+    # the grid search over switch times, as criterion 1 asks for c > 0
+    model = dict(BASE_MODEL, c=0.0)
+    cfg = write_cfg(tmp_path, {"problem": "linear", "model": model, "formats": ["json"],
+                               "output_dir": str(tmp_path / "out"), "linear": {}})
+    assert main(["linear", "--config", cfg, "--quiet"]) == 0
+    data = json.loads((tmp_path / "out" / "linear.json").read_text())
+    n = 10 ** 4
+    r = dp_linear(ModelParams(**model), n)
+    assert abs(data["t_split"] - r.t_star_hat) <= model["T"] / n
+    assert data["t_star"] == pytest.approx(1.0 - math.log(1.2) / 0.5, rel=1e-15)
 
 
 def test_budget_non_finite_M_exit2(tmp_path, capsys):
@@ -484,6 +512,9 @@ def test_config_error_matrix(tmp_path, capsys):
         # missing required block keys
         ({"problem": "budget", "model": model, "output_dir": out, "budget": {}},
          "budget block requires: M"),
+        # the budget's comparison forms divide by c; the linear problem takes c = 0
+        ({"problem": "budget", "model": dict(model, c=0.0), "output_dir": out,
+          "budget": {"M": 0.5}}, "c > 0"),
         ({"problem": "stop", "model": dict(model, c=0.0), "output_dir": out,
           "stop": {"k": 1.0}}, "stop block requires: gamma1, gamma2"),
         # bad formats

@@ -1,4 +1,7 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from adkit import (
 P = ModelParams(rho=0.5, c=0.1, T=1.0, gamma0=1.2)
 
 T_STAR = 0.6961307386767424
-VALUE_0 = 0.68550206002251
+VALUE_0 = 0.6855020600225101
 
 
 def test_switch_time_reference():
@@ -158,19 +161,62 @@ def test_policy_matches_switch():
     assert float(pol(sol.t_star + 0.01, 0.0)) == P.m
 
 
-def test_c_zero_rejected():
-    p = ModelParams(rho=0.5, c=0.0, T=1.0)
+def test_linear_without_discount_is_the_limit():
+    # c = 0 is the undiscounted problem, not a ParamError: b1 is
+    # (m*gamma0/rho)*(1 - exp(-rho*(T - t))) - m*(T - t), the c -> 0 limit
+    p = ModelParams(rho=0.5, c=0.0, T=1.0, gamma0=1.2, m=2.0)
+    sol = solve_linear(p)
+    assert sol.t_star == pytest.approx(1.0 - math.log(1.2) / 0.5, rel=1e-15)
+    t = np.array([0.0, 0.3, 1.0])
+    b1 = (2.0 * 1.2 / 0.5) * -np.expm1(-0.5 * (1.0 - t)) - 2.0 * (1.0 - t)
+    np.testing.assert_allclose(sol.b1_fn(t), b1, rtol=1e-15, atol=1e-16)
+    near = solve_linear(ModelParams(rho=0.5, c=1e-12, T=1.0, gamma0=1.2, m=2.0))
+    assert near.b1_fn(0.0) == pytest.approx(sol.b1_fn(0.0), rel=1e-11)
+    assert abs(sol.b1_prime(sol.t_star)) <= 1e-15
+
+
+def test_budget_c_zero_rejected():
+    # the comparison forms of the discrepancy report divide by c
     with pytest.raises(ParamError, match="c > 0"):
-        solve_linear(p)
-    with pytest.raises(ParamError, match="c > 0"):
-        solve_budget(p, 0.1)
+        solve_budget(ModelParams(rho=0.5, c=0.0, T=1.0), 0.1)
+
+
+REFS = json.loads(Path(__file__).with_name("linear_refs.json").read_text())["rows"]
+# pins, in units of the reference's last place: the largest distances on
+# the table are 0.54 (t_star), 1.17 (spend_bound), 1.65 (budget_t_star)
+# and 0.50 (lambda_star)
+ULPS = {"t_star": 1, "spend_bound": 2, "budget_t_star": 2, "lambda_star": 2}
+# b1(0) cancels to about a tenth of its terms; largest relative error 2.6e-15
+B1_REL = 4e-15
+
+
+def _ulps(x, ref):
+    ref = Fraction(ref)
+    return abs(Fraction(x) - ref) / Fraction(math.ulp(float(ref)))
+
+
+@pytest.mark.parametrize("row", REFS, ids=["c=%g" % r["c"] for r in REFS])
+def test_closed_forms_against_reference_table(row):
+    # 50-digit values from tests/make_refs.py; the 1/c forms these replace
+    # lost b1(0) to 4e-4 relative at c = 1e-12 and failed the budget
+    # identity from c = 1e-6 on
+    p = ModelParams(rho=row["rho"], c=row["c"], T=row["T"], gamma0=row["gamma0"], m=row["m"])
+    sol = solve_linear(p)
+    got = {"t_star": sol.t_star, "spend_bound": spend_bound(p)}
+    b1_ref = Fraction(row["b1_0"])
+    assert abs(Fraction(sol.b1_fn(0.0)) - b1_ref) <= B1_REL * abs(b1_ref)
+    if row["budget_t_star"] is not None:
+        b = solve_budget(p, row["M"])
+        got.update(budget_t_star=b.t_star, lambda_star=b.lambda_star)
+    for name, value in got.items():
+        assert _ulps(value, row[name]) <= ULPS[name], (name, value, row[name])
 
 
 # --- budget variant ---
 
 M = 0.5
-B_T_STAR = 0.4621419588865642
-B_LAMBDA = 0.8003430548500416
+B_T_STAR = 0.46214195888656406
+B_LAMBDA = 0.8003430548500415
 
 
 def test_spend_bound_reference():
@@ -248,20 +294,22 @@ def test_budget_rejects_non_finite():
             solve_budget(P, M)
 
 
-def test_budget_nan_identity_gap_is_solver_error():
-    # m/c overflows, so the spend and its gap come out NaN; the identity
-    # guards must not read a NaN gap as a pass
+def test_budget_overflowing_comparison_spend_is_stable_range_error():
+    # m/c overflows; the spend and its gap used to come out NaN, while the
+    # forms without 1/c solve the switch and meet both identities here.
+    # The comparison form t_star_alt ~ -1/c = -1e300 makes its spend
+    # overflow, which is reported by name
     p = ModelParams(rho=0.5, c=1e-300, T=1e-300, m=1e300)
-    with pytest.raises(SolverError, match="budget identity failed"):
+    with pytest.raises(StableRangeError, match="spend_gap_alt"):
         solve_budget(p, 1e-300)
 
 
 def test_budget_overflowing_multiplier_is_stable_range_error():
-    # z ** (-(rho+c)/c) overflows: was a raw OverflowError
-    p = ModelParams(rho=1e300, c=1e150, T=1, sigma0=1e150, sigma1=1e-12, sigma2=1, gamma0=1,
-                    m=1e300)
-    with pytest.raises(StableRangeError, match="lambda_star"):
-        solve_budget(p, 0.5)
+    # c*t_star = -log(c*M/m) = 713.8, so exp((rho + c)*t_star - rho*T)
+    # overflows: was a raw OverflowError from z ** (-(rho+c)/c)
+    p = ModelParams(rho=1e-3, c=1.0, T=1000.0)
+    with pytest.raises(StableRangeError, match="lambda_star = inf"):
+        solve_budget(p, 1e-310)
 
 
 def test_budget_underflowing_multiplier_is_stable_range_error():
@@ -286,6 +334,14 @@ def test_budget_underflowing_switch_argument_is_stable_range_error():
     p = ModelParams(rho=1.0, c=1e-10, T=1e150, m=1e300)
     with pytest.raises(StableRangeError, match="underflows"):
         solve_budget(p, 1e-300)
+
+
+def test_discounted_length_where_c_T_overflows():
+    # c*T overflows, where T*E(c*T) rounds to 0; the integral is 1/c
+    p = ModelParams(rho=0.5, c=1e200, T=1e200, m=1e300)
+    assert spend_bound(p) == pytest.approx(1e100, rel=1e-15)
+    # gamma = exp(-c*T) underflows, so b1(0) = -m/c
+    assert solve_linear(p).b1_fn(0.0) == pytest.approx(-1e100, rel=1e-15)
 
 
 def test_spend_bound_finite_where_m_over_c_overflows():

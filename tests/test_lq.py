@@ -1,6 +1,9 @@
+import json
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,3 +491,18 @@ def test_bernoulli_rejects_non_finite_times():
     with pytest.raises(ParamError, match="t finite"):
         riccati_sigma2_zero(P_BERN, np.array([0.0, math.nan]))
 
+
+
+RICCATI_REFS = json.loads(Path(__file__).with_name("riccati_refs.json").read_text())["instances"]
+# 40-digit P on 41 nodes from tests/make_refs.py; the largest distances are
+# 2.1 ulps (criterion-8 instance) and 4.3 ulps (random instance)
+P_ULPS = 8
+
+
+@pytest.mark.parametrize("inst", RICCATI_REFS, ids=[r["note"] for r in RICCATI_REFS])
+def test_riccati_against_reference_table(inst):
+    sol = riccati_integrate(ModelParams(**inst["model"]), n_nodes=len(inst["t"]))
+    assert sol.t.tolist() == inst["t"]
+    for t, P, ref in zip(inst["t"], sol.P, inst["P"]):
+        ref = Fraction(ref)
+        assert abs(Fraction(float(P)) - ref) <= P_ULPS * Fraction(math.ulp(float(ref))), (t, P)

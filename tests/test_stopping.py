@@ -98,16 +98,19 @@ def test_h_positive_and_decreasing():
                                rtol=1e-13, atol=1e-14)
 
 
-def test_control_derivative_finite_difference():
+@pytest.mark.parametrize("sp", [SP, StoppingParams(k=0.5, rho=2.0, gamma1=3.0, gamma2=12.0)])
+def test_control_derivative_finite_difference(sp):
     # du*/dx on the erfcx form (w = -30 where u2 overflows, w < 0 and
     # 0 <= w < 3), on the continued fraction (w >= 3), and on both sides of
-    # w = 0 and of the cutover
-    w = np.array([-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.9, 2.999, 3.0, 3.001, 5.0,
-                  40.0, 1e4])
-    x = SP.mu / SP.rho + w / math.sqrt(SP.rho)
+    # w = 0 and of the cutover. qvi_residual forms v'' from u* by the ODE
+    # identity, so it cannot see a wrong control; this test can: scaling
+    # erfcx by 1.01 moves du* by about 1% on the erfcx lanes
+    w = np.array([-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.5, 2.9, 2.99, 2.999, 3.0, 3.001,
+                  3.01, 3.1, 3.5, 5.0, 40.0, 1e4])
+    x = sp.mu / sp.rho + w / math.sqrt(sp.rho)
     step = 1e-6 * np.maximum(1.0, np.abs(x))
-    fd = (_control(x + step) - _control(x - step)) / (2.0 * step)
-    np.testing.assert_allclose(_control(x, derivative=True)[1], fd, rtol=1e-6, atol=1e-9)
+    fd = (_control(x + step, sp) - _control(x - step, sp)) / (2.0 * step)
+    np.testing.assert_allclose(_control(x, sp, derivative=True)[1], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_u2_vectorized():
@@ -363,14 +366,14 @@ def test_free_boundary_log_uniform_sweep():
 
 ROOTS = json.loads(Path(__file__).with_name("launch_roots.json").read_text())["roots"]
 # the largest distance of free_boundary's x0 from a table root, in units
-# of the root's last place: 28.6 on the 1,500 sweep draws, at w0 = 2.22,
-# where the erfcx form of h cancels
+# of the root's last place: 22.9 on the 1,500 sweep draws, near w0 = 2
+# to 3, where the erfcx form of h cancels
 ROOT_ULPS = 32
 
 
 @pytest.mark.parametrize("row", ROOTS, ids=[r["note"] for r in ROOTS])
 def test_free_boundary_against_reference_roots(row):
-    # 50-digit roots of the exact problem, from tests/make_launch_roots.py
+    # 50-digit roots of the exact problem, from tests/make_refs.py
     rho, gamma1 = row["rho"], row["gamma1"]
     sp = StoppingParams(k=row["k"], rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
     x0, alpha2 = free_boundary(sp)
@@ -380,21 +383,57 @@ def test_free_boundary_against_reference_roots(row):
     assert 0.0 <= alpha2 < math.inf
 
 
+def _asymptote_root(sp):
+    """xa with xa*(xa - mu/rho) = gamma1."""
+    half = 0.5 * sp.mu / sp.rho
+    return half + math.hypot(half, math.sqrt(sp.gamma1))
+
+
 def test_free_boundary_climbs_from_the_left(monkeypatch):
-    # Newton's method from lo = 2*mu/slope: the points rise, and only the
-    # last ones may cross the root
+    # the fit at xa, then at x1, one float left of xa's tangent step, where
+    # f < 0; Newton's method from x1 climbs: the points with f < 0 rise,
+    # those past a root rounding made f > 0 at fall
     xs, x0 = _fit_visits(SP, monkeypatch)
-    slope = 2.0 * SP.rho + 1.0 / SP.gamma1
-    assert xs[0] == 2.0 * SP.mu / slope
-    assert xs == sorted(xs) and len(xs) <= 8
-    below = [x for x in xs if stopping._fit(x, SP)[0] < 0]
-    assert below == xs[: len(below)] and len(below) >= len(xs) - 2
-    assert x0 in xs[-2:]
+    xa = _asymptote_root(SP)
+    assert xs[0] == xa and xs[1] == xs[2] < x0 < xa
+    lo = 2.0 * SP.mu / (2.0 * SP.rho + 1.0 / SP.gamma1)
+    steps = xs[2:]
+    assert steps[0] > lo and len(steps) <= 6
+    below = [x for x in steps if stopping._fit(x, SP)[0] < 0]
+    above = [x for x in steps if x not in below]
+    assert below == sorted(below) and above == sorted(above, reverse=True)
+    assert max(below) < min(above) and x0 in (max(below), min(above))
+
+
+def test_free_boundary_starts_at_lo_where_the_tangent_step_overshoots(monkeypatch):
+    # large k, small rho: the root is at w = -31.5, far from the w > 0
+    # asymptote, and xa's tangent step does not pass lo = 2*mu/slope, where
+    # the fit rounds to 0 (u2 overflows there) and the iteration ends
+    sp = StoppingParams(k=1e3, rho=1e-3, gamma1=2.0, gamma2=4e-3)
+    xs, x0 = _fit_visits(sp, monkeypatch)
+    lo = 2.0 * sp.mu / (2.0 * sp.rho + 1.0 / sp.gamma1)
+    assert xs == [_asymptote_root(sp), lo] and x0 == lo
+
+
+@pytest.mark.parametrize("k, rho, gamma1", [(1.0, 1.0, 1e60), (0.5, 2.0, 1e70),
+                                            (1.0, 1.0, 1e200)])
+def test_free_boundary_near_the_asymptote_solves(k, rho, gamma1, monkeypatch):
+    # rho*gamma1 past about 1e55: the root lies near xa, far right of lo,
+    # where Newton's method from lo only doubled its step and stopped at
+    # its 100-step cap with a SolverError
+    sp = StoppingParams(k=k, rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
+    xs, x0 = _fit_visits(sp, monkeypatch)
+    assert len(xs) <= 6
+    _assert_certified(sp, x0)
+    xa = _asymptote_root(sp)
+    assert xa * (1.0 - 1e-15) <= x0 <= xa
 
 
 def test_free_boundary_non_finite_fit_value_is_stable_range_error(monkeypatch):
+    # a NaN on a Newton step past the start
     xs, _ = _fit_visits(SP, monkeypatch)
-    bad = xs[2]
+    bad = xs[3]
+    assert bad not in xs[:3]
     fit = stopping._fit
     monkeypatch.setattr(stopping, "_fit",
                         lambda x, sp: (math.nan, 1.0) if x == bad else fit(x, sp))
