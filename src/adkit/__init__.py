@@ -29,7 +29,6 @@ from .lq import (
     RiccatiCoeffs,
     RiccatiSolution,
     WellPosednessReport,
-    classify_wellposedness,
     closed_loop_coeffs,
     closed_loop_mean,
     lq_feedback,
@@ -109,7 +108,6 @@ __all__ = [
     "StoppingSolution",
     "Trajectory",
     "WellPosednessReport",
-    "classify_wellposedness",
     "closed_loop_coeffs",
     "closed_loop_mean",
     "diffusion",

@@ -38,19 +38,24 @@ w_T < alpha/q, stays at a start on that fixed point, and otherwise
 blows up at t_blow = lim t(w), w -> inf, which is D -> 0 for
 sigma2 > 0 and P -> -inf for sigma2 = 0.
 
-The phase-line classification works on the reduced coefficients a1..a4
-of riccati_coeffs, which drop the discount rate; riccati_integrate
-classifies the scaled problem (rho + c/2 in place of rho, c = 0), whose
-solution is pi, so its verdict and T_max are exact for every c >= 0.
-oracles.riccati_oracle integrates the equation numerically as an
-independent check.
+riccati_integrate classifies the phase line of this flow, so its verdict
+and T_max are exact for every c >= 0: case i where A_T = alpha - q*w_T
+>= 0, case ii where A_T < 0, and case iii at alpha = 0, with
+T_max = T - t_blow. The paper's reduced coefficients a1..a4
+(riccati_coeffs) of the scaled problem, rho + c/2 in place of rho and
+c = 0, give the same cases: their quadratic -(x - 1)*(beta*x - q)/s2
+has the roots 1 and q/beta, its discriminant zeta is alpha^2, and case i
+is a4 >= q/beta. Since a4 < 1 <= max(1, q/beta), the paper's printed
+condition holds on every admissible instance, and its cases iv and v
+cannot be reached. oracles.riccati_oracle integrates the equation
+numerically as an independent check.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -59,8 +64,6 @@ import numpy as np
 from .errors import ParamError, PolicyError, SolverError, StableRangeError
 from .model import ControlSet, ModelParams, Policy, require
 
-# relative slack under which zeta is treated as exactly zero
-ZETA_SNAP_REL = 1e-9
 # the retained interval of a blow-down instance ends where D has fallen
 # to this fraction of D(T)
 GUARD_FRAC = 1e-6
@@ -81,27 +84,29 @@ class RiccatiCoeffs:
     a3: float
     a4: float
     zeta: float
-    xi_small: float
-    xi_large: float
+
+
+def _sigma2_sq(p: ModelParams) -> float:
+    try:
+        return p.sigma2 ** 2
+    except OverflowError:
+        raise StableRangeError("sigma2^2 overflows (sigma2=%g)" % p.sigma2) from None
 
 
 def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
-    """Reduced coefficients with quadratic roots computed stably.
-
-    The larger-magnitude root comes from the non-cancelling half of the
-    quadratic formula, the other from the product a3/a1. The discount
-    rate does not enter, so for c > 0 classify_wellposedness on these
-    coefficients gives the c = 0 verdict. The exact verdict for c > 0 is
-    riccati_integrate(p).classification, which classifies the
-    coefficients of the scaled problem (rho + c/2 in place of rho).
+    """The paper's reduced coefficients a1..a4 in 1/sigma2 and the
+    discriminant zeta = a2^2 - 4*a1*a3 of a1*x^2 + a2*x + a3, which is
+    (2*rho - sigma1^2)^2 identically; the quadratic factors as
+    -(x - 1)*(beta*x - q)/sigma2^2. The discount rate does not enter.
+    These coefficients cancel as sigma2 shrinks and overflow below sigma2
+    of about 1e-77, so riccati_integrate does not use them: it classifies
+    from the scaled flow, whose alpha^2 is zeta of the scaled problem
+    (rho + c/2 in place of rho, c = 0).
     """
     require(p)
     if p.sigma2 <= 0:
         raise ParamError("sigma2 > 0")
-    try:
-        a4 = 1.0 - p.gamma0 * p.sigma2 ** 2
-    except OverflowError:
-        raise StableRangeError("sigma2^2 overflows (sigma2=%g)" % p.sigma2) from None
+    a4 = 1.0 - p.gamma0 * _sigma2_sq(p)
     if not a4 > 0:
         raise ParamError("1 - gamma0*sigma2^2 > 0")
     inv = 1.0 / p.sigma2
@@ -117,108 +122,23 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
             "Riccati coefficients overflow (rho=%g, sigma1=%g, sigma2=%g)"
             % (p.rho, p.sigma1, p.sigma2)
         )
-    s = math.sqrt(max(zeta, 0.0))
-    qq = -(a2 + s) / 2.0  # a2 > 0, so this half never cancels
-    xi_large = qq / a1
-    xi_small = a3 / qq
-    return RiccatiCoeffs(a1, a2, a3, a4, zeta, xi_small, xi_large)
+    return RiccatiCoeffs(a1, a2, a3, a4, zeta)
 
 
 @dataclass(frozen=True)
 class WellPosednessReport:
-    """Closed-form classification verdict.
+    """Phase-line verdict of the scaled flow over the horizon T - t_lo.
 
-    printed_well_posed evaluates alternative textbook-style case
-    conditions literally; None marks parameter regions where their
-    horizon-bound formula has no real value. printed_form_agrees
-    compares that literal reading with the phase-line verdict.
+    case_label is "i" where w decays or stays put backward in time
+    (A_T >= 0, which is a4 >= q/beta), "ii" where it blows down
+    (A_T < 0) with alpha != 0, and "iii" at alpha = 0, the double root. T_max = T - t_blow, inf in case i, and the verdict is
+    horizon < T_max. zeta = alpha^2 is the paper's discriminant.
     """
 
     case_label: str
     well_posed_closed_form: bool
     T_max: float
-    unreachable: bool
-    printed_well_posed: Optional[bool]
-    printed_form_agrees: bool
     zeta: float
-
-
-def _blow_horizon_simple_roots(co: RiccatiCoeffs, s: float) -> float:
-    xs, xl = co.xi_small, co.xi_large
-    return (
-        xs * math.log(xs / (xs - co.a4)) - xl * math.log(xl / (xl - co.a4))
-    ) / s
-
-
-def classify_wellposedness(co: RiccatiCoeffs, T: float) -> WellPosednessReport:
-    """Phase-line classification of the reduced Riccati flow.
-
-    Blow-down happens iff the start value a4 sits below the smallest
-    positive root of a1*pi^2 + a2*pi + a3 (double root at zeta = 0, no
-    real root at zeta < 0, in which case every start value blows down).
-    zeta < 0 cannot arise from model parameters and is flagged
-    unreachable; its horizon bound is still evaluated for completeness.
-    The verdict is exact for c = 0. riccati_coeffs drops c, so called on
-    riccati_coeffs(p) with c > 0 this gives the c = 0 verdict; the exact
-    one is riccati_integrate(p).classification, which passes the
-    coefficients of the scaled problem (rho + c/2 in place of rho).
-    """
-    z = co.zeta
-    z_eff = 0.0 if abs(z) <= ZETA_SNAP_REL * co.a2 * co.a2 else z
-    absa1 = abs(co.a1)
-    printed: Optional[bool]
-
-    if z_eff > 0:
-        s = math.sqrt(z)
-        if co.a4 >= co.xi_small:
-            label, t_max = "i", math.inf
-        else:
-            label = "ii"
-            t_max = _blow_horizon_simple_roots(co, s)
-        wp = T < t_max
-        if co.a2 > max(2.0 * absa1 * co.a4 - s, 0.0):
-            printed = True
-        else:
-            # the companion bound needs xi - a4 > 0 for both roots, which
-            # fails exactly where this branch is selected
-            if co.xi_small > co.a4 and co.xi_large > co.a4:
-                printed = T <= _blow_horizon_simple_roots(co, s)
-            else:
-                printed = None
-    elif z_eff == 0:
-        if co.a2 > 2.0 * absa1 * co.a4:
-            label = "iii"
-            den = 2.0 * co.a1 * co.a4 + co.a2  # = a2 - 2|a1|a4 > 0 here
-            t_max = (math.log(co.a2 / den) + 2.0 * co.a1 * co.a4 / den) / co.a1
-            printed = True
-        else:
-            label, t_max = "iv", math.inf
-            printed = None  # companion log argument is nonpositive here
-        wp = T < t_max
-    else:
-        label = "v"
-        s = math.sqrt(-z)
-        num = co.a3 / (co.a1 * co.a4 ** 2 + co.a2 * co.a4 + co.a3)
-        t_max = (
-            math.log(num)
-            - 2.0
-            * co.a2
-            / s
-            * (math.atan(co.a2 / s) - math.atan((2.0 * co.a1 * co.a4 + co.a2) / s))
-        ) / (2.0 * co.a1)
-        wp = T < t_max
-        printed = T <= t_max
-
-    agrees = printed is not None and printed == wp
-    return WellPosednessReport(
-        case_label=label,
-        well_posed_closed_form=wp,
-        T_max=t_max,
-        unreachable=z_eff < 0,
-        printed_well_posed=printed,
-        printed_form_agrees=agrees,
-        zeta=z,
-    )
 
 
 def _h(z):
@@ -354,20 +274,20 @@ def _no_convergence(tol: float) -> str:
 
 
 def _scaled_flow(p: ModelParams) -> _Flow:
-    """The scaled flow of p; StableRangeError where its constants leave
-    the float range."""
+    """The scaled flow of p; ParamError where D(T) <= 0, StableRangeError
+    where its constants leave the float range."""
+    s2 = _sigma2_sq(p)
+    a4 = 1.0 - p.gamma0 * s2
+    if not a4 > 0:
+        raise ParamError("1 - gamma0*sigma2^2 > 0")
     overflow = StableRangeError(
         "Riccati right-hand side overflows (rho=%g, c=%g, sigma1=%g, sigma2=%g)"
         % (p.rho, p.c, p.sigma1, p.sigma2))
     try:
-        s2 = p.sigma2 ** 2
         q = (1.0 + p.sigma1 * p.sigma2) ** 2
         alpha = 2.0 * p.rho + p.c - p.sigma1 ** 2
     except OverflowError:
         raise overflow from None
-    a4 = 1.0 - p.gamma0 * s2
-    if not a4 > 0:
-        raise ParamError("1 - gamma0*sigma2^2 > 0")
     w_T = p.gamma0 / a4
     # = alpha*s2 + q >= 1, summed without the cancelling sigma1^2*s2 terms
     beta = (2.0 * p.rho + p.c) * s2 + 1.0 + 2.0 * p.sigma1 * p.sigma2
@@ -381,15 +301,6 @@ def _scaled_flow(p: ModelParams) -> _Flow:
 def _underflow(fl: _Flow, horizon: float) -> str:
     return ("P underflows to 0: exp(c*t)*P decays like exp(-alpha*(T - t)), "
             "alpha = %g, over a horizon of %g" % (fl.alpha, horizon))
-
-
-def _scaled(p: ModelParams) -> ModelParams:
-    """The c = 0 problem with rho + c/2 in place of rho, whose Riccati
-    solution is pi = exp(c*t)*P."""
-    rho = p.rho + p.c / 2.0
-    if not math.isfinite(rho):
-        raise StableRangeError("rho + c/2 overflows (rho=%g, c=%g)" % (p.rho, p.c))
-    return replace(p, rho=rho, c=0.0)
 
 
 def _rhs_coeffs(p: ModelParams):
@@ -560,7 +471,10 @@ def riccati_integrate(
     [t_lo, T], or of the retained interval where D has fallen to
     GUARD_FRAC*D(T) (|exp(c*t)*P| has reached P_CAP for sigma2 = 0)
     when that happens after t_lo. well_posed means t_lo was reached;
-    otherwise t_blow is the exact blow-down time.
+    otherwise t_blow is the exact blow-down time. For sigma2 > 0,
+    classification is the phase-line verdict of the same flow over the
+    horizon T - t_lo (see WellPosednessReport); for sigma2 = 0 it is None
+    and case_label is "degenerate-sigma2".
 
     max_midpoint_residual audits the stored P and dPdt as the oracle
     audits its grid (see midpoint_residual): it measures how well the
@@ -584,17 +498,10 @@ def riccati_integrate(
     except OverflowError:
         raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
 
-    classification = None
-    if p.sigma2 > 0:
-        # raises if sigma2^2 overflows, or if a4 <= 0, which is D_T <= 0
-        classification = classify_wellposedness(riccati_coeffs(_scaled(p)), p.T - t_lo)
-        case_label = classification.case_label
-    else:
-        case_label = "degenerate-sigma2"
     fl = _scaled_flow(p)
     a4 = 1.0 - p.gamma0 * fl.s2
 
-    t_stop, t_blow = t_lo, None
+    t_stop, t_blow, T_max = t_lo, None, math.inf
     if fl.A_T < 0:
         if fl.s2:
             d_g = GUARD_FRAC * a4  # D/exp(-c*t) at the guard
@@ -603,11 +510,27 @@ def riccati_integrate(
             u_g = math.log(P_CAP)
         if not u_g > fl.u_T:
             raise SolverError("Riccati constraint fails at T itself; no retained interval")
-        t_g = p.T + float(fl.offset(np.array([u_g]))[0][0])
+        # w and its rate are largest at the guard, so where they are floats
+        # there they are floats on every node
+        with np.errstate(all="ignore"):
+            off_g, rate_g = fl.offset(np.array([u_g]))
+        if not (np.isfinite(off_g[0]) and np.isfinite(rate_g[0])):
+            raise StableRangeError("Riccati flow leaves the float range before its guard "
+                                   "(sigma1=%g, sigma2=%g, gamma0=%g)"
+                                   % (p.sigma1, p.sigma2, p.gamma0))
+        T_max = -fl.blow_offset()
+        t_g = p.T + float(off_g[0])
         if t_g >= t_lo:
-            t_stop, t_blow = t_g, p.T + fl.blow_offset()
-            if not (math.isfinite(t_blow) and math.isfinite(t_stop)):
-                raise StableRangeError("Riccati blow-down time leaves the float range")
+            t_stop, t_blow = t_g, p.T - T_max
+        if (t_blow is not None or p.sigma2 > 0) and not math.isfinite(T_max):
+            raise StableRangeError("Riccati blow-down time leaves the float range")
+    classification, case_label = None, "degenerate-sigma2"
+    if p.sigma2 > 0:
+        case_label = "iii" if fl.alpha == 0 else "i" if fl.A_T >= 0 else "ii"
+        zeta = fl.alpha * fl.alpha
+        if zeta == math.inf:
+            raise StableRangeError("zeta = alpha^2 overflows (alpha=%g)" % fl.alpha)
+        classification = WellPosednessReport(case_label, p.T - t_lo < T_max, T_max, zeta)
     if not t_stop < p.T:
         raise SolverError("Riccati constraint fails at T itself; no retained interval")
 

@@ -87,7 +87,7 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
             1.0 - np.exp(-p.rho * (p.T - s))
         )
         if p.c != 0:
-            spend = (p.m / p.c) * (np.exp(-p.c * s) - math.exp(-p.c * p.T))
+            spend = p.m * np.exp(-p.c * s) * (-np.expm1(-p.c * (p.T - s)) / p.c)
         else:
             spend = p.m * (p.T - s)
         values = p.gamma * x_T - spend

@@ -187,16 +187,17 @@ def free_boundary(sp: StoppingParams):
     if not math.isfinite(lo):
         raise StableRangeError("free boundary: the start point 2*mu/(2*rho + 1/gamma1) = %r "
                                "is not finite (mu = rho*k = %r)" % (lo, sp.mu))
-    x, a, b, fb = lo, None, math.inf, math.inf
+    a, b, fb = None, math.inf, math.inf
     half = 0.5 * sp.mu / sp.rho
     xa = half + math.hypot(half, math.sqrt(sp.gamma1))
     fxa, dfxa = _fit(xa, sp)
     # one float left, so that a step that rounds to 0 still lands left of x0
-    x1 = math.nextafter(xa - fxa / dfxa, -math.inf)
-    if x1 > lo and _fit(x1, sp)[0] <= 0:
-        x = x1
+    x = math.nextafter(xa - fxa / dfxa, -math.inf)
+    fit = _fit(x, sp) if x > lo else (math.nan, math.nan)
+    if not fit[0] <= 0:
+        x, fit = lo, _fit(lo, sp)
     for _ in range(NEWTON_MAXITER):
-        fx, dfx = _fit(x, sp)
+        fx, dfx = fit
         if not math.isfinite(fx):
             raise StableRangeError("free boundary: the fit function is not finite at x = %r"
                                    % x)
@@ -214,6 +215,7 @@ def free_boundary(sp: StoppingParams):
             x = math.nextafter(a, b)
         elif not x < b:
             x = a + 0.5 * (b - a)
+        fit = _fit(x, sp)
     else:
         raise SolverError("free boundary: Newton's method did not converge in %d steps"
                           % NEWTON_MAXITER)

@@ -8,7 +8,8 @@ closed forms against:
 - tests/linear_refs.json: 50-digit linear and budget switch times, b1(0),
   spend bounds and budget multipliers (tests/test_linear.py);
 - tests/riccati_refs.json: P to 40 digits on 41 equally spaced nodes of
-  two LQ instances (tests/test_lq.py).
+  two LQ instances, and the 40-digit blow-down horizon T_max = T - t_blow
+  of three more (tests/test_lq.py).
 
 Every value is for the exact values of the float inputs. It needs mpmath,
 which adkit does not depend on; the tests read only the tables.
@@ -148,13 +149,53 @@ def riccati_P(rho, c, T, sigma1, sigma2, gamma0, dps=60):
     return [(float(t), mp.nstr(P(T - mp.mpf(float(t))), RICCATI_DIGITS)) for t in nodes]
 
 
+RICCATI_BLOWDOWN = [
+    ({"rho": 0.5, "c": 0.0, "T": 1.0, "sigma1": 0.0, "sigma2": 1.0, "gamma0": 0.75},
+     "P_ILL, the blow-down instance of tests/test_lq.py"),
+    ({"rho": 0.1, "c": 1.0, "T": 5.0, "sigma1": 0.7, "sigma2": 0.5, "gamma0": 1.0},
+     "c = 1, whose undiscounted horizon is 0.2068"),
+    ({"rho": 0.1, "c": 0.0, "T": 1.0, "sigma1": 0.7, "sigma2": 1e-2, "gamma0": 1.0},
+     "small sigma2, alpha < 0"),
+]
+
+
+def riccati_T_max(rho, c, T, sigma1, sigma2, gamma0, dps=60):
+    """T - t_blow, t_blow the limit of the time at which the scaled
+    solution pi = exp(c*t)*P, pi(T) = -gamma0, reaches pi as pi tends to
+    -1/sigma2^2, where D = 0:
+
+        t(pi) = T + log(pi/pi_T)/alpha
+                - q/(alpha*beta)*log((alpha + beta*pi)/(alpha + beta*pi_T)),
+
+    alpha = 2*rho + c - sigma1^2, q = (1 + sigma1*sigma2)^2 and
+    beta = alpha*sigma2^2 + q. The limit is taken along the path, from
+    pi_T (e = 1) toward -1/sigma2^2 (e -> 0)."""
+    mp.mp.dps = dps
+    rho, c, T, sigma1, sigma2, gamma0 = (mp.mpf(v) for v in
+                                         (rho, c, T, sigma1, sigma2, gamma0))
+    alpha = 2 * rho + c - sigma1 ** 2
+    q = (1 + sigma1 * sigma2) ** 2
+    beta = alpha * sigma2 ** 2 + q
+    pi_T, pi_b = -gamma0, -1 / sigma2 ** 2
+
+    def t(pi):
+        return (T + mp.log(pi / pi_T) / alpha
+                - q / (alpha * beta) * mp.log((alpha + beta * pi) / (alpha + beta * pi_T)))
+
+    return T - mp.limit(lambda e: t(pi_b + e * (pi_T - pi_b)), 0)
+
+
 def riccati_table():
     rows = []
     for model, note in RICCATI_CASES:
         nodes = riccati_P(**model)
         rows.append({"model": model, "note": note, "t": [t for t, _ in nodes],
                      "P": [P for _, P in nodes]})
-    return {"mpmath": mp.__version__, "digits": RICCATI_DIGITS, "instances": rows}
+    blow = [{"model": model, "note": note,
+             "T_max": mp.nstr(riccati_T_max(**model), RICCATI_DIGITS)}
+            for model, note in RICCATI_BLOWDOWN]
+    return {"mpmath": mp.__version__, "digits": RICCATI_DIGITS, "instances": rows,
+            "blowdown": blow}
 
 
 def main():

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from adkit import (
     ModelParams,
     PathGrid,
     Policy,
-    RiccatiCoeffs,
     StoppingParams,
-    classify_wellposedness,
     dp_linear,
     dp_qvi_stopping,
     evaluate_policy,
@@ -214,9 +213,9 @@ def test_criterion_06_riccati_sign_and_denominator_invariants():
           % (len(instances), worst_rel, worst_blow, n_ill))
 
 
-def test_criterion_07_zeta_identity_and_case_v_unreachable():
+def test_criterion_07_zeta_identity():
     rng = np.random.default_rng(77)
-    worst = 0.0
+    worst = worst_flow = 0.0
     for _ in range(1000):
         rho = rng.uniform(0.05, 3.0)
         s1 = rng.uniform(0.0, 2.0)
@@ -228,13 +227,14 @@ def test_criterion_07_zeta_identity_and_case_v_unreachable():
         rel = abs(co.zeta - target) / max(1.0, abs(target))
         worst = max(worst, rel)
         assert rel <= 1e-9, (p, rel)
-    forced = RiccatiCoeffs(a1=-1.0, a2=1.0, a3=-1.0, a4=0.3,
-                           zeta=-3.0, xi_small=math.nan, xi_large=math.nan)
-    rep = classify_wellposedness(forced, 0.5)
-    assert rep.case_label == "v"
-    assert rep.unreachable
-    print("criterion 7: worst zeta identity error %.2e; case v flagged unreachable"
-          % worst)
+        # the flow's alpha^2 is zeta of the scaled problem, rho + c/2 in place of rho
+        scaled = riccati_coeffs(replace(p, rho=p.rho + p.c / 2.0, c=0.0)).zeta
+        rel = (abs(riccati_integrate(p, n_nodes=2).classification.zeta - scaled)
+               / max(1.0, abs(scaled)))
+        worst_flow = max(worst_flow, rel)
+        assert rel <= 1e-9, (p, rel)
+    print("criterion 7: worst zeta identity error %.2e; flow zeta against the scaled "
+          "coefficients %.2e" % (worst, worst_flow))
 
 
 def test_criterion_08_lq_monte_carlo_consistency():

@@ -539,17 +539,24 @@ def test_config_error_matrix(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("model", [
-    # 1/sigma2 squared leaves the float range
-    {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 1e-247},
+def test_lq_overflow_exit3(tmp_path):
     # finite solution, infinite value at x_init
-    {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 0.5, "x_init": 1e300},
-])
-def test_lq_overflow_exit3(tmp_path, model):
+    model = {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 0.5, "x_init": 1e300}
     cfg = write_cfg(tmp_path, {"problem": "lq", "model": model,
                                "output_dir": str(tmp_path / "out"), "lq": {}})
     assert main(["lq", "--config", cfg, "--quiet"]) == 3
     assert not (tmp_path / "out" / "lq.json").exists()
+
+
+def test_lq_tiny_sigma2_exit0(tmp_path):
+    # 1/sigma2^2 leaves the float range, which made the reduced Riccati
+    # coefficients overflow (exit 3); sigma2^2 rounds to 0 in the flow
+    model = {"rho": 1.0, "c": 0.0, "T": 1.0, "sigma2": 1e-247}
+    cfg = write_cfg(tmp_path, {"problem": "lq", "model": model,
+                               "output_dir": str(tmp_path / "out"), "lq": {}})
+    assert main(["lq", "--config", cfg, "--quiet"]) == 0
+    rep = json.loads((tmp_path / "out" / "lq.json").read_text())
+    assert rep["well_posed"] and rep["classification"]["case_label"] == "i"
 
 
 @pytest.mark.parametrize("formats", [["csv"], ["json"], ["csv", "json"]])

@@ -15,7 +15,6 @@ from adkit import (
     PolicyError,
     SolverError,
     StableRangeError,
-    classify_wellposedness,
     closed_loop_coeffs,
     closed_loop_mean,
     lq_feedback,
@@ -78,26 +77,11 @@ def test_zeta_identity_random():
         assert abs(co.zeta - target) <= 1e-9 * max(1.0, abs(target))
 
 
-def test_case_v_flagged_unreachable():
-    # force a negative discriminant by hand; no model instance reaches it
-    from adkit import RiccatiCoeffs
-
-    forced = RiccatiCoeffs(
-        a1=-1.0, a2=1.0, a3=-1.0, a4=0.3,
-        zeta=1.0 - 4.0, xi_small=math.nan, xi_large=math.nan,
-    )
-    rep = classify_wellposedness(forced, 0.5)
-    assert rep.case_label == "v"
-    assert rep.unreachable
-    assert math.isfinite(rep.T_max)
-
-
 def test_classification_case_i():
     sol = riccati_integrate(P5)
     assert sol.classification.case_label == "i"
     assert sol.classification.well_posed_closed_form
     assert sol.classification.T_max == math.inf
-    assert not sol.classification.unreachable
 
 
 def test_classification_case_ii_horizon():
@@ -106,22 +90,17 @@ def test_classification_case_ii_horizon():
     assert rep.case_label == "ii"
     assert rep.T_max == pytest.approx(0.0588915178281918, abs=1e-12)
     assert not rep.well_posed_closed_form
-    # literal reading of the companion conditions disagrees here
-    assert rep.printed_well_posed is True
-    assert not rep.printed_form_agrees
 
 
 def test_classification_case_iii_double_root():
-    # sigma1^2 = 2*rho collapses the discriminant
-    rho = 0.5
-    s1 = math.sqrt(2 * rho)
-    p = ModelParams(rho=rho, c=0.0, T=5.0, sigma1=s1, sigma2=1.0, gamma0=0.5)
-    co = riccati_coeffs(p)
-    rep = classify_wellposedness(co, p.T)
-    assert rep.zeta == pytest.approx(0.0, abs=1e-12)
-    assert rep.case_label in ("iii", "iv")
-    if rep.case_label == "iii":
-        assert math.isfinite(rep.T_max)
+    # sigma1^2 = 2*rho collapses the discriminant: alpha = 0, and every
+    # terminal weight blows down
+    p = ModelParams(rho=0.5, c=0.0, T=5.0, sigma1=1.0, sigma2=1.0, gamma0=0.5)
+    sol = riccati_integrate(p)
+    rep = sol.classification
+    assert rep.zeta == 0.0 and rep.case_label == "iii"
+    assert math.isfinite(rep.T_max) and not rep.well_posed_closed_form
+    assert p.T - sol.t_blow == pytest.approx(rep.T_max, rel=1e-14)
 
 
 def test_integrate_reference_instance():
@@ -316,8 +295,7 @@ def test_closed_form_matches_oracle():
 
 
 def test_scaled_classification_is_exact_for_discount():
-    # riccati_coeffs drops c, so the verdict used to report the c = 0
-    # horizon 0.2068 here
+    # riccati_coeffs drops c; the flow's verdict does not
     p = ModelParams(rho=0.1, c=1.0, T=5.0, sigma1=0.7, sigma2=0.5, gamma0=1.0)
     sol = riccati_integrate(p)
     rep = sol.classification
@@ -330,14 +308,26 @@ def test_scaled_classification_is_exact_for_discount():
 
 
 def test_exact_discounted_verdict_is_riccati_integrate_classification():
-    # the route the riccati_coeffs and classify_wellposedness docstrings
-    # name for c > 0; called on riccati_coeffs(p) itself, the
-    # classification gives the c = 0 verdict
     p = ModelParams(rho=0.1, c=1.0, T=5.0, sigma1=0.7, sigma2=0.5, gamma0=1.0)
-    assert riccati_integrate(p).classification.T_max == 0.2702313714062321
-    direct = classify_wellposedness(riccati_coeffs(p), p.T)
-    undiscounted = classify_wellposedness(riccati_coeffs(replace(p, c=0.0)), p.T)
-    assert direct.T_max == undiscounted.T_max == pytest.approx(0.2068245205026869, rel=1e-12)
+    assert riccati_integrate(p).classification.T_max == 0.27023137140623293
+
+
+@pytest.mark.parametrize("sigma2", [1e-8, 1e-100])
+def test_tiny_sigma2_blow_down_tends_to_sigma2_zero(sigma2):
+    # the reduced coefficients cancel as sigma2 shrinks: their T_max was
+    # 0.5 at sigma2 = 1e-8, and they overflowed at 1e-100
+    base = dict(rho=0.1, c=0.0, T=1.0, sigma1=0.7, gamma0=1.0)
+    limit = 1.0 - riccati_sigma2_zero_blow(ModelParams(**base))
+    rep = riccati_integrate(ModelParams(sigma2=sigma2, **base)).classification
+    assert rep.case_label == "ii"
+    assert rep.T_max == pytest.approx(limit, rel=1e-7)
+
+
+def test_guard_past_the_float_range_is_stable_range_error():
+    # sigma2^2 is subnormal, so w at the guard, about 1e6/sigma2^2, overflows
+    p = ModelParams(rho=1.5e-156, c=1.5e-156, T=1.0, sigma1=1.5e-156, sigma2=1.5e-156)
+    with pytest.raises(StableRangeError, match="float range before its guard"):
+        riccati_integrate(p)
 
 
 def test_node_values_and_scalar_queries_agree():
@@ -493,7 +483,8 @@ def test_bernoulli_rejects_non_finite_times():
 
 
 
-RICCATI_REFS = json.loads(Path(__file__).with_name("riccati_refs.json").read_text())["instances"]
+RICCATI_TABLE = json.loads(Path(__file__).with_name("riccati_refs.json").read_text())
+RICCATI_REFS = RICCATI_TABLE["instances"]
 # 40-digit P on 41 nodes from tests/make_refs.py; the largest distances are
 # 2.1 ulps (criterion-8 instance) and 4.3 ulps (random instance)
 P_ULPS = 8
@@ -506,3 +497,21 @@ def test_riccati_against_reference_table(inst):
     for t, P, ref in zip(inst["t"], sol.P, inst["P"]):
         ref = Fraction(ref)
         assert abs(Fraction(float(P)) - ref) <= P_ULPS * Fraction(math.ulp(float(ref))), (t, P)
+
+
+# 40-digit T - t_blow from tests/make_refs.py; T_max is 2.1, 0.84 and 3.0
+# ulps from it, T - t_blow 0.37, 0.24 and 3.0 ulps of max(T_max, t_blow)
+T_MAX_ULPS = 4
+
+
+@pytest.mark.parametrize("inst", RICCATI_TABLE["blowdown"],
+                         ids=[r["note"] for r in RICCATI_TABLE["blowdown"]])
+def test_blow_down_time_against_reference_table(inst):
+    p = ModelParams(**inst["model"])
+    sol = riccati_integrate(p)
+    ref = Fraction(inst["T_max"])
+    T_max = sol.classification.T_max
+    assert abs(Fraction(T_max) - ref) <= T_MAX_ULPS * Fraction(math.ulp(T_max)), T_max
+    # t_blow = T - T_max is rounded at the scale of the larger of the two
+    ulp = Fraction(math.ulp(max(T_max, abs(sol.t_blow))))
+    assert abs(Fraction(p.T) - Fraction(sol.t_blow) - ref) <= T_MAX_ULPS * ulp, sol.t_blow

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from adkit import (
     AdkitError,
     ModelParams,
-    classify_wellposedness,
-    riccati_coeffs,
     riccati_integrate,
     riccati_sigma2_zero,
     spend_bound,
@@ -56,14 +54,12 @@ def _check_integrate(p):
     assert _finite(sol.gain_at(sol.t))
     t_mid = 0.5 * (float(sol.t[0]) + float(sol.t[1]))
     assert _finite(sol.P_at(t_mid), sol.gain_at(t_mid), sol.D_at(t_mid))
-
-
-def _check_classify(p):
-    rep = classify_wellposedness(riccati_coeffs(p), p.T)
-    assert _finite(rep.zeta)
-    # T_max = inf is the verdict "never blows down"
-    assert not math.isnan(rep.T_max)
-    assert rep.T_max < math.inf or rep.case_label in ("i", "iv")
+    rep = sol.classification
+    if rep is not None:
+        assert _finite(rep.zeta) and rep.case_label in ("i", "ii", "iii")
+        # T_max = inf is the verdict "never blows down"
+        assert (rep.T_max == math.inf) == (rep.case_label == "i")
+        assert rep.well_posed_closed_form or not sol.well_posed
 
 
 def _check_sigma2_zero(p):
@@ -84,7 +80,7 @@ def _check_spend_bound(p):
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(PARAMS)
 def test_lq_entry_points_end_cleanly(p):
-    for check in (_check_integrate, _check_classify, _check_sigma2_zero, _check_spend_bound):
+    for check in (_check_integrate, _check_sigma2_zero, _check_spend_bound):
         try:
             check(p)
         except AdkitError:

@@ -54,6 +54,15 @@ def test_dp_linear_recovers_switch_time():
     assert r.s_grid.shape == r.values.shape == (10 ** 4 + 1,)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-14])
+def test_dp_linear_small_discount_rate(c):
+    # (m/c)*(exp(-c*s) - exp(-c*T)) cancelled here, and put the switch
+    # 11.6 and 20.4 grid steps from the closed form
+    p = ModelParams(rho=0.5, c=c, T=1.0, gamma0=1.2)
+    n = 10 ** 4
+    assert abs(dp_linear(p, n).t_star_hat - solve_linear(p).t_split) <= p.T / n
+
+
 def test_dp_linear_gamma0_one_switches_at_horizon():
     r = dp_linear(ModelParams(rho=0.5, c=0.1, T=1.0), 1000)
     assert r.t_star_hat == 1.0

@@ -390,14 +390,14 @@ def _asymptote_root(sp):
 
 
 def test_free_boundary_climbs_from_the_left(monkeypatch):
-    # the fit at xa, then at x1, one float left of xa's tangent step, where
-    # f < 0; Newton's method from x1 climbs: the points with f < 0 rise,
-    # those past a root rounding made f > 0 at fall
+    # the fit at xa, then once at x1, one float left of xa's tangent step,
+    # where f < 0; Newton's method from x1 climbs: the points with f < 0
+    # rise, those past a root rounding made f > 0 at fall
     xs, x0 = _fit_visits(SP, monkeypatch)
     xa = _asymptote_root(SP)
-    assert xs[0] == xa and xs[1] == xs[2] < x0 < xa
+    assert xs[0] == xa and xs[1] < x0 < xa and xs.count(xs[1]) == 1
     lo = 2.0 * SP.mu / (2.0 * SP.rho + 1.0 / SP.gamma1)
-    steps = xs[2:]
+    steps = xs[1:]
     assert steps[0] > lo and len(steps) <= 6
     below = [x for x in steps if stopping._fit(x, SP)[0] < 0]
     above = [x for x in steps if x not in below]
