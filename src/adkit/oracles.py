@@ -19,7 +19,7 @@ import numpy as np
 
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
-from .lq import GUARD_FRAC, P_CAP, midpoint_residual, riccati_coeffs
+from .lq import GUARD_FRAC, P_CAP, _sigma2_sq, midpoint_residual
 from .model import ModelParams, require
 from .stopping import StoppingParams
 
@@ -162,10 +162,10 @@ def riccati_oracle(
         math.exp(-p.c * t_lo)  # exp(-c*t) is largest at t_lo
     except OverflowError:
         raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
-    if p.sigma2 > 0:
-        # raises if sigma2^2 overflows, or if a4 <= 0, which is D_T <= 0
-        riccati_coeffs(p)
-    s2 = p.sigma2 ** 2
+    s2 = _sigma2_sq(p)
+    # a4 = 1 - gamma0*sigma2^2 > 0 is D_T > 0
+    if not 1.0 - p.gamma0 * s2 > 0:
+        raise ParamError("1 - gamma0*sigma2^2 > 0")
     gamma = p.gamma
     D_T = math.exp(-p.c * p.T) - s2 * gamma
 

@@ -18,13 +18,18 @@ depend on neither the thread count nor the scheduling. There is no
 setting; a draw of fewer than 2*_THREAD_NORMALS normals stays on the
 calling thread.
 
-Blocks are stored time-major: block_normals returns its (paths, steps)
-matrix z as the transpose of a C-ordered (steps, paths) array, so z[:, k],
-the normals of step k across the block, is one contiguous row. The step
-kernels read it that way and update their state vectors in place;
-simulate_path and simulate_stopped are their one-path case. A stopped
-path reads its normals only until it stops, so the stopping kernel draws
-them a window of _WINDOW steps at a time, for the paths still running.
+Both estimators cut their paths into blocks of
+min(DEFAULT_BLOCK, max(1, 2^23 // n_steps)) paths, so a block holds at
+most 2^23 normals (64 MiB) unless one path alone holds more; the grid
+sets the width and there is no option. Blocks are stored time-major:
+block_normals returns its (paths, steps) matrix z as the transpose of a
+C-ordered (steps, paths) array, so z[:, k], the normals of step k across
+the block, is one contiguous row. The step kernels read it that way and
+update their state vectors in place. A stopped path reads its normals
+only until it stops, so the stopping kernel draws them a window of
+_WINDOW steps at a time, for the paths still running. simulate_path and
+simulate_stopped run the same kernels on the one-path block [0], with a
+control that records the state and control of every step.
 
 The normals cache has two residents, so paired comparisons on common
 random numbers that alternate between policy evaluations and stopping
@@ -44,6 +49,7 @@ pages of the windows its paths reached are ever touched.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import threading
@@ -59,6 +65,8 @@ from .model import MEMBERSHIP_TOL, ModelParams, Policy, require
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
 DEFAULT_BLOCK = 4096
+# most normals in a block of more than one path: 2^23, 64 MiB
+_BLOCK_NORMALS = 1 << 23
 # paths drawn row by row into one buffer before it is transposed into the
 # block; small enough to stay in cache at a few thousand steps
 _ROW_CHUNK = 64
@@ -289,30 +297,72 @@ def _check_controls(pol: Policy, u: np.ndarray) -> None:
         )
 
 
-def _estimate(samples: np.ndarray, what: str):
-    """(mean, standard error) of the samples; SolverError unless both are
-    finite, which they are exactly when every sample is (and no sum
-    overflows)."""
-    n = samples.size
+def _block_width(n_steps: int) -> int:
+    """Paths per block: DEFAULT_BLOCK, cut so that a block holds at most
+    _BLOCK_NORMALS normals, and at least one path."""
+    return min(DEFAULT_BLOCK, max(1, _BLOCK_NORMALS // n_steps))
+
+
+def _run_blocks(what: str, kernel: Callable, n_paths: int, seed: int, n_steps: int,
+                start: float, keep_samples: bool, bias_bound: Optional[float] = None
+                ) -> EvalReport:
+    """Estimate from n_paths samples drawn in blocks of _block_width(n_steps)
+    paths: kernel(idx) gives the samples, the smallest state and the number
+    of truncated paths of the block of path indices idx. A stopping run,
+    the one with a bias_bound, also reports its truncated fraction.
+
+    SolverError unless the mean and standard error are finite, which they
+    are exactly when every sample is (and no sum overflows)."""
+    samples = np.empty(n_paths)
+    min_state = start
+    truncated = 0
+    width = _block_width(n_steps)
+    for done in range(0, n_paths, width):
+        idx = np.arange(done, min(done + width, n_paths))
+        out, mn, trunc = kernel(idx)
+        samples[done : done + idx.size] = out
+        min_state = min(min_state, mn)
+        truncated += trunc
     # a non-finite sample makes mean or se non-finite, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise SolverError(
-            "%s: non-finite Monte Carlo estimate (mean %r, std_error %r)" % (what, mean, se)
-        )
-    return mean, se
+            "%s: non-finite Monte Carlo estimate (mean %r, std_error %r)" % (what, mean, se))
+    return EvalReport(
+        mean=mean, std_error=se, n_paths=n_paths, seed=seed, min_state=min_state,
+        bias_bound=bias_bound,
+        truncated_fraction=None if bias_bound is None else truncated / n_paths,
+        samples=samples.copy() if keep_samples else None)
+
+
+class _Recorder:
+    """A control for a one-path block over n steps that records call k in
+    x[k] and u[k]: the state it is given and a copy of the control it
+    returns, which may be the state array itself that the kernel then
+    moves. k counts the calls."""
+
+    def __init__(self, control: Callable, n: int):
+        self.control, self.k = control, 0
+        self.x, self.u = np.empty(n + 1), np.empty(n + 1)
+
+    def __call__(self, *args):
+        u = self.control(*args)
+        state = args[-1]
+        self.x[self.k] = state[0]
+        self.u[self.k] = np.broadcast_to(np.asarray(u, dtype=float), state.shape)[0]
+        self.k += 1
+        return u
 
 
 def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: float,
-                 z: np.ndarray, path=None):
+                 z: np.ndarray):
     """Step the paths of normal block z (paths, steps) from x over g.
 
     Returns (state, j, min_state): the states at t_end, minus the
     discounted left-endpoint integrals of loss(u), and the smallest state
-    seen (x included). path, for a one-path block, is a pair of arrays of
-    length n_steps + 1 that receive x_{k+1} and u_k at every step.
+    seen (x included).
 
     The update is model.drift and model.diffusion evaluated in place with
     the same association order, so the result is bit-identical to
@@ -351,8 +401,6 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
         lo = np.asarray(loss(u), dtype=float)
         if not lo.min() >= -1e-12:
             raise ParamError("loss >= 0")
-        if path is not None:
-            path[1][k : k + 1] = u
         np.multiply(lo, disc[k], out=a)
         a *= dt
         j -= a
@@ -376,8 +424,6 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
         mn = state.min()
         if mn < min_state:
             min_state = float(mn)
-        if path is not None:
-            path[0][k + 1 : k + 2] = state
     return state, j, min_state
 
 
@@ -389,16 +435,13 @@ def simulate_path(
     if not math.isfinite(x_start):
         raise ParamError("x_start finite")
     t = g.nodes()
-    x = np.empty(g.n_steps + 1)
-    u = np.empty(g.n_steps + 1)
-    x[0] = x_start
-    z = block_normals(seed, [0], g.n_steps)
+    rec = _Recorder(pol.fn, g.n_steps)
+    pol = dataclasses.replace(pol, fn=rec)
     # a trajectory carries no running cost: step it with a zero loss
-    state, _, _ = _euler_block(p, pol, np.zeros_like, g, x_start, z, path=(x, u))
-    u_end = np.asarray(pol(t[-1], state), dtype=float).reshape(1)
-    _check_controls(pol, u_end)
-    u[-1] = u_end[0]
-    return Trajectory(t=t, x=x, u=u)
+    state, _, _ = _euler_block(p, pol, np.zeros_like, g, x_start,
+                               block_normals(seed, [0], g.n_steps))
+    _check_controls(pol, np.asarray(pol(t[-1], state), dtype=float).reshape(1))
+    return Trajectory(t=t, x=rec.x, u=rec.u)
 
 
 def evaluate_policy(
@@ -414,7 +457,6 @@ def evaluate_policy(
     *,
     antithetic: bool = False,
     keep_samples: bool = False,
-    block_size: int = DEFAULT_BLOCK,
 ) -> EvalReport:
     """Monte Carlo estimate of E[e^{-cT} reward(x_T) - int_s^T e^{-ct} loss(u) dt].
 
@@ -425,37 +467,21 @@ def evaluate_policy(
     require(p)
     if n_paths < 1:
         raise ParamError("n_paths >= 1")
-    if block_size < 1:
-        raise ParamError("block_size >= 1")
     if not math.isfinite(x):
         raise ParamError("x finite")
     if abs(g.t0 - s) > 1e-12 or abs(g.t_end - p.T) > 1e-12:
         raise ParamError("grid must span [s, T]")
-
     disc_T = math.exp(-p.c * p.T)
-    samples = np.empty(n_paths)
-    min_state = float(x)
-    done = 0
-    while done < n_paths:
-        nb = min(block_size, n_paths - done)
-        idx = np.arange(done, done + nb)
+
+    def kernel(idx):
         # no local keeps the block, so the memo lets it go before the next is drawn
         state, j, mn = _euler_block(
             p, pol, loss, g, x, block_normals(seed, idx, g.n_steps, antithetic=antithetic))
-        min_state = min(min_state, mn)
         j += disc_T * np.asarray(reward(state), dtype=float)
-        samples[done : done + nb] = j
-        done += nb
+        return j, mn, 0
 
-    mean, se = _estimate(samples, "evaluate_policy")
-    return EvalReport(
-        mean=mean,
-        std_error=se,
-        n_paths=n_paths,
-        seed=seed,
-        min_state=min_state,
-        samples=samples.copy() if keep_samples else None,
-    )
+    return _run_blocks("evaluate_policy", kernel, n_paths, seed, g.n_steps, float(x),
+                       keep_samples)
 
 
 def _stopping_bias_bound(gamma1: float, gamma2: float, x0: float, dt: float) -> float:
@@ -467,33 +493,29 @@ def _stopping_bias_bound(gamma1: float, gamma2: float, x0: float, dt: float) -> 
 
 
 def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: float,
-                   feedback: Callable, dt: float, y_start: float, normals: _Windows,
-                   path=None):
+                   feedback: Callable, dt: float, y_start: float, normals: _Windows):
     """Step the paths of a normal block from y_start until each first
     ends a step at or below x0, fetching the block's normals a window at
     a time for the paths still running.
 
-    Returns (cost, truncated, min_state, steps): per-path costs, the
-    number of paths still running at the last node, the smallest y seen
-    and the number of steps taken. Only running paths are kept, in
-    compacted arrays that shrink on the steps where some path stops.
-    path, for a one-path block, is a pair of arrays of length
-    n_steps + 1 that receive y_{k+1} and u_k at every step.
+    Returns (cost, end, min_state, truncated): per-path costs and end
+    states, the smallest y seen and the number of paths still running at
+    the last node. Only running paths are kept, in compacted arrays that
+    shrink on the steps where some path stops.
     """
     sq = math.sqrt(dt)
     n, nb = normals.n, normals.indices.size
     y0 = float(y_start)
-    cost = np.empty(nb)
+    end = np.full(nb, y0)
     if not y0 > x0:
-        cost.fill(y0 * y0)
-        return cost, 0, y0, 0
+        return np.full(nb, y0 * y0), end, y0, 0
     act = np.arange(nb)  # block positions of the running paths
     y = np.full(nb, y0)
     acc = np.zeros(nb)
+    run = np.empty(nb)  # running cost of each path, set when it stops
     a = np.empty(nb)
     b = np.empty(nb)
     min_state = y0
-    steps = n
     for k in range(n):
         i = k % _WINDOW
         if i == 0:
@@ -501,8 +523,6 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
         u = np.asarray(feedback(y), dtype=float)
         if not (u.min() >= -1e-12 and math.isfinite(u.max())):
             raise PolicyError("stopping control must be nonnegative and finite")
-        if path is not None:
-            path[1][k : k + 1] = u
         np.multiply(u, gamma1, out=a)
         a *= u
         a += gamma2
@@ -522,21 +542,21 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
         mn = y.min()
         if mn < min_state:
             min_state = float(mn)
-        if path is not None:
-            path[0][k + 1 : k + 2] = y
         # some path stopped exactly when the minimum is not above x0 (a
         # NaN minimum included), so steps where none did skip the mask
         if not mn > x0:
             keep = y > x0
             stop = ~keep
-            cost[act[stop]] = acc[stop] + y[stop] ** 2
+            gone = act[stop]
+            end[gone] = y[stop]
+            run[gone] = acc[stop]
             act, y, acc = act[keep], y[keep], acc[keep]
             a, b = a[: act.size], b[: act.size]
             if act.size == 0:
-                steps = k + 1
                 break
-    cost[act] = acc + y ** 2
-    return cost, act.size, min_state, steps
+    end[act] = y
+    run[act] = acc
+    return run + end ** 2, end, min_state, act.size
 
 
 def simulate_stopped(
@@ -555,27 +575,20 @@ def simulate_stopped(
         raise ParamError("y_start finite")
     x0 = float(sol.x0)
     if y_start <= x0:
-        arr = np.array([y_start])
-        return StoppedPathResult(
-            t_path=np.array([g.t0]),
-            y_path=arr,
-            u_path=np.array([0.0]),
-            tau=g.t0,
-            cost=y_start * y_start,
-            truncated=False,
-        )
+        return StoppedPathResult(t_path=np.array([g.t0]), y_path=np.array([y_start]),
+                                 u_path=np.array([0.0]), tau=g.t0, cost=y_start * y_start,
+                                 truncated=False)
     t = g.nodes()
-    y = np.empty(g.n_steps + 1)
-    u = np.empty(g.n_steps + 1)
-    y[0] = y_start
-    normals = _Windows(seed, [0], g.n_steps)
-    cost, truncated, _, steps = _stopped_block(
-        mu, rho, gamma1, gamma2, x0, sol.policy, g.dt, y_start, normals, path=(y, u))
-    u[steps] = float(sol.policy(y[steps]))
+    rec = _Recorder(sol.policy, g.n_steps)
+    cost, end, _, truncated = _stopped_block(
+        mu, rho, gamma1, gamma2, x0, rec, g.dt, y_start, _Windows(seed, [0], g.n_steps))
+    steps = rec.k
+    rec.x[steps] = end[0]
+    rec.u[steps] = float(sol.policy(end[0]))
     return StoppedPathResult(
         t_path=t[: steps + 1],
-        y_path=y[: steps + 1],
-        u_path=u[: steps + 1],
+        y_path=rec.x[: steps + 1],
+        u_path=rec.u[: steps + 1],
         tau=g.t_end if truncated else t[steps],
         cost=cost[0],
         truncated=bool(truncated),
@@ -595,7 +608,6 @@ def stopping_cost_report(
     *,
     control: Optional[Callable] = None,
     keep_samples: bool = False,
-    block_size: int = DEFAULT_BLOCK,
 ) -> EvalReport:
     """Monte Carlo mean cost of the stopped problem started at y_start.
 
@@ -607,40 +619,20 @@ def stopping_cost_report(
     """
     if n_paths < 1:
         raise ParamError("n_paths >= 1")
-    if block_size < 1:
-        raise ParamError("block_size >= 1")
     if not math.isfinite(y_start):
         raise ParamError("y_start finite")
     x0 = float(sol.x0)
     feedback = sol.policy if control is None else control
 
-    samples = np.empty(n_paths)
-    truncated = 0
-    min_state = float(y_start)
-    done = 0
-    # a product that overflows makes its sample non-finite, and _estimate
-    # raises on it; what the feedback computes out of range is a
+    def kernel(idx):
+        cost, _, mn, trunc = _stopped_block(mu, rho, gamma1, gamma2, x0, feedback, g.dt,
+                                            y_start, _Windows(seed, idx, g.n_steps))
+        return cost, mn, trunc
+
+    # a product that overflows makes its sample non-finite, and the
+    # estimate raises on it; what the feedback computes out of range is a
     # non-finite control, which the kernel rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < n_paths:
-            nb = min(block_size, n_paths - done)
-            idx = np.arange(done, done + nb)
-            cost, trunc, mn, _ = _stopped_block(
-                mu, rho, gamma1, gamma2, x0, feedback, g.dt, y_start,
-                _Windows(seed, idx, g.n_steps))
-            samples[done : done + nb] = cost
-            truncated += trunc
-            min_state = min(min_state, mn)
-            done += nb
-
-    mean, se = _estimate(samples, "stopping_cost_report")
-    return EvalReport(
-        mean=mean,
-        std_error=se,
-        n_paths=n_paths,
-        seed=seed,
-        min_state=min_state,
-        bias_bound=_stopping_bias_bound(gamma1, gamma2, x0, g.dt),
-        truncated_fraction=truncated / n_paths,
-        samples=samples.copy() if keep_samples else None,
-    )
+        return _run_blocks("stopping_cost_report", kernel, n_paths, seed, g.n_steps,
+                           float(y_start), keep_samples,
+                           bias_bound=_stopping_bias_bound(gamma1, gamma2, x0, g.dt))

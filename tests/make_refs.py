@@ -12,7 +12,8 @@ closed forms against:
   of three more (tests/test_lq.py).
 
 Every value is for the exact values of the float inputs. It needs mpmath,
-which adkit does not depend on; the tests read only the tables.
+the optional `refs` extra (pip install -e .[refs]); adkit itself does not
+depend on it, and the tests read only the tables.
 """
 
 import json

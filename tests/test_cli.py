@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import adkit.cli
+import adkit.sde
 import adkit.stopping
 from adkit import ModelParams, SolverError, StoppingParams, solve_stopping
 from adkit.cli import (BLOCK_SCHEMAS, HANDLERS, MAX_SIZE, MAX_WORK, MODEL_KEYS, build_parser,
@@ -628,6 +629,31 @@ def test_simulate_work_past_limit_exit2(tmp_path, monkeypatch, capsys):
                                "output_dir": str(tmp_path / "out"), "simulate": block})
     assert main(["simulate", "--config", cfg]) == 3
     assert "simulation reached" in capsys.readouterr().err
+
+
+class _Drawn(Exception):
+    pass
+
+
+def test_simulate_long_grid_draws_at_most_2_23_normals(tmp_path, monkeypatch):
+    # 1,000 paths x 10^6 steps passes the MAX_WORK check; one block of
+    # all its paths would be 10^9 normals, 8 GB. Each draw is recorded
+    # and failed before anything is allocated.
+    shapes = []
+
+    def intercept(seed, indices, k0, k1, antithetic=False):
+        shapes.append((k1 - k0, len(indices)))
+        raise _Drawn
+
+    monkeypatch.setattr(adkit.sde, "_whole", None)
+    monkeypatch.setattr(adkit.sde, "_draw", intercept)
+    block = {"policy": "linear", "n_paths": 1000, "n_steps": 10 ** 6, "seed": 1}
+    cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL, sigma0=0.2),
+                               "output_dir": str(tmp_path / "out"), "simulate": block})
+    with pytest.raises(_Drawn):
+        main(["simulate", "--config", cfg, "--quiet"])
+    assert shapes == [(10 ** 6, 8)]
+    assert max(k * n for k, n in shapes) <= 2 ** 23
 
 
 def test_seed_must_be_integer(tmp_path):

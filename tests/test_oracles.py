@@ -438,8 +438,28 @@ def test_tolerance_scales_residual():
     assert float(tight.P[0]) == pytest.approx(P_LQ_P0, abs=1e-11)
 
 
+def test_tiny_sigma2_matches_closed_form():
+    # the paper's reduced coefficients overflow below sigma2 of about
+    # 1e-77, and the oracle's input check used to go through them
+    p = ModelParams(rho=0.1, c=0.0, T=0.5, sigma1=0.7, sigma2=1e-80, gamma0=1.0)
+    want = float(riccati_integrate(p).P[0])
+    assert want == pytest.approx(-2.5026157056, rel=1e-10)
+    assert float(riccati_oracle(p).P[0]) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("sigma2, error, match", [
+    (2.0, ParamError, r"1 - gamma0\*sigma2\^2 > 0"),  # D_T < 0
+    (1.0, ParamError, r"1 - gamma0\*sigma2\^2 > 0"),  # D_T = 0
+    (1e200, StableRangeError, r"sigma2\^2 overflows"),
+])
+def test_oracle_input_check(sigma2, error, match):
+    p = ModelParams(rho=0.1, c=0.0, T=0.5, sigma1=0.7, sigma2=sigma2, gamma0=1.0)
+    with pytest.raises(error, match=match):
+        riccati_oracle(p)
+
+
 @pytest.mark.parametrize("p, error, match", [
-    # sigma1**2 overflows in the right-hand side; sigma2 = 0 skips riccati_coeffs.
+    # sigma1**2 overflows in the right-hand side; sigma2 = 0 passes the input check.
     # This was a raw OverflowError
     (ModelParams(rho=1e150, c=1e300, T=1.0, sigma1=1e300, gamma0=1e-300, m=1e12),
      StableRangeError, "right-hand side overflows"),

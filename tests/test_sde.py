@@ -210,13 +210,16 @@ def test_zero_noise_value_matches_quadrature():
     assert rep.mean == pytest.approx(sol.value(0.0, 1.0), abs=2e-3)
 
 
-def test_evaluate_policy_block_size_invariance():
+@pytest.mark.parametrize("width", [1, 63, 64, 65])
+def test_evaluate_policy_block_size_invariance(monkeypatch, width):
     pol = Policy.constant(0.5)
     g = PathGrid(0.0, 1.0, 50)
     a = evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, 1.0, g, 257, 3,
-                        block_size=64)
+                        keep_samples=True)
+    monkeypatch.setattr(sde, "DEFAULT_BLOCK", width)
     b = evaluate_policy(P, pol, lambda x: x, lambda u: u, 0.0, 1.0, g, 257, 3,
-                        block_size=1000)
+                        keep_samples=True)
+    np.testing.assert_array_equal(a.samples.view(np.uint64), b.samples.view(np.uint64))
     assert a.mean == b.mean
     assert a.std_error == b.std_error
 
@@ -442,18 +445,19 @@ POLICIES = _policies()
 
 
 @pytest.mark.parametrize("n_steps", [1, 7])
-@pytest.mark.parametrize("block_size", [1, 63, 64, 65])
+@pytest.mark.parametrize("width", [1, 63, 64, 65])
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("kind", sorted(POLICIES))
-def test_evaluate_policy_matches_reference_loop(kind, antithetic, block_size, n_steps):
+def test_evaluate_policy_matches_reference_loop(monkeypatch, kind, antithetic, width, n_steps):
     p, pol = POLICIES[kind]
     g = PathGrid(0.0, p.T, n_steps)
     reward = lambda x: p.gamma0 * x * x
     loss = lambda u: u * u
+    monkeypatch.setattr(sde, "DEFAULT_BLOCK", width)
     rep = evaluate_policy(p, pol, reward, loss, 0.0, 1.0, g, 257, 17, antithetic=antithetic,
-                          block_size=block_size, keep_samples=True)
+                          keep_samples=True)
     samples, min_state = _ref_evaluate(p, pol, reward, loss, 1.0, g, 257, 17, antithetic,
-                                       block_size)
+                                       width)
     np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
     assert rep.min_state == min_state
 
@@ -502,7 +506,7 @@ def _stop_control(name, sol):
     return None
 
 
-@pytest.mark.parametrize("block_size", [1, 63, 64, 65])
+@pytest.mark.parametrize("width", [1, 63, 64, 65])
 @pytest.mark.parametrize("control", ["optimal", "scaled", "scalar"])
 @pytest.mark.parametrize(
     "case, y_offset, t_end, n_steps",
@@ -514,17 +518,18 @@ def _stop_control(name, sol):
         ("one step", 0.5, 0.5, 1),
     ],
 )
-def test_stopping_cost_report_matches_reference_loop(stop_sol, case, y_offset, t_end, n_steps,
-                                                     control, block_size):
+def test_stopping_cost_report_matches_reference_loop(monkeypatch, stop_sol, case, y_offset, t_end,
+                                                     n_steps, control, width):
     g = PathGrid(0.0, t_end, n_steps)
     y = stop_sol.x0 + y_offset
     ctl = _stop_control(control, stop_sol)
+    monkeypatch.setattr(sde, "DEFAULT_BLOCK", width)
     rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=257, seed=21,
-                               control=ctl, keep_samples=True, block_size=block_size, **SP_KW)
+                               control=ctl, keep_samples=True, **SP_KW)
     feedback = stop_sol.policy if ctl is None else ctl
     samples, min_state, trunc = _ref_stopping(
         SP_KW["mu"], SP_KW["rho"], SP_KW["gamma1"], SP_KW["gamma2"], stop_sol.x0, feedback, g,
-        y, 257, 21, block_size)
+        y, 257, 21, width)
     np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
     assert rep.min_state == min_state
     assert rep.truncated_fraction == trunc
@@ -717,12 +722,13 @@ def test_windowed_block_fills_only_requested_paths(monkeypatch):
     assert sde._windowed[2][2].all()
 
 
-def test_stopping_all_paths_truncated_matches_reference(stop_sol):
+def test_stopping_all_paths_truncated_matches_reference(stop_sol, monkeypatch):
     # every path survives past two windows to the last node
     g = PathGrid(0.0, 0.5, 150)
     y = stop_sol.x0 + 5.0
+    monkeypatch.setattr(sde, "DEFAULT_BLOCK", 60)
     rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=100, seed=8,
-                               keep_samples=True, block_size=60, **SP_KW)
+                               keep_samples=True, **SP_KW)
     samples, min_state, trunc = _ref_stopping(
         SP_KW["mu"], SP_KW["rho"], SP_KW["gamma1"], SP_KW["gamma2"], stop_sol.x0,
         stop_sol.policy, g, y, 100, 8, 60)
@@ -751,7 +757,7 @@ def test_stopping_after_failed_run_on_same_key_matches_reference(stop_sol, monke
                                keep_samples=True, **SP_KW)
     samples, min_state, trunc = _ref_stopping(
         SP_KW["mu"], SP_KW["rho"], SP_KW["gamma1"], SP_KW["gamma2"], stop_sol.x0,
-        stop_sol.policy, g, y, 300, 3, sde.DEFAULT_BLOCK)
+        stop_sol.policy, g, y, 300, 3, sde._block_width(g.n_steps))
     np.testing.assert_array_equal(rep.samples.view(np.uint64), samples.view(np.uint64))
     assert rep.min_state == min_state
     assert rep.truncated_fraction == trunc
@@ -836,6 +842,58 @@ def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
     assert src.drawn is None and np.shares_memory(src.zt, z)
     np.testing.assert_array_equal(src.window(64, np.arange(6)), z.T[64:])
     assert len(live) == drawn and sde._windowed[0][0] == 2
+
+
+# --- block width from the grid ---
+
+
+class _Drawn(Exception):
+    pass
+
+
+def intercept_draws(monkeypatch):
+    """Record the (steps, paths) shape of every _draw request, then fail
+    it before anything is allocated; returns the list of shapes."""
+    _empty_cache(monkeypatch)
+    shapes = []
+
+    def intercept(seed, indices, k0, k1, antithetic=False):
+        shapes.append((k1 - k0, len(indices)))
+        raise _Drawn
+
+    monkeypatch.setattr(sde, "_draw", intercept)
+    return shapes
+
+
+def test_long_grid_evaluation_draws_at_most_2_23_normals(monkeypatch):
+    shapes = intercept_draws(monkeypatch)
+    g = PathGrid(0.0, 1.0, 10 ** 6)
+    with pytest.raises(_Drawn):
+        evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0, g,
+                        4096, 1)
+    assert shapes == [(10 ** 6, 8)]
+    assert max(k * n for k, n in shapes) <= 2 ** 23
+
+
+def test_long_grid_stopping_draws_at_most_2_23_normals(stop_sol, monkeypatch):
+    shapes = intercept_draws(monkeypatch)
+    g = PathGrid(0.0, 40.0, 10 ** 6)
+    with pytest.raises(_Drawn):
+        stopping_cost_report(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=4096,
+                             seed=1, **SP_KW)
+    assert shapes == [(sde._WINDOW, 8)]
+    # the windowed block's buffer holds one block too
+    assert sde._windowed[1].size <= 2 ** 23
+
+
+def test_benchmark_shapes_keep_their_blocks(monkeypatch):
+    shapes = intercept_draws(monkeypatch)
+    with pytest.raises(_Drawn):
+        evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
+                        PathGrid(0.0, 1.0, 2000), 4096, 1)
+    assert shapes == [(2000, 4096)]
+    # the paired shapes, 4,000 x 400 and 2,000 stopped paths x 4,000, in one block each
+    assert sde._block_width(400) >= 4000 and sde._block_width(4000) >= 2000
 
 
 # --- kernel trims against the forms they replaced ---
