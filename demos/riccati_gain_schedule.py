@@ -31,7 +31,7 @@ pol = lq_feedback(sol, p)
 print("\nfeedback at t=0.5: u(x=0.5)=%.4f u(x=1)=%.4f u(x=2)=%.4f"
       % tuple(float(pol(0.5, x)) for x in (0.5, 1.0, 2.0)))
 
-mean = closed_loop_mean(sol, p, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+mean = closed_loop_mean(sol, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
 print("closed-loop mean path E[x_t]: %s" % np.round(mean, 5).tolist())
 
 print("\n--- a horizon past the critical length ---")

@@ -75,8 +75,6 @@ from .stopping import (
     free_boundary,
     qvi_residual,
     solve_stopping,
-    stopping_policy,
-    stopping_value,
     u2,
 )
 
@@ -133,8 +131,6 @@ __all__ = [
     "solve_stopping",
     "spend_bound",
     "stopping_cost_report",
-    "stopping_policy",
-    "stopping_value",
     "switch_time",
     "u2",
     "u_max_oracle",

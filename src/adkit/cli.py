@@ -31,7 +31,7 @@ from .linear import linear_policy, solve_budget, solve_linear, spend_bound
 from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
 from .model import ModelParams, require
 from .oracles import Grid2D, dp_linear, dp_qvi_stopping
-from .sde import PathGrid, evaluate_policy, simulate_path
+from .sde import DEFAULT_BLOCK, PathGrid, _block_width, evaluate_policy, simulate_path
 # free_boundary is unused here but stays importable: perfbench/tracing.py
 # patches it on this module by name
 from .stopping import StoppingParams, _fit, free_boundary, solve_stopping  # noqa: F401
@@ -47,8 +47,9 @@ FORMATS = ("json", "csv")
 # cannot allocate arrays near 2^63 elements, and far below that they
 # no longer fit in memory
 MAX_SIZE = 10 ** 7
-# largest simulate.n_paths * simulate.n_steps: five times criterion 8's
-# 100k paths x 2,000 steps, which take about 10 s on two CPUs
+# largest simulate.n_paths * simulate.n_steps, each block of paths counted
+# as a full DEFAULT_BLOCK (a kernel step's fixed cost does not shrink with
+# the width): five times criterion 8's 100k x 2,000, about 10 s on two CPUs
 MAX_WORK = 10 ** 9
 
 BLOCK_SCHEMAS = {
@@ -330,8 +331,10 @@ def _run_simulate(cfg: RunConfig):
         raise ParamError("simulate.policy in {linear, budget, lq}")
     n_paths = _size(block, "n_paths", "simulate", 1)
     n_steps = _size(block, "n_steps", "simulate", 1)
-    if n_paths * n_steps > MAX_WORK:
-        raise ParamError("simulate.n_paths * simulate.n_steps at most %d" % MAX_WORK)
+    width = _block_width(n_steps)
+    if math.ceil(n_paths / width) * DEFAULT_BLOCK * n_steps > MAX_WORK:
+        raise ParamError("simulate.n_paths * simulate.n_steps at most %d, where n_paths "
+                         "counts as %d per block of %d paths" % (MAX_WORK, DEFAULT_BLOCK, width))
     seed = _int(block, "seed", "simulate")
     x_start = _num(block, "x_start", "simulate") if "x_start" in block else p.x_init
     antithetic = block.get("antithetic", False)

@@ -274,12 +274,10 @@ def _no_convergence(tol: float) -> str:
 
 
 def _scaled_flow(p: ModelParams) -> _Flow:
-    """The scaled flow of p; ParamError where D(T) <= 0, StableRangeError
-    where its constants leave the float range."""
+    """The scaled flow of p, which has passed _riccati_input;
+    StableRangeError where its constants leave the float range."""
     s2 = _sigma2_sq(p)
     a4 = 1.0 - p.gamma0 * s2
-    if not a4 > 0:
-        raise ParamError("1 - gamma0*sigma2^2 > 0")
     overflow = StableRangeError(
         "Riccati right-hand side overflows (rho=%g, c=%g, sigma1=%g, sigma2=%g)"
         % (p.rho, p.c, p.sigma1, p.sigma2))
@@ -301,6 +299,27 @@ def _scaled_flow(p: ModelParams) -> _Flow:
 def _underflow(fl: _Flow, horizon: float) -> str:
     return ("P underflows to 0: exp(c*t)*P decays like exp(-alpha*(T - t)), "
             "alpha = %g, over a horizon of %g" % (fl.alpha, horizon))
+
+
+def _riccati_input(p: ModelParams, t_lo: float, tol: float, n_nodes: int) -> float:
+    """The input checks that riccati_integrate and oracles.riccati_oracle
+    share, in this order; returns sigma2^2."""
+    require(p)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParamError("tol > 0 and finite")
+    if n_nodes < 2:
+        raise ParamError("n_nodes >= 2")
+    if not t_lo < p.T:
+        raise ParamError("t_lo < T")
+    try:
+        math.exp(-p.c * t_lo)  # exp(-c*t) is largest at t_lo
+    except OverflowError:
+        raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
+    s2 = _sigma2_sq(p)
+    # a4 = 1 - gamma0*sigma2^2 > 0 is D(T) > 0
+    if not 1.0 - p.gamma0 * s2 > 0:
+        raise ParamError("1 - gamma0*sigma2^2 > 0")
+    return s2
 
 
 def _rhs_coeffs(p: ModelParams):
@@ -486,18 +505,7 @@ def riccati_integrate(
     P_at, D_at and gain_at alike). A P that underflows to 0 or
     overflows raises StableRangeError, since P < 0 must hold on every
     node."""
-    require(p)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParamError("tol > 0 and finite")
-    if n_nodes < 2:
-        raise ParamError("n_nodes >= 2")
-    if not t_lo < p.T:
-        raise ParamError("t_lo < T")
-    try:
-        math.exp(-p.c * t_lo)  # exp(-c*t) is largest at t_lo
-    except OverflowError:
-        raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
-
+    _riccati_input(p, t_lo, tol, n_nodes)
     fl = _scaled_flow(p)
     a4 = 1.0 - p.gamma0 * fl.s2
 
@@ -635,7 +643,7 @@ def riccati_sigma2_zero_blow(p: ModelParams) -> Optional[float]:
     require(p)
     if p.sigma2 != 0:
         raise ParamError("sigma2 = 0")
-    a = 2.0 * p.rho - p.sigma1 ** 2
+    a, _ = _rhs_coeffs(p)
     k = a + p.c
     try:
         if k == 0:
@@ -658,21 +666,22 @@ def riccati_sigma2_zero_blow(p: ModelParams) -> Optional[float]:
 
 def lq_feedback(sol: RiccatiSolution, p: ModelParams) -> Policy:
     """Markov policy u(t, x) = max(G(t) x, 0) with the closed-form gain
-    G = -(1 + sigma1*sigma2) P / D >= 0 of sol, which uses sol.params.
-    Queries outside [t_lo, T] fault."""
+    G = -(1 + sigma1*sigma2) P / D >= 0 of sol. p must be sol.params
+    (ParamError otherwise). Queries outside [t_lo, T] fault."""
+    if p != sol.params:
+        raise ParamError("p == sol.params")
     if not sol.well_posed:
         raise SolverError("Riccati solution not well posed; no feedback law")
     return Policy.linear_feedback(
-        sol.gain_at, float(sol.t[0]), float(p.T), ControlSet(0.0, math.inf)
+        sol.gain_at, float(sol.t[0]), float(sol.params.T), ControlSet(0.0, math.inf)
     )
 
 
-def closed_loop_coeffs(sol: RiccatiSolution, p: ModelParams, t):
+def closed_loop_coeffs(sol: RiccatiSolution, t):
     """Drift and diffusion coefficients of the optimally controlled state:
     dx = a(t) x dt + c_coef(t) x dw (sigma0 = 0 closed loop), from
     RiccatiSolution.closed_loop on a well-posed solution within
-    [t_lo, T]. The coefficients use sol.params; p stays for the call
-    signature."""
+    [t_lo, T]."""
     if not sol.well_posed:
         raise SolverError("Riccati solution not well posed")
     t_arr = np.asarray(t, dtype=float)
@@ -685,14 +694,15 @@ def closed_loop_coeffs(sol: RiccatiSolution, p: ModelParams, t):
     return a_t, c_t
 
 
-def closed_loop_mean(sol: RiccatiSolution, p: ModelParams, t_eval=None, x_start=None):
+def closed_loop_mean(sol: RiccatiSolution, t_eval=None, x_start=None):
     """E[x_t] of the closed loop via exp of the integrated drift
-    coefficient; trapezoid accumulation on the stored grid."""
+    coefficient; trapezoid accumulation on the stored grid. x_start
+    defaults to sol.params.x_init."""
     if t_eval is None:
         t_eval = sol.t
     if x_start is None:
-        x_start = p.x_init
-    a_grid, _ = closed_loop_coeffs(sol, p, sol.t)
+        x_start = sol.params.x_init
+    a_grid, _ = closed_loop_coeffs(sol, sol.t)
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * (a_grid[1:] + a_grid[:-1]) * np.diff(sol.t)))
     )

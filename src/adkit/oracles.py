@@ -19,7 +19,7 @@ import numpy as np
 
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
-from .lq import GUARD_FRAC, P_CAP, _sigma2_sq, midpoint_residual
+from .lq import GUARD_FRAC, P_CAP, _riccati_input, midpoint_residual
 from .model import ModelParams, require
 from .stopping import StoppingParams
 
@@ -151,21 +151,7 @@ def riccati_oracle(
     t_blow if D <= GUARD_FRAC*D(T), P >= 0 or P <= -P_CAP is about to
     occur. well_posed means t_lo was reached. The stored grid is the
     dense output on n_nodes equally spaced nodes."""
-    require(p)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParamError("tol > 0 and finite")
-    if n_nodes < 2:
-        raise ParamError("n_nodes >= 2")
-    if not t_lo < p.T:
-        raise ParamError("t_lo < T")
-    try:
-        math.exp(-p.c * t_lo)  # exp(-c*t) is largest at t_lo
-    except OverflowError:
-        raise StableRangeError("exp(-c*t_lo) overflows (c=%g, t_lo=%g)" % (p.c, t_lo)) from None
-    s2 = _sigma2_sq(p)
-    # a4 = 1 - gamma0*sigma2^2 > 0 is D_T > 0
-    if not 1.0 - p.gamma0 * s2 > 0:
-        raise ParamError("1 - gamma0*sigma2^2 > 0")
+    s2 = _riccati_input(p, t_lo, tol, n_nodes)
     gamma = p.gamma
     D_T = math.exp(-p.c * p.T) - s2 * gamma
 
@@ -257,9 +243,12 @@ class FdHjbResult:
 
 def u_max_oracle(p: ModelParams, riccati_sol) -> float:
     """Documented control cap for the LQ grid search: five times the
-    peak feedback rate at x_init. Validated post hoc via cap_hit."""
+    peak feedback rate at x_init. p must be riccati_sol.params
+    (ParamError otherwise). Validated post hoc via cap_hit."""
+    if p != riccati_sol.params:
+        raise ParamError("p == sol.params")
     g_peak = float(np.max(riccati_sol.gain_at(riccati_sol.t)))
-    return 5.0 * g_peak * p.x_init
+    return 5.0 * g_peak * riccati_sol.params.x_init
 
 
 def _controls(u_grid) -> np.ndarray:

@@ -223,6 +223,13 @@ def free_boundary(sp: StoppingParams):
     return float(x), math.exp(log_g - x * x / (2.0 * sp.gamma1))
 
 
+def _require_square_finite(x):
+    """StableRangeError where some |x| > X_MAX, whose x^2 overflows."""
+    if np.any(np.abs(x) > X_MAX):
+        raise StableRangeError("stopping: some |x| > %g, where the obstacle x^2 overflows"
+                               % X_MAX)
+
+
 @dataclass(frozen=True)
 class QviReport:
     """Residuals of the variational characterization on a verification
@@ -241,69 +248,59 @@ class QviReport:
 
 @dataclass(frozen=True)
 class StoppingSolution:
+    """v, u* and the QVI residual of params, whose free boundary is x0."""
+
     params: StoppingParams
     x0: float
     alpha2: float
     residual_report: Optional[QviReport] = None
 
     def value(self, x):
-        return stopping_value(self, self.params, x)
+        """x^2 at and below the boundary, x0^2 - 2*gamma1*(L(w) - L(w0))
+        above it; on w < 0 the difference is (w - w0)*(w + w0) +
+        log(erfc(w)/erfc(w0)), where w^2 and w0^2 may overflow."""
+        sp, x0 = self.params, self.x0
+        x_arr = np.asarray(x, dtype=float)
+        _require_square_finite(x_arr)
+        # stop-region queries are clamped to x0, where the where() discards them
+        xc = np.maximum(x_arr, x0).reshape(-1)
+        w = _scaled_arg(xc, sp)
+        w0 = _scaled_arg(x0, sp)
+        lanes = np.flatnonzero(w < 0)  # none unless w0 < 0
+        neg = w[lanes]
+        diff = (math.sqrt(sp.rho) * (xc[lanes] - x0)) * (neg + w0) + np.log(erfc(neg) / erfc(w0))
+        w[lanes] = 0.0  # keeps erfcx finite there
+        log_ratio = np.log(erfcx(w)) - _log_erfcx(w0)
+        log_ratio[lanes] = diff
+        cont = x0 * x0 - 2.0 * sp.gamma1 * log_ratio.reshape(x_arr.shape)
+        out = np.where(x_arr <= x0, x_arr * x_arr, cont)
+        return _like(x, out)
 
     def policy(self, y):
-        return stopping_policy(self, self.params, y)
+        """Feedback control: u* = 2*sqrt(rho)*h(w) on the continuation side
+        (boundary included, where it equals x0/gamma1), zero below (and for
+        NaN); 0 at y = +inf. The max with 0 is defensive; it provably never
+        binds. Every lane is evaluated at max(y, x0)."""
+        sp = self.params
+        y_arr = np.asarray(y, dtype=float)
+        lanes = y_arr if y_arr.ndim == 1 else y_arr.reshape(-1)
+        d = np.maximum(lanes, self.x0)
+        d -= sp.mu / sp.rho
+        u = _control(d, sp)
+        out = np.zeros(lanes.shape)
+        np.maximum(u, 0.0, out=out, where=lanes >= self.x0)
+        if y_arr.ndim == 1:
+            return out
+        return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
-def _require_square_finite(x):
-    """StableRangeError where some |x| > X_MAX, whose x^2 overflows."""
-    if np.any(np.abs(x) > X_MAX):
-        raise StableRangeError("stopping: some |x| > %g, where the obstacle x^2 overflows"
-                               % X_MAX)
-
-
-def stopping_value(sol: StoppingSolution, sp: StoppingParams, x):
-    """x^2 at and below the boundary, x0^2 - 2*gamma1*(L(w) - L(w0)) above
-    it; on w < 0 the difference is (w - w0)*(w + w0) + log(erfc(w)/erfc(w0)),
-    where w^2 and w0^2 may overflow."""
-    x_arr = np.asarray(x, dtype=float)
-    _require_square_finite(x_arr)
-    # stop-region queries are clamped to x0, where the where() discards them
-    xc = np.maximum(x_arr, sol.x0).reshape(-1)
-    w = _scaled_arg(xc, sp)
-    w0 = _scaled_arg(sol.x0, sp)
-    lanes = np.flatnonzero(w < 0)  # none unless w0 < 0
-    neg = w[lanes]
-    diff = (math.sqrt(sp.rho) * (xc[lanes] - sol.x0)) * (neg + w0) + np.log(erfc(neg) / erfc(w0))
-    w[lanes] = 0.0  # keeps erfcx finite there
-    log_ratio = np.log(erfcx(w)) - _log_erfcx(w0)
-    log_ratio[lanes] = diff
-    cont = sol.x0 * sol.x0 - 2.0 * sp.gamma1 * log_ratio.reshape(x_arr.shape)
-    out = np.where(x_arr <= sol.x0, x_arr * x_arr, cont)
-    return _like(x, out)
-
-
-def stopping_policy(sol: StoppingSolution, sp: StoppingParams, y):
-    """Feedback control: u* = 2*sqrt(rho)*h(w) on the continuation side
-    (boundary included, where it equals x0/gamma1), zero below (and for
-    NaN); 0 at y = +inf. The max with 0 is defensive; it provably never
-    binds. Every lane is evaluated at max(y, x0)."""
-    y_arr = np.asarray(y, dtype=float)
-    lanes = y_arr if y_arr.ndim == 1 else y_arr.reshape(-1)
-    d = np.maximum(lanes, sol.x0)
-    d -= sp.mu / sp.rho
-    u = _control(d, sp)
-    out = np.zeros(lanes.shape)
-    np.maximum(u, 0.0, out=out, where=lanes >= sol.x0)
-    if y_arr.ndim == 1:
-        return out
-    return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
-
-
-def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
+def qvi_residual(sol: StoppingSolution, grid) -> QviReport:
     """Checks the three pieces of the variational problem on a grid:
     the stop-region inequality, the continuation HJB residual
     v''/2 + (mu - rho*x)*v' - v'^2/(4*gamma1) + gamma2, and the obstacle
     bound. Violations are reported, not raised; StableRangeError where
     the residual leaves the floating-point range."""
+    sp = sol.params
     x = np.asarray(grid, dtype=float)
     _require_square_finite(x)
     is_stop = x <= sol.x0
@@ -323,7 +320,7 @@ def qvi_residual(sol: StoppingSolution, sp: StoppingParams, grid) -> QviReport:
     if not np.isfinite(residual[is_stop | is_cont]).all():
         raise StableRangeError("qvi_residual: the residual leaves the floating-point range")
 
-    gap = x * x - stopping_value(sol, sp, x)
+    gap = x * x - sol.value(x)
     return QviReport(
         stop_side_max=float(np.max(residual[is_stop], initial=-math.inf)),
         pde_residual_max=float(np.max(np.abs(residual[is_cont]), initial=0.0)),
@@ -343,4 +340,4 @@ def solve_stopping(sp: StoppingParams, n_grid: int = 2001) -> StoppingSolution:
     x0, alpha2 = free_boundary(sp)
     sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)
     grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), n_grid)
-    return dataclasses.replace(sol, residual_report=qvi_residual(sol, sp, grid))
+    return dataclasses.replace(sol, residual_report=qvi_residual(sol, grid))

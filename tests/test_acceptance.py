@@ -277,7 +277,7 @@ def test_criterion_09_stopping_boundary_against_qvi_oracle():
 def test_criterion_10_qvi_inequalities_and_boundary_control():
     ssol = solve_stopping(SP)
     grid = np.linspace(0.0, ssol.x0 + 10.0 / math.sqrt(SP.rho), 1000)
-    rep = qvi_residual(ssol, SP, grid)
+    rep = qvi_residual(ssol, grid)
     assert rep.stop_side_max <= 1e-12
     assert rep.pde_residual_max <= 1e-8
     assert rep.u_clamp_hits == 0

@@ -607,16 +607,26 @@ def test_simulate_sizes_past_limit_exit2(tmp_path):
         assert main(["simulate", "--config", cfg]) == 2
 
 
+class _Drawn(Exception):
+    pass
+
+
 def test_simulate_work_past_limit_exit2(tmp_path, monkeypatch, capsys):
-    # each size within MAX_SIZE, their product past MAX_WORK: rejected
-    # before any path is drawn
-    block = {"policy": "linear", "n_paths": MAX_SIZE, "n_steps": MAX_WORK // MAX_SIZE + 1,
-             "seed": 1}
-    cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL),
-                               "output_dir": str(tmp_path / "out"), "simulate": block})
-    assert main(["simulate", "--config", cfg]) == 2
-    assert "simulate.n_paths * simulate.n_steps at most" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # rejected before any path is drawn: each size within MAX_SIZE and
+    # their product past MAX_WORK; and 1,000 paths x 10^6 steps, 10^9
+    # path-steps but 125 blocks of 8 paths, each counted as DEFAULT_BLOCK
+    def intercept(*args, **kwargs):
+        raise _Drawn
+
+    monkeypatch.setattr(adkit.sde, "_whole", None)
+    monkeypatch.setattr(adkit.sde, "_draw", intercept)
+    for n_paths, n_steps in ((MAX_SIZE, MAX_WORK // MAX_SIZE + 1), (1000, 10 ** 6)):
+        block = {"policy": "linear", "n_paths": n_paths, "n_steps": n_steps, "seed": 1}
+        cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL),
+                                   "output_dir": str(tmp_path / "out"), "simulate": block})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "simulate.n_paths * simulate.n_steps at most" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # criterion 8's 100k paths x 2,000 steps passes the check and reaches
     # the simulation, stubbed here to fail
@@ -631,14 +641,10 @@ def test_simulate_work_past_limit_exit2(tmp_path, monkeypatch, capsys):
     assert "simulation reached" in capsys.readouterr().err
 
 
-class _Drawn(Exception):
-    pass
-
-
 def test_simulate_long_grid_draws_at_most_2_23_normals(tmp_path, monkeypatch):
-    # 1,000 paths x 10^6 steps passes the MAX_WORK check; one block of
-    # all its paths would be 10^9 normals, 8 GB. Each draw is recorded
-    # and failed before anything is allocated.
+    # 4,096 paths x 10^4 steps passes the MAX_WORK check in 5 blocks of
+    # 838 paths; one block of all its paths would be 4.1e7 normals. Each
+    # draw is recorded and failed before anything is allocated.
     shapes = []
 
     def intercept(seed, indices, k0, k1, antithetic=False):
@@ -647,12 +653,12 @@ def test_simulate_long_grid_draws_at_most_2_23_normals(tmp_path, monkeypatch):
 
     monkeypatch.setattr(adkit.sde, "_whole", None)
     monkeypatch.setattr(adkit.sde, "_draw", intercept)
-    block = {"policy": "linear", "n_paths": 1000, "n_steps": 10 ** 6, "seed": 1}
+    block = {"policy": "linear", "n_paths": 4096, "n_steps": 10 ** 4, "seed": 1}
     cfg = write_cfg(tmp_path, {"problem": "simulate", "model": dict(BASE_MODEL, sigma0=0.2),
                                "output_dir": str(tmp_path / "out"), "simulate": block})
     with pytest.raises(_Drawn):
         main(["simulate", "--config", cfg, "--quiet"])
-    assert shapes == [(10 ** 6, 8)]
+    assert shapes == [(10 ** 4, 838)]
     assert max(k * n for k, n in shapes) <= 2 ** 23
 
 

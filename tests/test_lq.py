@@ -23,6 +23,7 @@ from adkit import (
     riccati_oracle,
     riccati_sigma2_zero,
     riccati_sigma2_zero_blow,
+    u_max_oracle,
 )
 
 # well-posed reference instance
@@ -170,6 +171,8 @@ def test_bernoulli_blow_time():
     ModelParams(rho=0.5, c=1023.0, T=1.0, sigma1=32.0),
     # k < 0 and both exponentials underflow, so the log argument is 0
     ModelParams(rho=0.5, c=0.0, T=1000.0, sigma1=2.0),
+    # sigma1^2 overflows in a = 2*rho - sigma1^2
+    ModelParams(rho=1.0, c=0.0, T=1.0, sigma1=1e200),
 ])
 def test_bernoulli_blow_time_out_of_range(p):
     with pytest.raises(StableRangeError):
@@ -219,30 +222,41 @@ def test_feedback_policy_nonnegative_and_windowed():
         pol(1.5, 1.0)
 
 
+def test_feedback_and_cap_refuse_another_models_solution():
+    # the solution carries its parameters; a second copy must be the same
+    sol = riccati_integrate(P5)
+    other = replace(P5, T=3.0)
+    with pytest.raises(ParamError, match="p == sol.params"):
+        lq_feedback(sol, other)
+    with pytest.raises(ParamError, match="p == sol.params"):
+        u_max_oracle(other, sol)
+    assert lq_feedback(sol, replace(P5)).t_hi == 1.0
+
+
 def test_feedback_refused_when_ill_posed():
     sol = riccati_integrate(P_ILL)
     with pytest.raises(SolverError):
         lq_feedback(sol, P_ILL)
     with pytest.raises(SolverError):
-        closed_loop_coeffs(sol, P_ILL, 0.95)
+        closed_loop_coeffs(sol, 0.95)
 
 
 def test_closed_loop_coeffs_identity():
     sol = riccati_integrate(P5)
-    a0, c0 = closed_loop_coeffs(sol, P5, 0.0)
+    a0, c0 = closed_loop_coeffs(sol, 0.0)
     g0 = float(sol.gain_at(0.0))
     # a - gain = -rho exactly, and the noise loading follows the same gain
     assert a0 - g0 == -P5.rho
     assert c0 == pytest.approx(0.2 + 0.5 * g0, abs=1e-14)
     with pytest.raises(PolicyError):
-        closed_loop_coeffs(sol, P5, -0.5)
+        closed_loop_coeffs(sol, -0.5)
 
 
 def test_closed_loop_one_formula():
     sol = riccati_integrate(P5)
     G, a, c = sol.closed_loop(sol.t)
     assert np.array_equal(G, sol.gain_at(sol.t))
-    a_t, c_t = closed_loop_coeffs(sol, P5, sol.t)
+    a_t, c_t = closed_loop_coeffs(sol, sol.t)
     assert np.array_equal(a, a_t) and np.array_equal(c, c_t)
     # an ill-posed instance keeps its coefficients on the retained grid
     ill = riccati_integrate(P_ILL)
@@ -254,7 +268,7 @@ def test_closed_loop_one_formula():
 
 def test_closed_loop_mean_reference():
     sol = riccati_integrate(P5)
-    vals = closed_loop_mean(sol, P5, np.array([0.0, 0.5, 1.0]))
+    vals = closed_loop_mean(sol, np.array([0.0, 0.5, 1.0]))
     assert vals[0] == pytest.approx(1.0, abs=0)
     assert vals[1] == pytest.approx(0.96077216, abs=1e-6)
     assert vals[2] == pytest.approx(0.98993671, abs=1e-6)
@@ -268,9 +282,9 @@ def test_closed_loop_mean_matches_euler():
     dt = t[1] - t[0]
     x = 1.0
     for k in range(n):
-        a_k, _ = closed_loop_coeffs(sol, P5, float(t[k]))
+        a_k, _ = closed_loop_coeffs(sol, float(t[k]))
         x *= 1.0 + a_k * dt
-    assert closed_loop_mean(sol, P5, 1.0) == pytest.approx(x, abs=5e-5)
+    assert closed_loop_mean(sol, 1.0) == pytest.approx(x, abs=5e-5)
 
 
 def test_value_negates_P():
@@ -355,7 +369,7 @@ def test_queries_outside_the_grid_take_the_nearer_end():
             with pytest.raises(PolicyError, match="nan"):
                 fn(t)
     with pytest.raises(PolicyError, match="outside"):
-        closed_loop_coeffs(sol, P5, 0.4)
+        closed_loop_coeffs(sol, 0.4)
     # P has no value before the blow-down; the retained grid starts after it
     ill = riccati_integrate(P_ILL)
     assert ill.P_at(0.0) == ill.P_at(float(ill.t[0])) == ill.P[0]

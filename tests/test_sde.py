@@ -24,7 +24,6 @@ from adkit import (
     solve_linear,
     solve_stopping,
     stopping_cost_report,
-    stopping_policy,
 )
 from adkit import sde
 from adkit.model import ControlSet, diffusion, drift
@@ -979,9 +978,10 @@ def test_gain_at_matches_p_over_d(params):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _stopping_policy_where(sol, sp, y):
+def _stopping_policy_where(sol, y):
     """The control's erfcx form 1/u2 - 2*rho*(y - mu/rho) at max(y, x0),
     and np.where for the stop side."""
+    sp = sol.params
     y_arr = np.asarray(y, dtype=float)
     y_c = np.maximum(y_arr, sol.x0)
     raw = 1.0 / u2(y_c, sp) - 2.0 * sp.rho * (y_c - sp.mu / sp.rho)
@@ -1003,8 +1003,8 @@ def test_stopping_policy_matches_where_form(stop_sol, shift):
     # the stop side; on w >= 3 it takes the continued fraction, which the
     # erfcx form, cancelling there, matches only to rounding
     fraction = math.sqrt(sp.rho) * (np.maximum(y, x0) - sp.mu / sp.rho) >= 3.0
-    got = stopping_policy(sol, sp, y)
-    want = _stopping_policy_where(sol, sp, y)
+    got = sol.policy(y)
+    want = _stopping_policy_where(sol, y)
     assert type(got) is type(want)
     np.testing.assert_array_equal(got[~fraction].view(np.uint64),
                                   want[~fraction].view(np.uint64))
@@ -1014,10 +1014,10 @@ def test_stopping_policy_matches_where_form(stop_sol, shift):
     assert got[y < x0].tolist() == [0.0] * int((y < x0).sum())
     assert got[np.isnan(y)].view(np.uint64).tolist() == [0]  # NaN maps to +0.0
     for q in (x0, x0 - 0.5, x0 + 0.5, math.nan, 3):
-        g, w = stopping_policy(sol, sp, q), _stopping_policy_where(sol, sp, q)
+        g, w = sol.policy(q), _stopping_policy_where(sol, q)
         assert type(g) is type(w) is float
         assert math.copysign(1.0, g) == math.copysign(1.0, w) and (g == w)
-    got2 = stopping_policy(sol, sp, y.reshape(-1, 7))
+    got2 = sol.policy(y.reshape(-1, 7))
     np.testing.assert_array_equal(got2.view(np.uint64), got.reshape(-1, 7).view(np.uint64))
 
 
@@ -1026,7 +1026,7 @@ def test_stopping_policy_where_erfcx_overflows(stop_sol):
     # the control is -2*rho*(y - mu/rho)
     sp = stop_sol.params
     sol = dataclasses.replace(stop_sol, x0=sp.mu / sp.rho - 30.0 / math.sqrt(sp.rho))
-    u = stopping_policy(sol, sp, np.array([sol.x0, math.nan, sp.mu / sp.rho]))
+    u = sol.policy(np.array([sol.x0, math.nan, sp.mu / sp.rho]))
     # h = exp(-w^2)/(sqrt(pi)*erfc(w)) - w = 30 to rounding at w = -30
     assert u[0] == pytest.approx(2.0 * math.sqrt(sp.rho) * 30.0, rel=1e-15)
     assert u[1] == 0.0

@@ -19,8 +19,6 @@ from adkit import (
     free_boundary,
     qvi_residual,
     solve_stopping,
-    stopping_policy,
-    stopping_value,
     u2,
 )
 
@@ -216,15 +214,9 @@ def test_qvi_report_clean():
 
 def test_qvi_residual_custom_grid():
     sol = solve_stopping(SP)
-    rep = qvi_residual(sol, SP, np.linspace(0.0, 4.0, 101))
+    rep = qvi_residual(sol, np.linspace(0.0, 4.0, 101))
     assert rep.x_grid.shape == (101,)
     assert rep.pde_residual_max <= 1e-8
-
-
-def test_standalone_value_policy_wrappers():
-    sol = solve_stopping(SP)
-    assert stopping_value(sol, SP, 2.0) == float(sol.value(2.0))
-    assert stopping_policy(sol, SP, 2.0) == float(sol.policy(2.0))
 
 
 def test_solve_stopping_custom_grid():
@@ -253,7 +245,7 @@ def test_qvi_report_residual_per_node(n_grid):
     sol = solve_stopping(SP)
     last_stop = int(np.argmax(~stop)) - 1
     for i in (0, last_stop, last_stop + 1, x.size - 1):
-        one = qvi_residual(sol, SP, x[i : i + 1])
+        one = qvi_residual(sol, x[i : i + 1])
         if stop[i]:
             assert r[i] == one.stop_side_max
         else:
@@ -262,13 +254,13 @@ def test_qvi_report_residual_per_node(n_grid):
 
 def test_qvi_report_residual_empty_sides():
     sol = solve_stopping(SP)
-    below = qvi_residual(sol, SP, np.linspace(0.0, 1.0, 11))
+    below = qvi_residual(sol, np.linspace(0.0, 1.0, 11))
     assert below.pde_residual_max == 0.0 and below.u_clamp_hits == 0
     assert below.stop_side_max == np.max(below.residual)
-    above = qvi_residual(sol, SP, np.linspace(2.0, 3.0, 11))
+    above = qvi_residual(sol, np.linspace(2.0, 3.0, 11))
     assert above.stop_side_max == -math.inf
     assert above.pde_residual_max == np.max(np.abs(above.residual))
-    empty = qvi_residual(sol, SP, np.empty(0))
+    empty = qvi_residual(sol, np.empty(0))
     assert empty.residual.shape == (0,)
     assert empty.obstacle_gap_min == math.inf
 
@@ -361,7 +353,7 @@ def test_free_boundary_log_uniform_sweep():
         _assert_certified(sp, x0)
         sol = StoppingSolution(params=sp, x0=x0, alpha2=math.nan)
         x = x0 + np.array([0.0, 0.1, 1.0, 10.0]) / math.sqrt(sp.rho)
-        assert np.isfinite(stopping_value(sol, sp, x)).all(), sp
+        assert np.isfinite(sol.value(x)).all(), sp
 
 
 ROOTS = json.loads(Path(__file__).with_name("launch_roots.json").read_text())["roots"]
@@ -479,7 +471,7 @@ def test_obstacle_overflow_is_stable_range_error():
         with pytest.raises(StableRangeError, match="x\\^2 overflows"):
             sol.value(x)
         with pytest.raises(StableRangeError, match="x\\^2 overflows"):
-            qvi_residual(sol, SP, np.atleast_1d(x))
+            qvi_residual(sol, np.atleast_1d(x))
     assert math.isfinite(sol.value(stopping.X_MAX))
 
 
