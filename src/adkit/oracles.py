@@ -33,6 +33,9 @@ MAX_NFEV = 100_000
 # takes more than QVI_MAX_SWEEPS sweeps
 QVI_TOL = 1e-10
 QVI_MAX_SWEEPS = 300
+# nodes per block of dp_qvi_stopping's control search: its work arrays
+# hold len(u_grid) x QVI_CHUNK coefficients, not len(u_grid) x n_x
+QVI_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -291,7 +294,7 @@ def fd_hjb_lq(p: ModelParams, g: Grid2D, u_grid) -> FdHjbResult:
     explicit monotonicity ratio dt*max(sigma^2/dx^2 + |b|/dx) of the grid;
     the implicit step does not need it below 1, so it is reported as
     information only. cap_hit is True when any step's argmax lands on
-    the largest control.
+    the largest control, wherever it sits in u_grid.
 
     A u_grid that is not finite and nonnegative raises ParamError.
     Coefficients or a value that leave the floating-point range raise
@@ -340,6 +343,9 @@ def fd_hjb_lq(p: ModelParams, g: Grid2D, u_grid) -> FdHjbResult:
         band = np.empty((7, n))
         gbsv, = get_lapack_funcs(("gbsv",), (band,))
         cap_hit = False
+        # the first index of the largest control, which the argmax picks
+        # among equal controls
+        top = int(np.argmax(u))
 
         for k in range(g.n_t - 2, -1, -1):
             w = math.exp(-p.c * k * dt)
@@ -355,7 +361,7 @@ def fd_hjb_lq(p: ModelParams, g: Grid2D, u_grid) -> FdHjbResult:
             ham -= wu
             ham.argmax(axis=1, out=pick)
             if n_u > 1 and not cap_hit:
-                cap_hit = bool(pick.max() == n_u - 1)
+                cap_hit = bool((pick == top).any())
 
             np.add(row_start, pick, out=flat)
             up.take(flat, out=a_up)
@@ -397,6 +403,11 @@ def fd_hjb_lq(p: ModelParams, g: Grid2D, u_grid) -> FdHjbResult:
 
 @dataclass(frozen=True)
 class DpQviResult:
+    """Value of dp_qvi_stopping on its grid. converged is True on every
+    returned result, since a run that does not converge raises
+    SolverError instead; it carries no information and stays because
+    perfbench/workloads.py reads it."""
+
     x: np.ndarray
     v: np.ndarray
     boundary_hat: float
@@ -434,6 +445,16 @@ def dp_qvi_stopping(sp: StoppingParams, g: Grid2D, u_grid) -> DpQviResult:
     boundary_hat is the first grid point whose value sits detectably
     below the obstacle.
 
+    Working memory is O(len(u_grid)*QVI_CHUNK + n_x); no
+    (len(u_grid), n_x) array is formed. Each control search walks the
+    nodes in chunks of QVI_CHUNK (256) and forms the chunk's transition
+    probabilities and running costs into five node-major
+    (QVI_CHUNK, len(u_grid)) arrays allocated once per call, re-forming
+    them on every search instead of keeping them for the whole grid.
+    Each sweep forms its tridiagonal rows from the same formulas on the
+    chosen controls. On the criterion-9 grid (5,401 nodes, 101
+    controls) the call's tracemalloc peak is about 3 MB.
+
     The elimination and the projected substitution run on Python floats
     (tolist() of the frozen rows), which round exactly as float64 does
     but skip numpy's per-element scalar boxing. Each pivot is checked
@@ -445,39 +466,71 @@ def dp_qvi_stopping(sp: StoppingParams, g: Grid2D, u_grid) -> DpQviResult:
     x = g.x_nodes()
     dx = g.dx
     n = g.n_x
+    n_u = u.size
 
     obs = x * x
     obs_l = obs.tolist()
+    drift = sp.mu - sp.rho * x
+    # running cost per unit time of each control
+    rate = sp.gamma1 * (u * u) + sp.gamma2
 
-    b = sp.mu - sp.rho * x[None, :] - u[:, None]
-    norm = 1.0 + dx * np.abs(b)
-    p_up = (0.5 + dx * np.maximum(b, 0.0)) / norm
-    p_dn = (0.5 + dx * np.maximum(-b, 0.0)) / norm
-    dtau = dx * dx / norm
-    cost = dtau * (sp.gamma1 * (u * u)[:, None] + sp.gamma2)
-    del b, norm, dtau
-    q = np.empty_like(cost)
-    q_dn = np.empty_like(cost)
+    def coefficients(b, w, norm, p_up, p_dn, cost):
+        # into the last four arrays, from the drift b and the cost rate w:
+        # norm = 1 + dx*|b|, p_up = (0.5 + dx*max(b, 0))/norm,
+        # p_dn = (0.5 + dx*max(-b, 0))/norm, cost = dx*dx/norm*w; each
+        # in-place step rounds as the same step of the formula does
+        np.abs(b, out=norm)
+        norm *= dx
+        norm += 1.0
+        np.maximum(b, 0.0, out=p_up)
+        p_up *= dx
+        p_up += 0.5
+        p_up /= norm
+        np.negative(b, out=p_dn)
+        np.maximum(p_dn, 0.0, out=p_dn)
+        p_dn *= dx
+        p_dn += 0.5
+        p_dn /= norm
+        np.divide(dx * dx, norm, out=cost)
+        cost *= w
+
+    # node-major (QVI_CHUNK, n_u) work arrays for best_controls, so each
+    # node's argmin reads contiguous memory; (n,) ones for a sweep's rows
+    width = min(QVI_CHUNK, n)
+    c_b, c_norm, c_up, c_dn, c_cost = (np.empty((width, n_u)) for _ in range(5))
+    b, norm, pu, pd, cost = (np.empty(n) for _ in range(5))
+    ve = np.empty(n + 2)
 
     def best_controls(v):
-        # argmin over u of the one-step expected value plus running cost
-        ve = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
-        np.multiply(p_up, ve[2:], out=q)
-        np.multiply(p_dn, ve[:-2], out=q_dn)
-        np.add(q, q_dn, out=q)
-        np.add(q, cost, out=q)
-        return np.argmin(q, axis=0)
+        # argmin over u of the one-step expected value plus running cost,
+        # q = (p_up*v_{i+1} + p_dn*v_{i-1}) + cost, a chunk of nodes at a time
+        ve[0] = 2.0 * v[0] - v[1]
+        ve[1:-1] = v
+        ve[-1] = 2.0 * v[-1] - v[-2]
+        pick = np.empty(n, dtype=np.intp)
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            m = hi - lo
+            # p_up and p_dn become q and its down term in place
+            q, q_dn = c_up[:m], c_dn[:m]
+            np.subtract(drift[lo:hi, None], u, out=c_b[:m])
+            coefficients(c_b[:m], rate, c_norm[:m], q, q_dn, c_cost[:m])
+            q *= ve[lo + 2:hi + 2, None]
+            q_dn *= ve[lo:hi, None]
+            q += q_dn
+            q += c_cost[:m]
+            np.argmin(q, axis=1, out=pick[lo:hi])
+        return pick
 
     v = obs.copy()
-    all_i = np.arange(n)
     # warm-start controls from a one-step test at the obstacle
     u_idx = best_controls(v)
     iterations = 0
     converged = False
 
     for iterations in range(1, QVI_MAX_SWEEPS + 1):
-        pu = p_up[u_idx, all_i]
-        pd = p_dn[u_idx, all_i]
+        np.subtract(drift, u[u_idx], out=b)
+        coefficients(b, rate[u_idx], norm, pu, pd, cost)
 
         # interior row i: v_i - pu_i v_{i+1} - pd_i v_{i-1} = rhs_i;
         # last row (diagonal 1 - 2 pu) substitutes the ghost
@@ -485,7 +538,7 @@ def dp_qvi_stopping(sp: StoppingParams, g: Grid2D, u_grid) -> DpQviResult:
         upper = (-pu).tolist()
         lower = (-pd).tolist()
         lower[-1] = float(pu[-1] - pd[-1])
-        rhs = cost[u_idx, all_i].tolist()
+        rhs = cost.tolist()
 
         # reverse elimination of the upper diagonal, pivots dtil from
         # row n-1 down to row 1

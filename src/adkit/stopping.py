@@ -236,7 +236,14 @@ class QviReport:
     grid. residual holds, per node of x_grid, the stop-region expression
     at and below x0 and the continuation PDE residual above it; the
     scalars are its worst cases. stop_side_max should be <= 0,
-    pde_residual_max near zero, obstacle_gap_min >= 0, u_clamp_hits == 0."""
+    pde_residual_max near zero, obstacle_gap_min >= 0, u_clamp_hits == 0.
+
+    pde_residual_max checks arithmetic only: v' and v'' both come from
+    u* (v'' through the ODE identity du*/dx = r*u* - 2*rho), so it is
+    zero to rounding whatever the Mills ratio. On the criterion instance
+    (k=1, rho=0.5, gamma1=gamma2=2), scaling erfcx by 1.01 moves x0 from
+    1.3604 to 1.3475 and leaves pde_residual_max at 8.9e-16. It does
+    not check that v is the launch problem's value."""
 
     stop_side_max: float
     pde_residual_max: float
@@ -299,7 +306,9 @@ def qvi_residual(sol: StoppingSolution, grid) -> QviReport:
     the stop-region inequality, the continuation HJB residual
     v''/2 + (mu - rho*x)*v' - v'^2/(4*gamma1) + gamma2, and the obstacle
     bound. Violations are reported, not raised; StableRangeError where
-    the residual leaves the floating-point range."""
+    the residual leaves the floating-point range. The HJB residual takes
+    v' and v'' from u* and its ODE identity, so it checks arithmetic,
+    not the solution (see QviReport)."""
     sp = sol.params
     x = np.asarray(grid, dtype=float)
     _require_square_finite(x)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,7 @@ def _ref_fd_hjb_lq(p, g, u_grid):
     ab = np.zeros((5, n))
     nodes = np.arange(n)
     cap_hit = False
+    top = np.argmax(u)
     for k in range(g.n_t - 2, -1, -1):
         w = math.exp(-p.c * k * dt)
         lo_ghost = 3.0 * v[0] - 3.0 * v[1] + v[2]
@@ -176,7 +178,7 @@ def _ref_fd_hjb_lq(p, g, u_grid):
         ham = up * (ve[2:] - v) + lo * (ve[:-2] - v) - (w * usq)[:, None]
         pick = np.argmax(ham, axis=0)
         if u.size > 1 and not cap_hit:
-            cap_hit = bool(np.any(pick == u.size - 1))
+            cap_hit = bool(np.any(pick == top))
         a_up = dt * up[pick, nodes]
         a_lo = dt * lo[pick, nodes]
         ab[2] = 1.0 + a_up + a_lo
@@ -276,6 +278,22 @@ def test_fd_hjb_lq_matches_solve_banded_reference(controls):
     assert res.cap_hit == (controls == "81-capped")
 
 
+@pytest.mark.parametrize("order", ["reversed", "mirrored"])
+def test_fd_hjb_lq_cap_hit_ignores_control_order(order):
+    # the capped grid with its largest control first, and ascending then
+    # descending (the largest twice, at indices 80 and 81): the value is
+    # the ascending grid's and the cap is still reported hit
+    g = Grid2D(0.0, 4.0, 41, 60)
+    u = FD_CONTROLS["81-capped"]
+    shuffled = u[::-1] if order == "reversed" else np.concatenate((u, u[::-1]))
+    asc = fd_hjb_lq(P_LQ, g, u)
+    res = fd_hjb_lq(P_LQ, g, shuffled)
+    v0, cap_hit = _ref_fd_hjb_lq(P_LQ, g, shuffled)
+    assert np.array_equal(res.v0, asc.v0)
+    assert np.array_equal(res.v0, v0)
+    assert asc.cap_hit and res.cap_hit and cap_hit
+
+
 @pytest.mark.parametrize("controls", sorted(FD_CONTROLS))
 @pytest.mark.parametrize("case", sorted(FD_CASES))
 def test_fd_hjb_lq_matches_reference_across_models(case, controls):
@@ -290,13 +308,17 @@ def test_fd_hjb_lq_matches_reference_across_models(case, controls):
 
 
 # stopping instances for the QVI reference check, beside SP above: no
-# drift (k = 0), a faster mean reversion on a shorter grid, and a slower
-# one with a far target on a wide grid
+# drift (k = 0), a faster mean reversion on a shorter grid, a slower one
+# with a far target on a wide grid, and SP on the 1,081-node grid of
+# adkit verify, four full QVI_CHUNK blocks of nodes and part of a fifth
 QVI_CASES = {
     "slow": (StoppingParams(k=2.0, rho=0.25, gamma1=3.0, gamma2=1.5), Grid2D(0.0, 8.0, 161, 16)),
     "k0": (StoppingParams(k=0.0, rho=0.5, gamma1=2.0, gamma2=2.0), Grid2D(0.0, 3.0, 151, 16)),
     "fast": (StoppingParams(k=0.5, rho=1.0, gamma1=1.5, gamma2=3.0), Grid2D(0.0, 3.0, 151, 16)),
+    "chunked": (SP, Grid2D(0.0, 5.4, 1081, 16)),
 }
+# a control list out of order, with a repeat
+QVI_UNSORTED = [0.7, 0.0, 0.3, 0.3]
 
 
 def _qvi_controls(n_u):
@@ -314,17 +336,34 @@ def test_dp_qvi_matches_numpy_scalar_reference(n_u):
     assert res.boundary_hat == boundary_hat
 
 
-@pytest.mark.parametrize("n_u", [1, 11, 81])
+@pytest.mark.parametrize("controls", ["1", "11", "81", "unsorted"])
 @pytest.mark.parametrize("case", sorted(QVI_CASES))
-def test_dp_qvi_matches_reference_across_models(case, n_u):
+def test_dp_qvi_matches_reference_across_models(case, controls):
     sp, g = QVI_CASES[case]
-    u = _qvi_controls(n_u)
+    u = QVI_UNSORTED if controls == "unsorted" else _qvi_controls(int(controls))
     res = dp_qvi_stopping(sp, g, u)
     v, iterations, boundary_hat = _ref_dp_qvi_stopping(sp, g, u)
     assert np.array_equal(res.v, v)
     assert res.iterations == iterations
     assert res.boundary_hat == boundary_hat
     assert res.converged
+
+
+def test_dp_qvi_working_set():
+    # criterion 9's grid, 5,401 nodes x 101 controls. One (101, 5401)
+    # float64 array is 4.36 MB, and a solver that keeps its coefficients
+    # for the whole grid peaks at 26.5-27.8 MB. The chunked control
+    # search peaks at 2.92 MB; the bound leaves 37% headroom over that
+    # and stays below one such array
+    g = Grid2D(0.0, 5.4, 5401, 16)
+    u = np.linspace(0.0, 1.0, 101)
+    tracemalloc.start()
+    try:
+        dp_qvi_stopping(SP, g, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6, peak
 
 
 # ---- input contract
