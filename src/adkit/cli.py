@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParamError, SolverError, StableRangeError
 from .linear import linear_policy, solve_budget, solve_linear, spend_bound
 from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
-from .model import ModelParams, require
+from .model import ModelParams, as_int, as_seed, require
 from .oracles import Grid2D, dp_linear, dp_qvi_stopping
 from .sde import DEFAULT_BLOCK, PathGrid, _block_width, evaluate_policy, simulate_path
 # free_boundary is unused here but stays importable: perfbench/tracing.py
@@ -88,10 +88,7 @@ def _num(block, name, where):
 
 
 def _int(block, name, where):
-    v = block[name]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParamError("%s.%s must be an integer" % (where, name))
-    return int(v)
+    return as_int(block[name], "%s.%s" % (where, name))
 
 
 def _size(block, name, where, lo):
@@ -335,7 +332,7 @@ def _run_simulate(cfg: RunConfig):
     if math.ceil(n_paths / width) * DEFAULT_BLOCK * n_steps > MAX_WORK:
         raise ParamError("simulate.n_paths * simulate.n_steps at most %d, where n_paths "
                          "counts as %d per block of %d paths" % (MAX_WORK, DEFAULT_BLOCK, width))
-    seed = _int(block, "seed", "simulate")
+    seed = as_seed(block["seed"], "simulate.seed")
     x_start = _num(block, "x_start", "simulate") if "x_start" in block else p.x_init
     antithetic = block.get("antithetic", False)
     if not isinstance(antithetic, bool):

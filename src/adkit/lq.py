@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParamError, PolicyError, SolverError, StableRangeError
-from .model import ControlSet, ModelParams, Policy, require
+from .model import ControlSet, ModelParams, Policy, as_int, require
 
 # the retained interval of a blow-down instance ends where D has fallen
 # to this fraction of D(T)
@@ -307,7 +307,7 @@ def _riccati_input(p: ModelParams, t_lo: float, tol: float, n_nodes: int) -> flo
     require(p)
     if not (math.isfinite(tol) and tol > 0):
         raise ParamError("tol > 0 and finite")
-    if n_nodes < 2:
+    if as_int(n_nodes, "n_nodes") < 2:
         raise ParamError("n_nodes >= 2")
     if not t_lo < p.T:
         raise ParamError("t_lo < T")
@@ -486,14 +486,15 @@ class RiccatiSolution:
 def riccati_integrate(
     p: ModelParams, t_lo: float = 0.0, tol: float = 1e-8, n_nodes: int = 2001
 ) -> RiccatiSolution:
-    """The closed-form solution on n_nodes equally spaced nodes of
-    [t_lo, T], or of the retained interval where D has fallen to
-    GUARD_FRAC*D(T) (|exp(c*t)*P| has reached P_CAP for sigma2 = 0)
-    when that happens after t_lo. well_posed means t_lo was reached;
-    otherwise t_blow is the exact blow-down time. For sigma2 > 0,
-    classification is the phase-line verdict of the same flow over the
-    horizon T - t_lo (see WellPosednessReport); for sigma2 = 0 it is None
-    and case_label is "degenerate-sigma2".
+    """The closed-form solution on n_nodes (an integer >= 2, ParamError
+    otherwise) equally spaced nodes of [t_lo, T], or of the retained
+    interval where D has fallen to GUARD_FRAC*D(T) (|exp(c*t)*P| has
+    reached P_CAP for sigma2 = 0) when that happens after t_lo.
+    well_posed means t_lo was reached; otherwise t_blow is the exact
+    blow-down time. For sigma2 > 0, classification is the phase-line
+    verdict of the same flow over the horizon T - t_lo (see
+    WellPosednessReport); for sigma2 = 0 it is None and case_label is
+    "degenerate-sigma2".
 
     max_midpoint_residual audits the stored P and dPdt as the oracle
     audits its grid (see midpoint_residual): it measures how well the

@@ -74,6 +74,23 @@ def require(p: ModelParams) -> None:
         raise ParamError(bad)
 
 
+def as_int(v, name: str) -> int:
+    """v as a Python int. ParamError unless v is a Python or numpy
+    integer; a bool is not a count, nor is a float with an integral value."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ParamError("%s must be an integer" % name)
+    return int(v)
+
+
+def as_seed(v, name: str = "seed") -> int:
+    """A Monte Carlo seed: an integer (as_int) in [0, 2**64), the range of
+    the Philox key word it becomes, so no two seeds draw the same normals."""
+    v = as_int(v, name)
+    if not 0 <= v < 1 << 64:
+        raise ParamError("%s in [0, 2**64)" % name)
+    return v
+
+
 def drift(x, u, p: ModelParams):
     return -p.rho * x + u
 

@@ -20,7 +20,7 @@ import numpy as np
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
 from .lq import GUARD_FRAC, P_CAP, _riccati_input, midpoint_residual
-from .model import ModelParams, require
+from .model import ModelParams, as_int, require
 from .stopping import StoppingParams
 
 # right-hand-side evaluations one Riccati integration may make; the
@@ -40,7 +40,8 @@ QVI_CHUNK = 256
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Space-time box for the finite-difference solvers."""
+    """Space-time box for the finite-difference solvers. n_x and n_t are
+    Python or numpy integers, each at least 16 (ParamError otherwise)."""
 
     x_lo: float
     x_hi: float
@@ -48,6 +49,8 @@ class Grid2D:
     n_t: int
 
     def __post_init__(self):
+        as_int(self.n_x, "n_x")
+        as_int(self.n_t, "n_t")
         bad = []
         if not self.x_lo < self.x_hi:
             bad.append("x_lo < x_hi")
@@ -78,9 +81,10 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
     """Exhaustive search over bang-bang switch times on an (n+1)-node
     grid. The objective for a given switch s is evaluated in closed
     form from the mean dynamics, so the only error is the grid spacing.
+    n is an integer >= 100 (ParamError otherwise).
     """
     require(p)
-    if n < 100:
+    if as_int(n, "n") < 100:
         raise ParamError("n >= 100")
     s = np.linspace(0.0, p.T, n + 1)
     # products that leave the floating-point range are caught by the
@@ -153,7 +157,8 @@ def riccati_oracle(
     adaptive error control and constraint monitoring; halts and records
     t_blow if D <= GUARD_FRAC*D(T), P >= 0 or P <= -P_CAP is about to
     occur. well_posed means t_lo was reached. The stored grid is the
-    dense output on n_nodes equally spaced nodes."""
+    dense output on n_nodes equally spaced nodes; n_nodes is an integer
+    >= 2 (ParamError otherwise)."""
     s2 = _riccati_input(p, t_lo, tol, n_nodes)
     gamma = p.gamma
     D_T = math.exp(-p.c * p.T) - s2 * gamma

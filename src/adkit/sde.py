@@ -38,13 +38,15 @@ antithetic) and replaced only by a new key of its own kind, the old one
 let go before the new one is drawn:
 - the whole block last asked of block_normals, read-only and returned
   again without drawing when the same block is asked for;
-- the windowed block of the last stopping run, with a per-window mask
-  of the paths drawn: a later stopping run on the same key draws only
-  the paths and windows that earlier runs did not reach. A stopping run
-  whose key is the whole resident's reads that block instead.
+- the windowed block of the last stopping run, a store with one entry
+  per window that some path reached: the window's normals for just the
+  paths drawn in it, one column each, and a map from block position to
+  column. A later stopping run on the same key draws only the paths
+  and windows that earlier runs did not reach. A stopping run whose key
+  is the whole resident's reads that block instead.
 So at most one whole block (8 bytes per normal) and one windowed block
-are held. The windowed block's buffer is allocated empty and only the
-pages of the windows its paths reached are ever touched.
+are held. The windowed block is about as large as the normals its paths
+read: about 2.2 MB on criterion 11's 2,000 stopped paths x 4,000 steps.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 
 from ._scipy import ndtri
 from .errors import ParamError, PolicyError, SolverError
-from .model import MEMBERSHIP_TOL, ModelParams, Policy, require
+from .model import MEMBERSHIP_TOL, ModelParams, Policy, as_int, as_seed, require
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
@@ -158,9 +160,11 @@ def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
 
 
 # The two residents of the normals cache. _whole is (key, z) of the last
-# whole block, z the (paths, steps) matrix. _windowed is (key, z, drawn)
-# of the last windowed block, drawn a (windows, paths) mask of the
-# _WINDOW-step windows of z drawn so far for each path. Each is swapped
+# whole block, z the (paths, steps) matrix. _windowed is (key, store) of
+# the last windowed block: store[w] is None until a path reaches the
+# _WINDOW-step window w, then (z, col), z the time-major normals of the
+# paths drawn so far in the window and col the (paths,) map from block
+# position to column of z, -1 where the path is not drawn. Each is swapped
 # as one tuple, so a key is never seen with another key's block.
 _whole = None
 _windowed = None
@@ -195,9 +199,10 @@ class _Windows:
 
     The block is the whole resident when its key matches, else the
     windowed resident when its key matches, else a new windowed block
-    that replaces the windowed resident. Its (n, paths) buffer is
-    allocated empty, so the pages of windows never drawn are never
-    touched.
+    that replaces the windowed resident. A windowed block holds each
+    window's normals only for the paths drawn in it, one column each, so
+    it is about as large as the normals its paths read: about 2.2 MB on
+    2,000 paths that stop within 4,000 steps.
     """
 
     def __init__(self, seed: int, indices, n: int):
@@ -208,38 +213,48 @@ class _Windows:
         self.seed, self.indices, self.n = seed, indices, n
         whole = _whole
         if whole is not None and whole[0] == key:
-            self.zt, self.drawn = whole[1].T, None
+            self.zt, self.store = whole[1].T, None
             return
         res = _windowed
         if res is None or res[0] != key:
             _windowed = res = None
-            z = np.empty((n, indices.size)).T
-            res = (key, z, np.zeros((-(-n // _WINDOW), indices.size), dtype=bool))
+            res = (key, [None] * -(-n // _WINDOW))
             _windowed = res
-        self.zt, self.drawn = res[1].T, res[2]
+        self.zt, self.store = None, res[1]
 
-    def window(self, k0: int, act: np.ndarray) -> np.ndarray:
-        """Time-major window of steps k0..k0+_WINDOW-1 (cut at n) across
-        the block; the columns act, block positions, hold their normals."""
+    def window(self, k0: int, act: np.ndarray):
+        """(zw, col): the time-major normals zw of steps k0..k0+_WINDOW-1
+        (cut at n) and, for each block position in act, its column of zw.
+        Only the paths of act not drawn in the window before are drawn."""
         k1 = min(k0 + _WINDOW, self.n)
-        if self.drawn is not None:
-            mask = self.drawn[k0 // _WINDOW]
-            need = act[~mask[act]]
-            if need.size:
-                self.zt[k0:k1, need] = _draw(self.seed, self.indices[need], k0, k1)
-                mask[need] = True  # only once the normals are in place
-        return self.zt[k0:k1]
+        if self.store is None:
+            return self.zt[k0:k1], act
+        w = k0 // _WINDOW
+        entry = self.store[w]
+        if entry is None:
+            entry = (np.empty((k1 - k0, 0)), np.full(self.indices.size, -1, dtype=np.intp))
+        z, col = entry
+        need = act[col[act] < 0]
+        if need.size:
+            new = _draw(self.seed, self.indices[need], k0, k1)
+            col = col.copy()
+            col[need] = np.arange(z.shape[1], z.shape[1] + need.size)
+            z = np.concatenate((z, new), axis=1) if z.shape[1] else new
+            self.store[w] = (z, col)  # only once the normals are in place
+        return z, col[act]
 
 
 @dataclass(frozen=True)
 class PathGrid:
-    """Uniform time grid; node k is t0 + k*dt computed from integers."""
+    """Uniform time grid; node k is t0 + k*dt computed from integers.
+    n_steps is a Python or numpy integer >= 1 (ParamError otherwise)."""
 
     t0: float
     t_end: float
     n_steps: int
 
     def __post_init__(self):
+        as_int(self.n_steps, "n_steps")
         bad = []
         if not self.t0 < self.t_end:
             bad.append("t0 < t_end")
@@ -430,10 +445,12 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
 def simulate_path(
     p: ModelParams, pol: Policy, g: PathGrid, x_start: float, seed: int
 ) -> Trajectory:
-    """One Euler-Maruyama path with left-endpoint control evaluation."""
+    """One Euler-Maruyama path with left-endpoint control evaluation.
+    seed is an integer in [0, 2**64) (ParamError otherwise)."""
     require(p)
     if not math.isfinite(x_start):
         raise ParamError("x_start finite")
+    seed = as_seed(seed)
     t = g.nodes()
     rec = _Recorder(pol.fn, g.n_steps)
     pol = dataclasses.replace(pol, fn=rec)
@@ -462,11 +479,14 @@ def evaluate_policy(
 
     The cost integral is left-endpoint quadrature on g with exact
     e^{-c t_k} weights. Loss values must be nonnegative. A non-finite
-    sample raises SolverError.
+    sample raises SolverError. n_paths is an integer >= 1 and seed an
+    integer in [0, 2**64), the Philox key word's range; anything else,
+    a float or bool included, raises ParamError.
     """
     require(p)
-    if n_paths < 1:
+    if as_int(n_paths, "n_paths") < 1:
         raise ParamError("n_paths >= 1")
+    seed = as_seed(seed)
     if not math.isfinite(x):
         raise ParamError("x finite")
     if abs(g.t0 - s) > 1e-12 or abs(g.t_end - p.T) > 1e-12:
@@ -519,7 +539,7 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
     for k in range(n):
         i = k % _WINDOW
         if i == 0:
-            zw = normals.window(k, act)
+            zw, col = normals.window(k, act)
         u = np.asarray(feedback(y), dtype=float)
         if not (u.min() >= -1e-12 and math.isfinite(u.max())):
             raise PolicyError("stopping control must be nonnegative and finite")
@@ -528,11 +548,8 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
         a += gamma2
         a *= dt
         acc += a
-        if act.size == nb:
-            np.multiply(zw[i], sq, out=b)
-        else:
-            zw[i].take(act, out=b)
-            b *= sq
+        zw[i].take(col, out=b)
+        b *= sq
         np.multiply(y, rho, out=a)
         np.subtract(mu, a, out=a)
         a -= u
@@ -550,7 +567,7 @@ def _stopped_block(mu: float, rho: float, gamma1: float, gamma2: float, x0: floa
             gone = act[stop]
             end[gone] = y[stop]
             run[gone] = acc[stop]
-            act, y, acc = act[keep], y[keep], acc[keep]
+            act, col, y, acc = act[keep], col[keep], y[keep], acc[keep]
             a, b = a[: act.size], b[: act.size]
             if act.size == 0:
                 break
@@ -570,9 +587,11 @@ def simulate_stopped(
     seed: int,
 ) -> StoppedPathResult:
     """One path of dy = (mu - rho*y - u) dt + dw under sol's feedback,
-    stopped at the first grid node with y <= sol.x0."""
+    stopped at the first grid node with y <= sol.x0. seed is an integer
+    in [0, 2**64) (ParamError otherwise)."""
     if not math.isfinite(y_start):
         raise ParamError("y_start finite")
+    seed = as_seed(seed)
     x0 = float(sol.x0)
     if y_start <= x0:
         return StoppedPathResult(t_path=np.array([g.t0]), y_path=np.array([y_start]),
@@ -615,10 +634,19 @@ def stopping_cost_report(
     suboptimal controls against the same stopping rule. A control that is
     negative or non-finite raises PolicyError, a non-finite sample
     SolverError. The report's bias_bound documents the O(sqrt(dt))
-    grid-crossing bias.
+    grid-crossing bias. n_paths is an integer >= 1 and seed an integer
+    in [0, 2**64); anything else raises ParamError.
+
+    A path's normals are drawn a window at a time, only for the windows
+    it reaches, and held in the windowed resident one column per (path,
+    window), so a later run on the same key, under another control,
+    draws only the pairs no earlier run reached. On 2,000 paths x 4,000
+    steps started at x0 + 1 the optimal control's paths reach 10 of the
+    63 windows and the resident holds about 2.2 MB.
     """
-    if n_paths < 1:
+    if as_int(n_paths, "n_paths") < 1:
         raise ParamError("n_paths >= 1")
+    seed = as_seed(seed)
     if not math.isfinite(y_start):
         raise ParamError("y_start finite")
     x0 = float(sol.x0)

@@ -30,6 +30,7 @@ import numpy as np
 
 from ._scipy import erfc, erfcx
 from .errors import ParamError, SolverError, StableRangeError
+from .model import as_int
 
 SQRT_PI = math.sqrt(math.pi)
 # h takes Laplace's continued fraction from CF_FROM on, where its erfcx
@@ -343,8 +344,8 @@ def qvi_residual(sol: StoppingSolution, grid) -> QviReport:
 def solve_stopping(sp: StoppingParams, n_grid: int = 2001) -> StoppingSolution:
     """Free boundary, value, and policy, with the QVI report evaluated
     on n_grid points from 0 to x0 + 10/sqrt(rho); qvi_residual checks
-    any other grid."""
-    if n_grid < 2:
+    any other grid. n_grid is an integer >= 2 (ParamError otherwise)."""
+    if as_int(n_grid, "n_grid") < 2:
         raise ParamError("n_grid >= 2")
     x0, alpha2 = free_boundary(sp)
     sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)

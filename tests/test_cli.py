@@ -531,6 +531,13 @@ def test_config_error_matrix(tmp_path, capsys):
           "linear": {"n_grid": -1}}, "linear.n_grid in [2, 10000000]"),
         ({"problem": "linear", "model": model, "output_dir": out,
           "linear": {"n_grid": 10 ** 400}}, "linear.n_grid in [2, 10000000]"),
+        # seeds outside the Philox key word: 2**64 drew seed 0's normals
+        ({"problem": "simulate", "model": model, "output_dir": out,
+          "simulate": {"policy": "linear", "n_paths": 10, "n_steps": 10, "seed": 2 ** 64}},
+         "simulate.seed in [0, 2**64)"),
+        ({"problem": "simulate", "model": model, "output_dir": out,
+          "simulate": {"policy": "linear", "n_paths": 10, "n_steps": 10, "seed": -1}},
+         "simulate.seed in [0, 2**64)"),
     ]
     for i, (body, err) in enumerate(cases):
         cfg = write_cfg(tmp_path, body, name="bad%d.json" % i)

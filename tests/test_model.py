@@ -5,13 +5,24 @@ import pytest
 
 from adkit import (
     ControlSet,
+    Grid2D,
     ModelParams,
     ParamError,
+    PathGrid,
     Policy,
     PolicyError,
+    StoppingParams,
     diffusion,
+    dp_linear,
     drift,
+    evaluate_policy,
     require,
+    riccati_integrate,
+    riccati_oracle,
+    simulate_path,
+    simulate_stopped,
+    solve_stopping,
+    stopping_cost_report,
     validate,
 )
 from adkit.model import MEMBERSHIP_TOL
@@ -160,3 +171,71 @@ def test_membership_random_draws():
     for _ in range(200):
         u = rng.uniform(-0.5, 1.5)
         assert cs.contains(u) == (0.0 - 1e-9 <= u <= 1.0 + 1e-9)
+
+
+_LQ = ModelParams(rho=0.5, c=0.1, T=1.0, sigma2=0.3)
+_STOP = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
+_STOP_KW = dict(mu=0.5, rho=0.5, gamma1=2.0, gamma2=2.0)
+_GRID = PathGrid(0.0, 1.0, 10)
+
+
+def _evaluate(n_paths=10, seed=1):
+    return evaluate_policy(_LQ, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
+                           _GRID, n_paths, seed)
+
+
+def _stopping_report(n_paths=10, seed=1):
+    sol = solve_stopping(_STOP)
+    return stopping_cost_report(sol=sol, g=_GRID, y_start=sol.x0 + 1.0, n_paths=n_paths,
+                                seed=seed, **_STOP_KW)
+
+
+def _simulate_stopped(seed):
+    sol = solve_stopping(_STOP)
+    return simulate_stopped(sol=sol, g=_GRID, y_start=sol.x0 + 1.0, seed=seed, **_STOP_KW)
+
+
+_COUNTS = {
+    "PathGrid.n_steps": lambda v: PathGrid(0.0, 1.0, v),
+    "Grid2D.n_x": lambda v: Grid2D(0.0, 1.0, v, 20),
+    "Grid2D.n_t": lambda v: Grid2D(0.0, 1.0, 20, v),
+    "dp_linear.n": lambda v: dp_linear(_LQ, v),
+    "riccati_integrate.n_nodes": lambda v: riccati_integrate(_LQ, n_nodes=v),
+    "riccati_oracle.n_nodes": lambda v: riccati_oracle(_LQ, n_nodes=v),
+    "solve_stopping.n_grid": lambda v: solve_stopping(_STOP, n_grid=v),
+    "evaluate_policy.n_paths": lambda v: _evaluate(n_paths=v),
+    "stopping_cost_report.n_paths": lambda v: _stopping_report(n_paths=v),
+}
+_SEEDS = {
+    "evaluate_policy.seed": lambda v: _evaluate(seed=v),
+    "stopping_cost_report.seed": lambda v: _stopping_report(seed=v),
+    "simulate_path.seed": lambda v: simulate_path(_LQ, Policy.constant(0.5), _GRID, 1.0, v),
+    "simulate_stopped.seed": _simulate_stopped,
+}
+
+
+@pytest.mark.parametrize("value", [101.0, True, "101", None])
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_counts_must_be_integers(entry, value):
+    name = entry.split(".")[1]
+    with pytest.raises(ParamError, match="^%s must be an integer$" % name):
+        _COUNTS[entry](value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+    ("a", "seed must be an integer"), (np.float64(3.0), "seed must be an integer"),
+    (2 ** 64, r"seed in \[0, 2\*\*64\)"), (-1, r"seed in \[0, 2\*\*64\)"),
+])
+@pytest.mark.parametrize("entry", sorted(_SEEDS))
+def test_seeds_must_be_integers_in_the_philox_key_range(entry, value, message):
+    with pytest.raises(ParamError, match="^%s$" % message):
+        _SEEDS[entry](value)
+
+
+# the largest seed is a Philox key word of its own, not seed 0's
+@pytest.mark.parametrize("entry, value",
+                         [(e, np.int64(101)) for e in sorted(_COUNTS)]
+                         + [(e, np.uint64(2 ** 64 - 1)) for e in sorted(_SEEDS)])
+def test_numpy_integers_are_accepted(entry, value):
+    {**_COUNTS, **_SEEDS}[entry](value)

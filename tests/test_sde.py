@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -674,10 +675,11 @@ def test_split_draw_worker_error_reaches_caller(monkeypatch):
     # the caller and three workers ran, and every worker was joined
     assert len(threads) == 4
     assert not any(t.is_alive() for t in threads if t is not caller)
-    # a failed window draw marks no path of the window as drawn
+    # a failed window draw records no entry, so no path of the window is
+    # taken for drawn
     with pytest.raises(_WorkerFault):
         sde._Windows(6, idx, 200).window(64, np.arange(256))
-    assert not sde._windowed[2].any()
+    assert sde._windowed[1] == [None] * 4
     # the next draw of the same key draws it afresh, bit for bit
     monkeypatch.setattr(sde, "ndtri", ndtri)
     z = block_normals(6, idx, 40)
@@ -699,6 +701,19 @@ def _count_ndtri(monkeypatch):
     return count
 
 
+def _record_draws(monkeypatch):
+    """Record (k0, path indices) of every _draw request."""
+    draws = []
+    draw = sde._draw
+
+    def recording(seed, indices, k0, k1, antithetic=False):
+        draws.append((k0, indices.tolist()))
+        return draw(seed, indices, k0, k1, antithetic)
+
+    monkeypatch.setattr(sde, "_draw", recording)
+    return draws
+
+
 def _empty_cache(monkeypatch):
     monkeypatch.setattr(sde, "_whole", None)
     monkeypatch.setattr(sde, "_windowed", None)
@@ -706,19 +721,23 @@ def _empty_cache(monkeypatch):
 
 def test_windowed_block_fills_only_requested_paths(monkeypatch):
     _empty_cache(monkeypatch)
+    draws = _record_draws(monkeypatch)
     idx = np.arange(10, 20, dtype=np.int64)
     ref = _reference_normals(4, idx, 150, False)
     src = sde._Windows(4, idx, 150)
-    w = src.window(128, np.array([1, 4, 9]))
-    assert w.shape == (150 - 128, 10)
-    np.testing.assert_array_equal(w[:, [1, 4, 9]].view(np.uint64),
+    w, col = src.window(128, np.array([1, 4, 9]))
+    assert w.shape == (150 - 128, 3) and draws == [(128, [11, 14, 19])]
+    np.testing.assert_array_equal(w[:, col].view(np.uint64),
                                   ref[[1, 4, 9], 128:].T.view(np.uint64))
-    assert sde._windowed[2][2].tolist() == [i in (1, 4, 9) for i in range(10)]
-    assert not sde._windowed[2][:2].any()
+    store = sde._windowed[1]
+    assert (store[2][1] >= 0).tolist() == [i in (1, 4, 9) for i in range(10)]
+    assert store[:2] == [None, None]
     # a second source on the same key sees the drawn paths and adds more
-    w = sde._Windows(4, idx, 150).window(128, np.arange(10))
-    np.testing.assert_array_equal(w.view(np.uint64), ref[:, 128:].T.view(np.uint64))
-    assert sde._windowed[2][2].all()
+    w, col = sde._Windows(4, idx, 150).window(128, np.arange(10))
+    assert w.shape == (150 - 128, 10)
+    assert draws[1:] == [(128, [10, 12, 13, 15, 16, 17, 18])]
+    np.testing.assert_array_equal(w[:, col].view(np.uint64), ref[:, 128:].T.view(np.uint64))
+    assert (store[2][1] >= 0).all()
 
 
 def test_stopping_all_paths_truncated_matches_reference(stop_sol, monkeypatch):
@@ -751,7 +770,7 @@ def test_stopping_after_failed_run_on_same_key_matches_reference(stop_sol, monke
     with pytest.raises(PolicyError, match="stopping control"):
         stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=300, seed=3,
                              control=failing, **SP_KW)
-    assert sde._windowed[2][:2].any()
+    assert sde._windowed[1][0] is not None and sde._windowed[1][1] is not None
     rep = stopping_cost_report(sol=stop_sol, g=g, y_start=y, n_paths=300, seed=3,
                                keep_samples=True, **SP_KW)
     samples, min_state, trunc = _ref_stopping(
@@ -775,6 +794,44 @@ def test_stopping_inverts_only_the_normals_it_reads(stop_sol, monkeypatch):
     first = count[0]
     stopping_cost_report(**kw)
     assert count[0] == first
+
+
+def test_stopping_store_working_set(stop_sol, monkeypatch):
+    # the paired stopping instance holds only the normals its paths read:
+    # a (steps, paths) buffer of the block would be 64 MB
+    _empty_cache(monkeypatch)
+    g = PathGrid(0.0, 40.0, 4000)
+    tracemalloc.start()
+    try:
+        stopping_cost_report(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=2000,
+                             seed=99, **SP_KW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+def test_stopping_reuse_draws_each_path_window_once(stop_sol, monkeypatch):
+    # the optimal control, then a scaled one on the same key: the second
+    # run draws only the (path, window) pairs the first did not reach
+    g = PathGrid(0.0, 40.0, 4000)
+    kw = dict(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=2000, seed=99,
+              keep_samples=True, **SP_KW)
+    scaled = lambda y: 0.6 * np.asarray(stop_sol.policy(y), dtype=float)
+    _empty_cache(monkeypatch)
+    fresh = stopping_cost_report(control=scaled, **kw)
+
+    _empty_cache(monkeypatch)
+    draws = _record_draws(monkeypatch)
+    stopping_cost_report(**kw)
+    first = len(draws)
+    rep = stopping_cost_report(control=scaled, **kw)
+    assert len(draws) > first  # the slower control reaches later windows
+    pairs = [(i, k0) for k0, indices in draws for i in indices]
+    assert len(set(pairs)) == len(pairs)
+    for name in ("mean", "std_error", "min_state", "truncated_fraction"):
+        assert getattr(rep, name) == getattr(fresh, name), name
+    np.testing.assert_array_equal(rep.samples.view(np.uint64), fresh.samples.view(np.uint64))
 
 
 def test_paired_evaluations_and_stopping_share_the_cache(stop_sol, monkeypatch):
@@ -813,7 +870,7 @@ def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
     block_normals(1, idx, 100)
     sde._Windows(1, idx, 200).window(0, np.arange(6))
     whole = weakref.ref(sde._whole[1].base)
-    windowed = weakref.ref(sde._windowed[1].base)
+    windowed = weakref.ref(sde._windowed[1][0][0])
     live = []
     draw = sde._draw
 
@@ -827,8 +884,9 @@ def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
     block_normals(2, idx, 100)
     assert live == [(False, True)]
     assert sde._whole[0][0] == 2 and sde._windowed[0][0] == 1
-    # a new windowed key: the old windowed block is gone once its
-    # replacement exists, and the whole resident stays
+    # a new windowed key: the old store is gone once its empty
+    # replacement exists, before the new key draws, and the whole
+    # resident stays
     src = sde._Windows(2, idx, 200)
     assert windowed() is None
     assert sde._whole[0][0] == 2 and sde._windowed[0][0] == 2
@@ -838,8 +896,10 @@ def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
     z = block_normals(3, idx, 100)
     drawn = len(live)
     src = sde._Windows(3, idx, 100)
-    assert src.drawn is None and np.shares_memory(src.zt, z)
-    np.testing.assert_array_equal(src.window(64, np.arange(6)), z.T[64:])
+    assert src.store is None and np.shares_memory(src.zt, z)
+    zw, col = src.window(64, np.array([1, 4]))
+    np.testing.assert_array_equal(zw, z.T[64:])
+    assert col.tolist() == [1, 4]
     assert len(live) == drawn and sde._windowed[0][0] == 2
 
 
@@ -881,8 +941,11 @@ def test_long_grid_stopping_draws_at_most_2_23_normals(stop_sol, monkeypatch):
         stopping_cost_report(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=4096,
                              seed=1, **SP_KW)
     assert shapes == [(sde._WINDOW, 8)]
-    # the windowed block's buffer holds one block too
-    assert sde._windowed[1].size <= 2 ** 23
+    # the store holds at most one block: each of its windows holds at
+    # most _WINDOW normals of each of the block's 8 paths
+    key, store = sde._windowed
+    assert len(key[1]) == 8 * 8  # the indices' bytes
+    assert len(store) * sde._WINDOW * 8 <= 2 ** 23
 
 
 def test_benchmark_shapes_keep_their_blocks(monkeypatch):
