@@ -51,6 +51,8 @@ MAX_SIZE = 10 ** 7
 # as a full DEFAULT_BLOCK (a kernel step's fixed cost does not shrink with
 # the width): five times criterion 8's 100k x 2,000, about 10 s on two CPUs
 MAX_WORK = 10 ** 9
+# most rows of a CSV table formatted and written at a time
+CSV_BLOCK = 4096
 
 BLOCK_SCHEMAS = {
     "linear": {"required": (), "optional": ("n_grid",)},
@@ -170,9 +172,11 @@ def emit(artifact, fmt, path):
     """Write one artifact. JSON keeps insertion order and is strict
     RFC 8259: a non-finite float raises SolverError before the file is
     opened. A CSV artifact is (header, columns) with equal-length 1-d
-    columns: records end in CRLF, float columns are written with "%.17g"
-    and other columns with "%s". String cells are fixed identifiers, so
-    none is quoted, and rows stream to the file one at a time."""
+    columns, else ValueError before the file is opened: records end in
+    CRLF, float columns are written with "%.17g" and other columns with
+    "%s". String cells are fixed identifiers, so none is quoted. Rows
+    are formatted and written CSV_BLOCK at a time, so the memory a table
+    takes beyond its columns does not grow with its length."""
     try:
         if fmt == "json":
             try:
@@ -184,11 +188,20 @@ def emit(artifact, fmt, path):
         elif fmt == "csv":
             header, cols = artifact
             cols = [np.asarray(c) for c in cols]
-            row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols)
+            n = len(cols[0]) if cols else 0
+            if any(len(c) != n for c in cols):
+                raise ValueError("CSV columns of unequal length")
+            floats = all(c.dtype.kind == "f" for c in cols)
+            row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\r\n"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(",".join(header) + "\r\n")
-                fh.writelines(row_fmt % row + "\r\n"
-                              for row in zip(*(c.tolist() for c in cols), strict=True))
+                for i in range(0, n, CSV_BLOCK):
+                    part = [c[i : i + CSV_BLOCK] for c in cols]
+                    if floats:
+                        cells = np.column_stack(part).ravel().tolist()
+                    else:
+                        cells = [v for row in zip(*(c.tolist() for c in part)) for v in row]
+                    fh.write(row_fmt * len(part[0]) % tuple(cells))
         else:
             raise ParamError("format in {csv, json}")
     except OSError as e:

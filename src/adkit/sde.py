@@ -31,19 +31,18 @@ _WINDOW steps at a time, for the paths still running. simulate_path and
 simulate_stopped run the same kernels on the one-path block [0], with a
 control that records the state and control of every step.
 
-The normals cache has two residents, so paired comparisons on common
-random numbers that alternate between policy evaluations and stopping
-evaluations draw each block once. Each is keyed by (seed, indices, n,
-antithetic) and replaced only by a new key of its own kind, the old one
-let go before the new one is drawn:
-- the whole block last asked of block_normals, read-only and returned
-  again without drawing when the same block is asked for;
-- the windowed block of the last stopping run, a store with one entry
-  per window that some path reached: the window's normals for just the
-  paths drawn in it, one column each, and a map from block position to
-  column. A later stopping run on the same key draws only the paths
-  and windows that earlier runs did not reach. A stopping run whose key
-  is the whole resident's reads that block instead.
+The normals cache has two independent residents, so paired comparisons
+on common random numbers that alternate between policy evaluations and
+stopping evaluations draw each block once. Each is replaced only by a
+new key of its own kind, the old one let go before the new one is drawn:
+- the whole block last asked of block_normals, keyed by (seed, indices,
+  n, antithetic), read-only and returned again without drawing when the
+  same block is asked for;
+- the windowed block of the last stopping run, keyed by (seed, indices,
+  n), a store with one entry per window that some path reached: the
+  window's normals for just the paths drawn in it, one column each, and
+  a map from block position to column. A later stopping run on the same
+  key draws only the paths and windows that earlier runs did not reach.
 So at most one whole block (8 bytes per normal) and one windowed block
 are held. The windowed block is about as large as the normals its paths
 read: about 2.2 MB on criterion 11's 2,000 stopped paths x 4,000 steps.
@@ -133,20 +132,21 @@ def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
     k // 4 + 1, so each row starts from counter k0 // 4 and drops its
     first k0 % 4 draws. antithetic pairs the paths as block_normals does.
     """
-    # one generator whose key is reset per row: resetting the state is
-    # cheaper than building a Philox
+    # one generator whose key word 1 is reset per row: setting a state of
+    # Python ints is cheaper than building a Philox or a uint64 key array
     bg = np.random.Philox(key=0)
     gen = np.random.Generator(bg)
+    key = [int(seed) & _MASK64, 0]
     state = bg.state
-    state["state"]["counter"][0] = k0 >> 2
-    seed_word = int(seed) & _MASK64
+    state["state"] = {"counter": [k0 >> 2, 0, 0, 0], "key": key}
+    state["buffer"] = [0, 0, 0, 0]
     skip = k0 & 3
     buf = np.empty((min(_ROW_CHUNK, indices.size), out.shape[0] + skip))
     for r0 in range(0, indices.size, _ROW_CHUNK):
         rows = indices[r0 : r0 + _ROW_CHUNK]
         for row, idx in enumerate(rows):
             base = int(idx) >> 1 if antithetic else int(idx)
-            state["state"]["key"] = np.array([seed_word, base & _MASK64], dtype=np.uint64)
+            key[1] = base & _MASK64
             bg.state = state
             # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53
             # for the 53-bit integer k that integers(0, 2^53) would draw
@@ -160,8 +160,9 @@ def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
 
 
 # The two residents of the normals cache. _whole is (key, z) of the last
-# whole block, z the (paths, steps) matrix. _windowed is (key, store) of
-# the last windowed block: store[w] is None until a path reaches the
+# whole block, z the (paths, steps) matrix; only block_normals reads and
+# writes it. _windowed is (key, store) of the last windowed block; only
+# _Windows reads and writes it. store[w] is None until a path reaches the
 # _WINDOW-step window w, then (z, col), z the time-major normals of the
 # paths drawn so far in the window and col the (paths,) map from block
 # position to column of z, -1 where the path is not drawn. Each is swapped
@@ -197,38 +198,30 @@ class _Windows:
     """Normals of the block (seed, indices, n) for the stopping kernel,
     drawn _WINDOW steps at a time for the paths that reach the window.
 
-    The block is the whole resident when its key matches, else the
-    windowed resident when its key matches, else a new windowed block
-    that replaces the windowed resident. A windowed block holds each
-    window's normals only for the paths drawn in it, one column each, so
-    it is about as large as the normals its paths read: about 2.2 MB on
-    2,000 paths that stop within 4,000 steps.
+    The block is the windowed resident when its key matches, else a new
+    one that replaces it. It holds each window's normals only for the
+    paths drawn in it, one column each, so it is about as large as the
+    normals its paths read: about 2.2 MB on 2,000 paths that stop within
+    4,000 steps.
     """
 
     def __init__(self, seed: int, indices, n: int):
         global _windowed
         indices = np.asarray(indices, dtype=np.int64)
         n = int(n)
-        key = (int(seed), indices.tobytes(), n, False)
+        key = (int(seed), indices.tobytes(), n)
         self.seed, self.indices, self.n = seed, indices, n
-        whole = _whole
-        if whole is not None and whole[0] == key:
-            self.zt, self.store = whole[1].T, None
-            return
         res = _windowed
         if res is None or res[0] != key:
-            _windowed = res = None
-            res = (key, [None] * -(-n // _WINDOW))
-            _windowed = res
-        self.zt, self.store = None, res[1]
+            _windowed = res = None  # let the old store go before the new one is made
+            _windowed = res = (key, [None] * -(-n // _WINDOW))
+        self.store = res[1]
 
     def window(self, k0: int, act: np.ndarray):
         """(zw, col): the time-major normals zw of steps k0..k0+_WINDOW-1
         (cut at n) and, for each block position in act, its column of zw.
         Only the paths of act not drawn in the window before are drawn."""
         k1 = min(k0 + _WINDOW, self.n)
-        if self.store is None:
-            return self.zt[k0:k1], act
         w = k0 // _WINDOW
         entry = self.store[w]
         if entry is None:
@@ -247,7 +240,8 @@ class _Windows:
 @dataclass(frozen=True)
 class PathGrid:
     """Uniform time grid; node k is t0 + k*dt computed from integers.
-    n_steps is a Python or numpy integer >= 1 (ParamError otherwise)."""
+    t0 < t_end are finite, n_steps is a Python or numpy integer >= 1 and
+    dt = (t_end - t0)/n_steps is finite and > 0 (ParamError otherwise)."""
 
     t0: float
     t_end: float
@@ -256,10 +250,14 @@ class PathGrid:
     def __post_init__(self):
         as_int(self.n_steps, "n_steps")
         bad = []
-        if not self.t0 < self.t_end:
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            bad.append("t0, t_end finite")
+        elif not self.t0 < self.t_end:
             bad.append("t0 < t_end")
         if self.n_steps < 1:
             bad.append("n_steps >= 1")
+        if not bad and not (math.isfinite(self.dt) and self.dt > 0):
+            bad.append("dt finite and > 0")
         if bad:
             raise ParamError(bad)
 

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import time
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -17,8 +18,8 @@ import adkit.cli
 import adkit.sde
 import adkit.stopping
 from adkit import ModelParams, SolverError, StoppingParams, solve_stopping
-from adkit.cli import (BLOCK_SCHEMAS, HANDLERS, MAX_SIZE, MAX_WORK, MODEL_KEYS, build_parser,
-                       emit, load_config, main)
+from adkit.cli import (BLOCK_SCHEMAS, CSV_BLOCK, HANDLERS, MAX_SIZE, MAX_WORK, MODEL_KEYS,
+                       build_parser, emit, load_config, main)
 from adkit.oracles import dp_linear
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
@@ -174,8 +175,30 @@ def test_emit_csv_matches_reference_writer(tmp_path):
     text = (tmp_path / "new.csv").read_bytes().decode()
     assert text.split("\r\n")[1:4] == ["-0,a,0.33333333333333331", "nan,b,0.10000000000000001",
                                         "inf,c,1"]
+    # blocks of CSV_BLOCK rows: two full ones and a short one, mixed columns
+    n = 2 * CSV_BLOCK + 7
+    rng = np.random.default_rng(5)
+    assert_same_csv(tmp_path, ("x", "name", "k", "y"),
+                    (rng.standard_normal(n), np.resize(names, n), np.arange(n),
+                     np.resize(vals, n)))
+    assert_same_csv(tmp_path, ("x", "name"), (np.empty(0), names[:0]))
+    assert (tmp_path / "new.csv").read_bytes() == b"x,name\r\n"
     with pytest.raises(ValueError):
         emit((("x", "y"), (vals, vals[1:])), "csv", str(tmp_path / "short.csv"))
+    assert not (tmp_path / "short.csv").exists()
+
+
+def test_emit_csv_working_set(tmp_path):
+    # a 10^5 x 5 float table: the writer holds one block of cells at a
+    # time; every cell of the table as a Python float takes about 16 MB
+    cols = tuple(np.random.default_rng(1).standard_normal((5, 10 ** 5)))
+    tracemalloc.start()
+    try:
+        emit((tuple("abcde"), cols), "csv", str(tmp_path / "big.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 HANDLER_BODIES = {

@@ -49,6 +49,14 @@ def test_path_grid_nodes():
         PathGrid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("t0,t_end", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308),
+                                      (0.0, 5e-324)],
+                         ids=["inf_end", "inf_start", "dt_overflows", "dt_underflows"])
+def test_path_grid_rejects_non_finite_or_degenerate_steps(t0, t_end):
+    with pytest.raises(ParamError):
+        PathGrid(t0, t_end, 10)
+
+
 def test_substreams_reproducible_and_disjoint():
     a = path_normals(123, 0, 64)
     b = path_normals(123, 0, 64)
@@ -864,7 +872,7 @@ def test_paired_evaluations_and_stopping_share_the_cache(stop_sol, monkeypatch):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
+def test_new_key_replaces_only_the_resident_of_its_kind(stop_sol, monkeypatch):
     _empty_cache(monkeypatch)
     idx = np.arange(6)
     block_normals(1, idx, 100)
@@ -892,15 +900,21 @@ def test_new_key_replaces_only_the_resident_of_its_kind(monkeypatch):
     assert sde._whole[0][0] == 2 and sde._windowed[0][0] == 2
     src.window(0, np.arange(6))
     assert live[1:] == [(False, False)]
-    # a stopping block on the whole resident's key reads it and draws nothing
-    z = block_normals(3, idx, 100)
+    # a stopping run on the whole resident's key draws into the windowed
+    # store and leaves the whole resident as it was
+    g = PathGrid(0.0, 4.0, 400)
+    kw = dict(sol=stop_sol, g=g, y_start=stop_sol.x0 + 1.0, n_paths=6, seed=3,
+              keep_samples=True, **SP_KW)
+    block_normals(3, idx, 400)
+    resident = sde._whole
     drawn = len(live)
-    src = sde._Windows(3, idx, 100)
-    assert src.store is None and np.shares_memory(src.zt, z)
-    zw, col = src.window(64, np.array([1, 4]))
-    np.testing.assert_array_equal(zw, z.T[64:])
-    assert col.tolist() == [1, 4]
-    assert len(live) == drawn and sde._windowed[0][0] == 2
+    rep = stopping_cost_report(**kw)
+    assert len(live) > drawn and sde._windowed[0][0] == 3
+    assert sde._whole is resident
+    # and its samples are those of the same run on an empty cache
+    _empty_cache(monkeypatch)
+    fresh = stopping_cost_report(**kw)
+    np.testing.assert_array_equal(rep.samples.view(np.uint64), fresh.samples.view(np.uint64))
 
 
 # --- block width from the grid ---
