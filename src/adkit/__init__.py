@@ -43,8 +43,6 @@ from .model import (
     Policy,
     diffusion,
     drift,
-    require,
-    validate,
 )
 from .oracles import (
     DpLinearResult,
@@ -118,7 +116,6 @@ __all__ = [
     "linear_policy",
     "lq_feedback",
     "qvi_residual",
-    "require",
     "riccati_coeffs",
     "riccati_integrate",
     "riccati_oracle",
@@ -134,5 +131,4 @@ __all__ = [
     "switch_time",
     "u2",
     "u_max_oracle",
-    "validate",
 ]

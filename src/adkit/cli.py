@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParamError, SolverError, StableRangeError
 from .linear import linear_policy, solve_budget, solve_linear, spend_bound
 from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
-from .model import ModelParams, as_int, as_seed, require
+from .model import ModelParams, as_int, as_seed
 from .oracles import Grid2D, dp_linear, dp_qvi_stopping
 from .sde import DEFAULT_BLOCK, PathGrid, _block_width, evaluate_policy, simulate_path
 # free_boundary is unused here but stays importable: perfbench/tracing.py
@@ -146,7 +146,6 @@ def load_config(path, output_override=None, format_override=None) -> RunConfig:
     _check_keys(model, "model", MODEL_KEYS, MODEL_REQUIRED, "model requires: %s")
     kwargs = {k: _num(model, k, "model") for k in model}
     params = ModelParams(**kwargs)
-    require(params)
 
     schema = BLOCK_SCHEMAS[problem]
     _check_keys(block, problem, schema["required"] + schema["optional"], schema["required"],

@@ -21,16 +21,10 @@ import numpy as np
 
 from .errors import ParamError, SolverError, StableRangeError
 from .lq import _h1
-from .model import ModelParams, Policy, require
+from .model import ModelParams, Policy, float_like
 
 # tolerance on the budget-binding and multiplier fixed-point identities
 IDENTITY_TOL = 1e-12
-
-
-def _as_float(t, val):
-    if np.ndim(t) == 0:
-        return float(val)
-    return val
 
 
 def _span(c: float, s):
@@ -52,7 +46,6 @@ def switch_time(p: ModelParams) -> float:
     with gamma = gamma0*exp(-c*T) substituted in; this form keeps
     t_star == T exact when gamma0 == 1.
     """
-    require(p)
     return p.T - math.log(p.gamma0) / (p.rho + p.c)
 
 
@@ -69,7 +62,7 @@ class LinearSolution:
     def gamma_fn(self, t):
         p = self.params
         t = np.asarray(t, dtype=float)
-        return _as_float(t, p.gamma * np.exp(-p.rho * (p.T - t)))
+        return float_like(t, p.gamma * np.exp(-p.rho * (p.T - t)))
 
     def _b1(self, t):
         # solves b1' = m*(exp(-c*t) - gamma_fn(t)) with b1(T) = 0,
@@ -96,7 +89,7 @@ class LinearSolution:
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._b1(t)
         self._require_finite("b1_fn", out)
-        return _as_float(t, out)
+        return float_like(t, out)
 
     def b1_prime(self, t):
         """m*(exp(-c*t) - gamma_fn(t)); StableRangeError where it is not finite."""
@@ -105,7 +98,7 @@ class LinearSolution:
         with np.errstate(over="ignore", invalid="ignore"):
             out = p.m * (np.exp(-p.c * t) - np.asarray(self.gamma_fn(t)))
         self._require_finite("b1_prime", out)
-        return _as_float(t, out)
+        return float_like(t, out)
 
     def b_fn(self, t):
         """b1(max(t, t_split)); StableRangeError where it is not finite."""
@@ -113,7 +106,7 @@ class LinearSolution:
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._b(t)
         self._require_finite("b_fn", out)
-        return _as_float(t, out)
+        return float_like(t, out)
 
     def value(self, t, x):
         """gamma_fn(t)*x + b_fn(t); StableRangeError where it is not finite."""
@@ -129,7 +122,6 @@ class LinearSolution:
 def solve_linear(p: ModelParams) -> LinearSolution:
     """The bang-bang solution for any c >= 0; c = 0 is the undiscounted
     problem, where b1(t) = (m*gamma/rho)*(1 - exp(-rho*(T - t))) - m*(T - t)."""
-    require(p)
     return LinearSolution(params=p, t_star=switch_time(p))
 
 
@@ -155,7 +147,6 @@ def spend_bound(p: ModelParams) -> float:
     """Largest discounted spend any admissible control can reach, m*T*E(c*T):
     (m/c)*(1 - exp(-c*T)) for c > 0 without its cancellation at small c*T,
     and m*T at c = 0. StableRangeError where the bound overflows."""
-    require(p)
     bound = p.m * float(_span(p.c, p.T))
     if not math.isfinite(bound):
         raise StableRangeError("spend bound overflows (m=%g, c=%g, T=%g)" % (p.m, p.c, p.T))
@@ -175,7 +166,6 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
     so c = 0 is a ParamError. StableRangeError where a multiplier or a
     comparison value leaves the floating-point range.
     """
-    require(p)
     if p.c == 0:
         raise ParamError("c > 0")
     if not math.isfinite(M):

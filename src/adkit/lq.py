@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParamError, PolicyError, SolverError, StableRangeError
-from .model import ControlSet, ModelParams, Policy, as_int, require
+from .model import ControlSet, ModelParams, Policy, as_int, float_like
 
 # the retained interval of a blow-down instance ends where D has fallen
 # to this fraction of D(T)
@@ -103,7 +103,6 @@ def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
     from the scaled flow, whose alpha^2 is zeta of the scaled problem
     (rho + c/2 in place of rho, c = 0).
     """
-    require(p)
     if p.sigma2 <= 0:
         raise ParamError("sigma2 > 0")
     a4 = 1.0 - p.gamma0 * _sigma2_sq(p)
@@ -304,7 +303,6 @@ def _underflow(fl: _Flow, horizon: float) -> str:
 def _riccati_input(p: ModelParams, t_lo: float, tol: float, n_nodes: int) -> float:
     """The input checks that riccati_integrate and oracles.riccati_oracle
     share, in this order; returns sigma2^2."""
-    require(p)
     if not (math.isfinite(tol) and tol > 0):
         raise ParamError("tol > 0 and finite")
     if as_int(n_nodes, "n_nodes") < 2:
@@ -610,7 +608,6 @@ def riccati_sigma2_zero(p: ModelParams, t):
 
     StableRangeError where a term of the formula leaves the float range.
     """
-    require(p)
     if p.sigma2 != 0:
         raise ParamError("sigma2 = 0")
     t = np.asarray(t, dtype=float)
@@ -632,16 +629,13 @@ def riccati_sigma2_zero(p: ModelParams, t):
         raise StableRangeError(
             "sigma2 = 0 closed form leaves the float range (rho=%g, c=%g, T=%g, sigma1=%g)"
             % (p.rho, p.c, p.T, p.sigma1))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return float_like(t, out)
 
 
 def riccati_sigma2_zero_blow(p: ModelParams) -> Optional[float]:
     """Time where the sigma2 = 0 closed form diverges (Q crosses 0),
     or None if P stays finite on all of (-inf, T). Raises
     StableRangeError when that time leaves the float range."""
-    require(p)
     if p.sigma2 != 0:
         raise ParamError("sigma2 = 0")
     a, _ = _rhs_coeffs(p)
@@ -690,9 +684,7 @@ def closed_loop_coeffs(sol: RiccatiSolution, t):
     if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
         raise PolicyError("closed-loop coefficients queried outside [%g, %g]" % (lo, hi))
     _, a_t, c_t = sol.closed_loop(t_arr)
-    if np.ndim(t) == 0:
-        return float(a_t), float(c_t)
-    return a_t, c_t
+    return float_like(t, a_t), float_like(t, c_t)
 
 
 def closed_loop_mean(sol: RiccatiSolution, t_eval=None, x_start=None):

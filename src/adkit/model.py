@@ -4,7 +4,8 @@ Goodwill follows dx = (-rho*x + u) dt + sigma(x, u) dw with
 sigma(x, u) = sigma0 + sigma1*|x| + sigma2*u. Payoffs are discounted at
 rate c in absolute time, so the terminal reward weight seen from time 0
 is gamma = gamma0 * exp(-c*T); it is computed once and shared by every
-solver.
+solver. ModelParams checks its constants when it is built, so the
+solvers take any ModelParams as valid.
 """
 
 from __future__ import annotations
@@ -19,11 +20,42 @@ from .errors import ParamError, PolicyError
 
 # slack used when checking control-set membership of simulated policies
 MEMBERSHIP_TOL = 1e-9
+_FIELDS = ("rho", "c", "T", "sigma0", "sigma1", "sigma2", "m", "gamma0", "x_init")
+# the fields that must be > 0; the others must be >= 0
+_POSITIVE = ("rho", "T", "m", "gamma0")
+
+
+def _as_real(v):
+    """v as a float, None unless it is a Python or numpy int or float (a
+    bool is not); an int beyond the float range becomes +-inf."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _violations(values: dict) -> list[str]:
+    """Every violated constraint of the fields in values (name -> float,
+    None where the field is not a real number), as plain constraint
+    strings ("rho > 0") that callers can surface verbatim."""
+    real = {name: v for name, v in values.items() if v is not None}
+    out = ["%s must be a real number" % name for name in values if name not in real]
+    for name, v in real.items():
+        strict = name in _POSITIVE
+        if not (v > 0 if strict else v >= 0):
+            out.append("%s %s 0" % (name, ">" if strict else ">="))
+    out += ["%s finite" % name for name, v in real.items() if not math.isfinite(v)]
+    return out
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All model constants. Construction never raises; run validate()."""
+    """All model constants, each a Python or numpy int or float, stored as
+    a float. Construction raises ParamError listing every violated
+    constraint (a field that is not a real number, a sign, a non-finite
+    value), so a ModelParams that exists is valid."""
 
     rho: float
     c: float
@@ -37,41 +69,13 @@ class ModelParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
+        values = {name: _as_real(getattr(self, name)) for name in _FIELDS}
+        bad = _violations(values)
+        if bad:
+            raise ParamError(bad)
+        for name, v in values.items():
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "gamma", self.gamma0 * math.exp(-self.c * self.T))
-
-
-def validate(p: ModelParams) -> list[str]:
-    """Return every violated parameter constraint, empty list when ok.
-
-    Violations are plain constraint strings ("rho > 0") so callers can
-    surface them verbatim.
-    """
-    out = []
-    checks = [
-        (p.rho > 0, "rho > 0"),
-        (p.c >= 0, "c >= 0"),
-        (p.T > 0, "T > 0"),
-        (p.sigma0 >= 0, "sigma0 >= 0"),
-        (p.sigma1 >= 0, "sigma1 >= 0"),
-        (p.sigma2 >= 0, "sigma2 >= 0"),
-        (p.m > 0, "m > 0"),
-        (p.gamma0 > 0, "gamma0 > 0"),
-        (p.x_init >= 0, "x_init >= 0"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            out.append(msg)
-    for name in ("rho", "c", "T", "sigma0", "sigma1", "sigma2", "m", "gamma0", "x_init"):
-        if not math.isfinite(getattr(p, name)):
-            out.append("%s finite" % name)
-    return out
-
-
-def require(p: ModelParams) -> None:
-    """Raise ParamError if validate() reports anything."""
-    bad = validate(p)
-    if bad:
-        raise ParamError(bad)
 
 
 def as_int(v, name: str) -> int:
@@ -89,6 +93,11 @@ def as_seed(v, name: str = "seed") -> int:
     if not 0 <= v < 1 << 64:
         raise ParamError("%s in [0, 2**64)" % name)
     return v
+
+
+def float_like(x, out):
+    """out as a float for a scalar query x, as an array otherwise."""
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def drift(x, u, p: ModelParams):

@@ -19,8 +19,8 @@ import numpy as np
 
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
-from .lq import GUARD_FRAC, P_CAP, _riccati_input, midpoint_residual
-from .model import ModelParams, as_int, require
+from .lq import GUARD_FRAC, P_CAP, _rhs_coeffs, _riccati_input, midpoint_residual
+from .model import ModelParams, as_int
 from .stopping import StoppingParams
 
 # right-hand-side evaluations one Riccati integration may make; the
@@ -40,8 +40,9 @@ QVI_CHUNK = 256
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Space-time box for the finite-difference solvers. n_x and n_t are
-    Python or numpy integers, each at least 16 (ParamError otherwise)."""
+    """Space-time box for the finite-difference solvers. x_lo < x_hi are
+    finite, n_x and n_t are Python or numpy integers, each at least 16,
+    and dx is finite and > 0 (ParamError otherwise)."""
 
     x_lo: float
     x_hi: float
@@ -52,12 +53,16 @@ class Grid2D:
         as_int(self.n_x, "n_x")
         as_int(self.n_t, "n_t")
         bad = []
-        if not self.x_lo < self.x_hi:
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
+            bad.append("x_lo, x_hi finite")
+        elif not self.x_lo < self.x_hi:
             bad.append("x_lo < x_hi")
         if self.n_x < 16:
             bad.append("n_x >= 16")
         if self.n_t < 16:
             bad.append("n_t >= 16")
+        if not bad and not (math.isfinite(self.dx) and self.dx > 0):
+            bad.append("dx finite and > 0")
         if bad:
             raise ParamError(bad)
 
@@ -83,7 +88,6 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
     form from the mean dynamics, so the only error is the grid spacing.
     n is an integer >= 100 (ParamError otherwise).
     """
-    require(p)
     if as_int(n, "n") < 100:
         raise ParamError("n >= 100")
     s = np.linspace(0.0, p.T, n + 1)
@@ -126,11 +130,7 @@ class RiccatiOracle:
 
 def _riccati_rhs(p: ModelParams, guard_stage: float):
     """Right-hand side that raises SolverError on evaluation MAX_NFEV + 1."""
-    try:
-        a, q = 2.0 * p.rho - p.sigma1 ** 2, (1.0 + p.sigma1 * p.sigma2) ** 2
-    except OverflowError:
-        raise StableRangeError("Riccati right-hand side overflows (sigma1=%g, sigma2=%g)"
-                               % (p.sigma1, p.sigma2)) from None
+    a, q = _rhs_coeffs(p)
     s2 = p.sigma2 ** 2
     c = p.c
     nfev = 0
@@ -305,7 +305,6 @@ def fd_hjb_lq(p: ModelParams, g: Grid2D, u_grid) -> FdHjbResult:
     Coefficients or a value that leave the floating-point range raise
     StableRangeError, and a singular band raises SolverError.
     """
-    require(p)
     u = _controls(u_grid)
     x = g.x_nodes()
     n = g.n_x

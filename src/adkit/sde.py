@@ -29,7 +29,8 @@ update their state vectors in place. A stopped path reads its normals
 only until it stops, so the stopping kernel draws them a window of
 _WINDOW steps at a time, for the paths still running. simulate_path and
 simulate_stopped run the same kernels on the one-path block [0], with a
-control that records the state and control of every step.
+control that records the state and control of every step; they draw its
+normals outside the cache below, so a single path never evicts a block.
 
 The normals cache has two independent residents, so paired comparisons
 on common random numbers that alternate between policy evaluations and
@@ -38,11 +39,12 @@ new key of its own kind, the old one let go before the new one is drawn:
 - the whole block last asked of block_normals, keyed by (seed, indices,
   n, antithetic), read-only and returned again without drawing when the
   same block is asked for;
-- the windowed block of the last stopping run, keyed by (seed, indices,
-  n), a store with one entry per window that some path reached: the
-  window's normals for just the paths drawn in it, one column each, and
-  a map from block position to column. A later stopping run on the same
-  key draws only the paths and windows that earlier runs did not reach.
+- the windowed block last run by stopping_cost_report, keyed by (seed,
+  indices, n), a store with one entry per window that some path reached:
+  the window's normals for just the paths drawn in it, one column each,
+  and a map from block position to column. A later stopping run on the
+  same key draws only the paths and windows that earlier runs did not
+  reach.
 So at most one whole block (8 bytes per normal) and one windowed block
 are held. The windowed block is about as large as the normals its paths
 read: about 2.2 MB on criterion 11's 2,000 stopped paths x 4,000 steps.
@@ -61,7 +63,7 @@ import numpy as np
 
 from ._scipy import ndtri
 from .errors import ParamError, PolicyError, SolverError
-from .model import MEMBERSHIP_TOL, ModelParams, Policy, as_int, as_seed, require
+from .model import MEMBERSHIP_TOL, ModelParams, Policy, as_int, as_seed
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
@@ -161,12 +163,13 @@ def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
 
 # The two residents of the normals cache. _whole is (key, z) of the last
 # whole block, z the (paths, steps) matrix; only block_normals reads and
-# writes it. _windowed is (key, store) of the last windowed block; only
-# _Windows reads and writes it. store[w] is None until a path reaches the
-# _WINDOW-step window w, then (z, col), z the time-major normals of the
-# paths drawn so far in the window and col the (paths,) map from block
-# position to column of z, -1 where the path is not drawn. Each is swapped
-# as one tuple, so a key is never seen with another key's block.
+# writes it. _windowed is (key, store) of the last windowed block of
+# stopping_cost_report; only _resident_store swaps it. store[w] is None
+# until a path reaches the _WINDOW-step window w, then (z, col), z the
+# time-major normals of the paths drawn so far in the window and col the
+# (paths,) map from block position to column of z, -1 where the path is
+# not drawn. Each is swapped as one tuple, so a key is never seen with
+# another key's block.
 _whole = None
 _windowed = None
 
@@ -194,28 +197,36 @@ def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.nd
     return z
 
 
+def _new_store(n: int) -> list:
+    """An empty window store for a block of n steps."""
+    return [None] * -(-n // _WINDOW)
+
+
+def _resident_store(seed: int, indices, n: int) -> list:
+    """The windowed resident's store when its key is (seed, indices, n),
+    else a new one that replaces it."""
+    global _windowed
+    key = (int(seed), np.asarray(indices, dtype=np.int64).tobytes(), int(n))
+    res = _windowed
+    if res is None or res[0] != key:
+        _windowed = res = None  # let the old store go before the new one is made
+        _windowed = res = (key, _new_store(n))
+    return res[1]
+
+
 class _Windows:
     """Normals of the block (seed, indices, n) for the stopping kernel,
-    drawn _WINDOW steps at a time for the paths that reach the window.
+    drawn _WINDOW steps at a time for the paths that reach the window,
+    into the caller's store (_new_store or _resident_store).
 
-    The block is the windowed resident when its key matches, else a new
-    one that replaces it. It holds each window's normals only for the
-    paths drawn in it, one column each, so it is about as large as the
-    normals its paths read: about 2.2 MB on 2,000 paths that stop within
-    4,000 steps.
+    The store holds each window's normals only for the paths drawn in it,
+    one column each, so it is about as large as the normals its paths
+    read: about 2.2 MB on 2,000 paths that stop within 4,000 steps.
     """
 
-    def __init__(self, seed: int, indices, n: int):
-        global _windowed
-        indices = np.asarray(indices, dtype=np.int64)
-        n = int(n)
-        key = (int(seed), indices.tobytes(), n)
-        self.seed, self.indices, self.n = seed, indices, n
-        res = _windowed
-        if res is None or res[0] != key:
-            _windowed = res = None  # let the old store go before the new one is made
-            _windowed = res = (key, [None] * -(-n // _WINDOW))
-        self.store = res[1]
+    def __init__(self, seed: int, indices, n: int, store: list):
+        self.seed, self.indices, self.n = seed, np.asarray(indices, dtype=np.int64), int(n)
+        self.store = store
 
     def window(self, k0: int, act: np.ndarray):
         """(zw, col): the time-major normals zw of steps k0..k0+_WINDOW-1
@@ -445,7 +456,6 @@ def simulate_path(
 ) -> Trajectory:
     """One Euler-Maruyama path with left-endpoint control evaluation.
     seed is an integer in [0, 2**64) (ParamError otherwise)."""
-    require(p)
     if not math.isfinite(x_start):
         raise ParamError("x_start finite")
     seed = as_seed(seed)
@@ -453,8 +463,9 @@ def simulate_path(
     rec = _Recorder(pol.fn, g.n_steps)
     pol = dataclasses.replace(pol, fn=rec)
     # a trajectory carries no running cost: step it with a zero loss
+    # drawn outside the normals cache, so one path does not evict a block
     state, _, _ = _euler_block(p, pol, np.zeros_like, g, x_start,
-                               block_normals(seed, [0], g.n_steps))
+                               _draw(seed, np.zeros(1, dtype=np.int64), 0, g.n_steps).T)
     _check_controls(pol, np.asarray(pol(t[-1], state), dtype=float).reshape(1))
     return Trajectory(t=t, x=rec.x, u=rec.u)
 
@@ -481,7 +492,6 @@ def evaluate_policy(
     integer in [0, 2**64), the Philox key word's range; anything else,
     a float or bool included, raises ParamError.
     """
-    require(p)
     if as_int(n_paths, "n_paths") < 1:
         raise ParamError("n_paths >= 1")
     seed = as_seed(seed)
@@ -598,7 +608,8 @@ def simulate_stopped(
     t = g.nodes()
     rec = _Recorder(sol.policy, g.n_steps)
     cost, end, _, truncated = _stopped_block(
-        mu, rho, gamma1, gamma2, x0, rec, g.dt, y_start, _Windows(seed, [0], g.n_steps))
+        mu, rho, gamma1, gamma2, x0, rec, g.dt, y_start,
+        _Windows(seed, [0], g.n_steps, _new_store(g.n_steps)))
     steps = rec.k
     rec.x[steps] = end[0]
     rec.u[steps] = float(sol.policy(end[0]))
@@ -651,8 +662,9 @@ def stopping_cost_report(
     feedback = sol.policy if control is None else control
 
     def kernel(idx):
+        normals = _Windows(seed, idx, g.n_steps, _resident_store(seed, idx, g.n_steps))
         cost, _, mn, trunc = _stopped_block(mu, rho, gamma1, gamma2, x0, feedback, g.dt,
-                                            y_start, _Windows(seed, idx, g.n_steps))
+                                            y_start, normals)
         return cost, mn, trunc
 
     # a product that overflows makes its sample non-finite, and the

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._scipy import erfc, erfcx
 from .errors import ParamError, SolverError, StableRangeError
-from .model import as_int
+from .model import as_int, float_like
 
 SQRT_PI = math.sqrt(math.pi)
 # h takes Laplace's continued fraction from CF_FROM on, where its erfcx
@@ -79,11 +79,6 @@ class StoppingParams:
         object.__setattr__(self, "mu", self.rho * self.k)
 
 
-def _like(x, out):
-    """out as a float for a scalar query x, as an array otherwise."""
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def _scaled_arg(x, sp: StoppingParams):
     """w = sqrt(rho)*(x - mu/rho) for a float or a float array x."""
     return math.sqrt(sp.rho) * (x - sp.mu / sp.rho)
@@ -99,7 +94,7 @@ def u2(x, sp: StoppingParams):
     if np.isinf(out).any():
         raise StableRangeError("u2 overflows: some w = sqrt(rho)*(x - mu/rho) is as low as %g"
                                % np.nanmin(w))
-    return _like(x, out)
+    return float_like(x, out)
 
 
 def _h_fraction(w):
@@ -282,7 +277,7 @@ class StoppingSolution:
         log_ratio[lanes] = diff
         cont = x0 * x0 - 2.0 * sp.gamma1 * log_ratio.reshape(x_arr.shape)
         out = np.where(x_arr <= x0, x_arr * x_arr, cont)
-        return _like(x, out)
+        return float_like(x, out)
 
     def policy(self, y):
         """Feedback control: u* = 2*sqrt(rho)*h(w) on the continuation side

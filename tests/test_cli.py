@@ -495,6 +495,14 @@ def test_mismatched_subcommand_exit2(tmp_path, capsys):
     assert "subcommand" in capsys.readouterr().err
 
 
+def test_negative_discount_on_long_horizon_exit2(tmp_path, capsys):
+    # exp(-c*T) = exp(1000) overflowed with a traceback before c >= 0 was checked
+    cfg = write_cfg(tmp_path, {"problem": "linear", "model": {"rho": 1, "c": -1, "T": 1000},
+                               "output_dir": str(tmp_path / "out"), "linear": {}})
+    assert main(["linear", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: c >= 0\n"
+
+
 def test_config_error_matrix(tmp_path, capsys):
     # each case with its exact stderr line: the key checks' order and
     # wording are user-visible

@@ -87,7 +87,10 @@ PROPERTY = settings(max_examples=300, deadline=timedelta(seconds=2), derandomize
 @PROPERTY
 @given(st.fixed_dictionaries({k: MAGNITUDES for k in FIELDS}), FRACTIONS)
 def test_linear_and_budget_entry_points_end_cleanly(kwargs, f):
-    p = ModelParams(**kwargs)
+    try:
+        p = ModelParams(**kwargs)
+    except AdkitError:
+        return
     _ends_cleanly(switch_time, p)
     _ends_cleanly(spend_bound, p)
     _ends_cleanly(_budget, p, f)

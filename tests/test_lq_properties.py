@@ -36,8 +36,8 @@ def near_cancelling(draw):
             "sigma1": draw(st.floats(0.0, 2.0))}
 
 
-PARAMS = st.one_of(st.fixed_dictionaries({k: MAGNITUDES for k in FIELDS}),
-                   near_cancelling()).map(lambda kw: ModelParams(**kw))
+# keyword dicts for ModelParams, which rejects some of them
+PARAMS = st.one_of(st.fixed_dictionaries({k: MAGNITUDES for k in FIELDS}), near_cancelling())
 
 
 def _finite(*values):
@@ -79,7 +79,11 @@ def _check_spend_bound(p):
           suppress_health_check=[HealthCheck.too_slow],
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(PARAMS)
-def test_lq_entry_points_end_cleanly(p):
+def test_lq_entry_points_end_cleanly(kwargs):
+    try:
+        p = ModelParams(**kwargs)
+    except AdkitError:
+        return
     for check in (_check_integrate, _check_sigma2_zero, _check_spend_bound):
         try:
             check(p)

@@ -16,14 +16,12 @@ from adkit import (
     dp_linear,
     drift,
     evaluate_policy,
-    require,
     riccati_integrate,
     riccati_oracle,
     simulate_path,
     simulate_stopped,
     solve_stopping,
     stopping_cost_report,
-    validate,
 )
 from adkit.model import MEMBERSHIP_TOL
 
@@ -41,29 +39,57 @@ def test_gamma_undiscounted():
     assert p.gamma == 0.7
 
 
-def test_validate_collects_all_violations():
-    p = ModelParams(rho=-1.0, c=-0.5, T=0.0, sigma0=-1.0, m=0.0)
-    bad = validate(p)
-    for msg in ("rho > 0", "c >= 0", "T > 0", "sigma0 >= 0", "m > 0"):
-        assert msg in bad
-
-
-def test_validate_rejects_nonfinite():
-    p = ModelParams(rho=0.5, c=0.0, T=math.inf)
-    bad = validate(p)
-    assert "T finite" in bad
-
-
-def test_require_raises_with_joined_message():
-    p = ModelParams(rho=0.0, c=0.0, T=1.0, gamma0=-1.0)
+def test_construction_collects_all_violations():
     with pytest.raises(ParamError) as err:
-        require(p)
-    assert "rho > 0" in str(err.value)
-    assert "gamma0 > 0" in str(err.value)
+        ModelParams(rho=-1.0, c=-0.5, T=0.0, sigma0=-1.0, m=0.0)
+    assert err.value.violations == ["rho > 0", "c >= 0", "T > 0", "sigma0 >= 0", "m > 0"]
 
 
-def test_require_passes_valid():
-    require(ModelParams(rho=0.5, c=0.1, T=1.0))
+def test_construction_rejects_nonfinite():
+    with pytest.raises(ParamError) as err:
+        ModelParams(rho=0.5, c=0.0, T=math.inf)
+    assert err.value.violations == ["T finite"]
+
+
+def test_construction_raises_with_joined_message():
+    with pytest.raises(ParamError) as err:
+        ModelParams(rho=0.0, c=0.0, T=1.0, gamma0=-1.0)
+    assert str(err.value) == "rho > 0; gamma0 > 0"
+
+
+def test_construction_passes_valid():
+    p = ModelParams(rho=0.5, c=0.1, T=1.0)
+    assert (p.rho, p.c, p.T) == (0.5, 0.1, 1.0)
+
+
+def test_discounted_horizon_checked_before_gamma():
+    # c < 0 with a long horizon would overflow exp(-c*T) in forming gamma
+    with pytest.raises(ParamError) as err:
+        ModelParams(rho=1.0, c=-1.0, T=1000.0)
+    assert err.value.violations == ["c >= 0"]
+
+
+@pytest.mark.parametrize("value, violation", [
+    ("a", "rho must be a real number"),
+    (None, "rho must be a real number"),
+    (1j, "rho must be a real number"),
+    (True, "rho must be a real number"),
+    (10**400, "rho finite"),
+], ids=["str", "None", "complex", "bool", "int-beyond-float"])
+def test_construction_rejects_non_real(value, violation):
+    with pytest.raises(ParamError) as err:
+        ModelParams(rho=value, c=0.0, T=1.0)
+    assert err.value.violations == [violation]
+
+
+def test_construction_stores_ints_as_floats():
+    p = ModelParams(rho=np.int64(2), c=0, T=np.float32(0.5), m=3)
+    for name in ("rho", "c", "T", "m"):
+        assert type(getattr(p, name)) is float
+    assert (p.rho, p.c, p.T, p.m) == (2.0, 0.0, 0.5, 3.0)
+    with pytest.raises(ParamError) as err:
+        ModelParams(rho=1.0, c=-10**400, T=1.0)
+    assert err.value.violations == ["c >= 0", "c finite"]
 
 
 def test_drift_and_diffusion_shapes():

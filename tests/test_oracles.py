@@ -47,6 +47,19 @@ def test_grid2d_reports_every_violation():
     assert exc.value.violations == ["x_lo < x_hi", "n_x >= 16", "n_t >= 16"]
 
 
+@pytest.mark.parametrize("x_lo, x_hi, violation", [
+    (0.0, math.inf, "x_lo, x_hi finite"),
+    (-math.inf, 0.0, "x_lo, x_hi finite"),
+    (-1e308, 1e308, "dx finite and > 0"),  # x_hi - x_lo overflows
+])
+def test_grid2d_rejects_non_finite_ends_and_step(x_lo, x_hi, violation):
+    # each was accepted, and the FD and QVI oracles then reported it as a
+    # solver failure
+    with pytest.raises(ParamError) as exc:
+        Grid2D(x_lo, x_hi, 16, 16)
+    assert exc.value.violations == [violation]
+
+
 def test_dp_linear_recovers_switch_time():
     r = dp_linear(P_LIN, 10 ** 4)
     sol = solve_linear(P_LIN)

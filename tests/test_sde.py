@@ -686,7 +686,7 @@ def test_split_draw_worker_error_reaches_caller(monkeypatch):
     # a failed window draw records no entry, so no path of the window is
     # taken for drawn
     with pytest.raises(_WorkerFault):
-        sde._Windows(6, idx, 200).window(64, np.arange(256))
+        _resident_windows(6, idx, 200).window(64, np.arange(256))
     assert sde._windowed[1] == [None] * 4
     # the next draw of the same key draws it afresh, bit for bit
     monkeypatch.setattr(sde, "ndtri", ndtri)
@@ -727,12 +727,17 @@ def _empty_cache(monkeypatch):
     monkeypatch.setattr(sde, "_windowed", None)
 
 
+def _resident_windows(seed, idx, n):
+    """Windows on the windowed resident, as stopping_cost_report opens them."""
+    return sde._Windows(seed, idx, n, sde._resident_store(seed, idx, n))
+
+
 def test_windowed_block_fills_only_requested_paths(monkeypatch):
     _empty_cache(monkeypatch)
     draws = _record_draws(monkeypatch)
     idx = np.arange(10, 20, dtype=np.int64)
     ref = _reference_normals(4, idx, 150, False)
-    src = sde._Windows(4, idx, 150)
+    src = _resident_windows(4, idx, 150)
     w, col = src.window(128, np.array([1, 4, 9]))
     assert w.shape == (150 - 128, 3) and draws == [(128, [11, 14, 19])]
     np.testing.assert_array_equal(w[:, col].view(np.uint64),
@@ -741,7 +746,7 @@ def test_windowed_block_fills_only_requested_paths(monkeypatch):
     assert (store[2][1] >= 0).tolist() == [i in (1, 4, 9) for i in range(10)]
     assert store[:2] == [None, None]
     # a second source on the same key sees the drawn paths and adds more
-    w, col = sde._Windows(4, idx, 150).window(128, np.arange(10))
+    w, col = _resident_windows(4, idx, 150).window(128, np.arange(10))
     assert w.shape == (150 - 128, 10)
     assert draws[1:] == [(128, [10, 12, 13, 15, 16, 17, 18])]
     np.testing.assert_array_equal(w[:, col].view(np.uint64), ref[:, 128:].T.view(np.uint64))
@@ -872,11 +877,33 @@ def test_paired_evaluations_and_stopping_share_the_cache(stop_sol, monkeypatch):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_one_path_simulations_leave_the_cache_alone(stop_sol, monkeypatch):
+    _empty_cache(monkeypatch)
+    p, pol = POLICIES["lq"]
+    g = PathGrid(0.0, p.T, 400)
+    g_stop = PathGrid(0.0, 40.0, 4000)
+    ref_path = _ref_simulate_path(p, pol, g, 1.0, 1)
+    ref_stop = _ref_simulate_stopped(sol=stop_sol, g=g_stop, y_start=3.0, seed=99, **SP_KW)
+    # residents of other keys on the same seeds
+    block_normals(1, np.arange(64), 400)
+    stopping_cost_report(sol=stop_sol, g=g_stop, y_start=stop_sol.x0 + 1.0, n_paths=200,
+                         seed=99, **SP_KW)
+    whole, windowed = sde._whole, sde._windowed
+    traj = simulate_path(p, pol, g, 1.0, seed=1)
+    assert sde._whole is whole and sde._windowed is windowed
+    r = simulate_stopped(sol=stop_sol, g=g_stop, y_start=3.0, seed=99, **SP_KW)
+    assert sde._whole is whole and sde._windowed is windowed
+    for got, want in zip((traj.t, traj.x, traj.u, r.t_path, r.y_path, r.u_path),
+                         ref_path + ref_stop[:3]):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (r.tau, r.cost, r.truncated) == ref_stop[3:]
+
+
 def test_new_key_replaces_only_the_resident_of_its_kind(stop_sol, monkeypatch):
     _empty_cache(monkeypatch)
     idx = np.arange(6)
     block_normals(1, idx, 100)
-    sde._Windows(1, idx, 200).window(0, np.arange(6))
+    _resident_windows(1, idx, 200).window(0, np.arange(6))
     whole = weakref.ref(sde._whole[1].base)
     windowed = weakref.ref(sde._windowed[1][0][0])
     live = []
@@ -895,7 +922,7 @@ def test_new_key_replaces_only_the_resident_of_its_kind(stop_sol, monkeypatch):
     # a new windowed key: the old store is gone once its empty
     # replacement exists, before the new key draws, and the whole
     # resident stays
-    src = sde._Windows(2, idx, 200)
+    src = _resident_windows(2, idx, 200)
     assert windowed() is None
     assert sde._whole[0][0] == 2 and sde._windowed[0][0] == 2
     src.window(0, np.arange(6))
