@@ -29,7 +29,8 @@ import numpy as np
 from .errors import ParamError, SolverError, StableRangeError
 from .linear import linear_policy, solve_budget, solve_linear, spend_bound
 from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
-from .model import ModelParams, as_int, as_seed
+# MAX_SIZE is unused here but stays importable from this module
+from .model import _FIELDS as MODEL_KEYS, MAX_SIZE, ModelParams, as_count, as_real, as_seed
 from .oracles import Grid2D, dp_linear, dp_qvi_stopping
 from .sde import DEFAULT_BLOCK, PathGrid, _block_width, evaluate_policy, simulate_path
 # free_boundary is unused here but stays importable: perfbench/tracing.py
@@ -40,13 +41,8 @@ log = logging.getLogger("adkit.cli")
 
 PROBLEMS = ("linear", "budget", "lq", "stop", "simulate", "verify")
 TOP_KEYS = ("problem", "model", "output_dir", "formats")
-MODEL_KEYS = ("rho", "c", "T", "sigma0", "sigma1", "sigma2", "m", "gamma0", "x_init")
 MODEL_REQUIRED = ("rho", "c", "T")
 FORMATS = ("json", "csv")
-# largest grid, path count or step count a config may ask for: numpy
-# cannot allocate arrays near 2^63 elements, and far below that they
-# no longer fit in memory
-MAX_SIZE = 10 ** 7
 # largest simulate.n_paths * simulate.n_steps, each block of paths counted
 # as a full DEFAULT_BLOCK (a kernel step's fixed cost does not shrink with
 # the width): five times criterion 8's 100k x 2,000, about 10 s on two CPUs
@@ -76,33 +72,8 @@ class RunConfig:
     formats: tuple
 
 
-def _num(block, name, where):
-    v = block[name]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParamError("%s.%s must be a number" % (where, name))
-    try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise ParamError("%s.%s must be finite" % (where, name))
-    return v
-
-
-def _int(block, name, where):
-    return as_int(block[name], "%s.%s" % (where, name))
-
-
-def _size(block, name, where, lo):
-    """An array length from the config, lo <= v <= MAX_SIZE."""
-    v = _int(block, name, where)
-    if not lo <= v <= MAX_SIZE:
-        raise ParamError("%s.%s in [%d, %d]" % (where, name, lo, MAX_SIZE))
-    return v
-
-
 def _n_grid(block, where, default):
-    return _size(block, "n_grid", where, 2) if "n_grid" in block else default
+    return as_count(block["n_grid"], where + ".n_grid", 2) if "n_grid" in block else default
 
 
 def _reject_constant(name):
@@ -144,8 +115,7 @@ def load_config(path, output_override=None, format_override=None) -> RunConfig:
     if not isinstance(model, dict):
         raise ParamError("missing 'model' block")
     _check_keys(model, "model", MODEL_KEYS, MODEL_REQUIRED, "model requires: %s")
-    kwargs = {k: _num(model, k, "model") for k in model}
-    params = ModelParams(**kwargs)
+    params = ModelParams(**{k: as_real(v, "model." + k) for k, v in model.items()})
 
     schema = BLOCK_SCHEMAS[problem]
     _check_keys(block, problem, schema["required"] + schema["optional"], schema["required"],
@@ -243,7 +213,7 @@ def _run_linear(cfg: RunConfig):
 
 def _run_budget(cfg: RunConfig):
     p = cfg.params
-    M = _num(cfg.block, "M", "budget")
+    M = as_real(cfg.block["M"], "budget.M")
     n_grid = _n_grid(cfg.block, "budget", 201)
     sol = solve_budget(p, M)
     t = np.linspace(0.0, p.T, n_grid)
@@ -264,8 +234,8 @@ def _run_budget(cfg: RunConfig):
 
 def _run_lq(cfg: RunConfig):
     p = cfg.params
-    t_lo = _num(cfg.block, "t_lo", "lq") if "t_lo" in cfg.block else 0.0
-    tol = _num(cfg.block, "tol", "lq") if "tol" in cfg.block else 1e-8
+    t_lo = as_real(cfg.block["t_lo"], "lq.t_lo") if "t_lo" in cfg.block else 0.0
+    tol = as_real(cfg.block["tol"], "lq.tol") if "tol" in cfg.block else 1e-8
     n_grid = _n_grid(cfg.block, "lq", 2001)
     sol = riccati_integrate(p, t_lo=t_lo, tol=tol, n_nodes=n_grid)
     p0 = float(sol.P[0])
@@ -302,9 +272,8 @@ def _run_stop(cfg: RunConfig):
     p = cfg.params
     if p.c != 0:
         raise ParamError("c = 0 (the stopping problem is undiscounted)")
-    k = _num(cfg.block, "k", "stop")
-    gamma1 = _num(cfg.block, "gamma1", "stop")
-    gamma2 = _num(cfg.block, "gamma2", "stop")
+    k, gamma1, gamma2 = (as_real(cfg.block[name], "stop." + name)
+                         for name in ("k", "gamma1", "gamma2"))
     n_grid = _n_grid(cfg.block, "stop", 2001)
     sp = StoppingParams(k=k, rho=p.rho, gamma1=gamma1, gamma2=gamma2)
     sol = solve_stopping(sp, n_grid=n_grid)
@@ -338,14 +307,14 @@ def _run_simulate(cfg: RunConfig):
     kind = block["policy"]
     if kind not in ("linear", "budget", "lq"):
         raise ParamError("simulate.policy in {linear, budget, lq}")
-    n_paths = _size(block, "n_paths", "simulate", 1)
-    n_steps = _size(block, "n_steps", "simulate", 1)
+    n_paths = as_count(block["n_paths"], "simulate.n_paths", 1)
+    n_steps = as_count(block["n_steps"], "simulate.n_steps", 1)
     width = _block_width(n_steps)
     if math.ceil(n_paths / width) * DEFAULT_BLOCK * n_steps > MAX_WORK:
         raise ParamError("simulate.n_paths * simulate.n_steps at most %d, where n_paths "
                          "counts as %d per block of %d paths" % (MAX_WORK, DEFAULT_BLOCK, width))
     seed = as_seed(block["seed"], "simulate.seed")
-    x_start = _num(block, "x_start", "simulate") if "x_start" in block else p.x_init
+    x_start = as_real(block["x_start"], "simulate.x_start") if "x_start" in block else p.x_init
     antithetic = block.get("antithetic", False)
     if not isinstance(antithetic, bool):
         raise ParamError("simulate.antithetic must be a boolean")
@@ -359,7 +328,7 @@ def _run_simulate(cfg: RunConfig):
     elif kind == "budget":
         if "M" not in block:
             raise ParamError("simulate block requires M for the budget policy")
-        pol = solve_budget(p, _num(block, "M", "simulate")).policy
+        pol = solve_budget(p, as_real(block["M"], "simulate.M")).policy
     else:
         pol = lq_feedback(riccati_integrate(p), p)
         reward = lambda xs: p.gamma0 * xs * xs
@@ -497,8 +466,12 @@ def _setup_logging():
         )
 
 
+# main's parser, built once: parse_args leaves it as it was
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     _setup_logging()
     fmt_override = args.format.split(",") if args.format else None
     try:

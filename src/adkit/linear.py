@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParamError, SolverError, StableRangeError
 from .lq import _h1
-from .model import ModelParams, Policy, float_like
+from .model import ModelParams, Policy, as_array, as_real, float_like
 
 # tolerance on the budget-binding and multiplier fixed-point identities
 IDENTITY_TOL = 1e-12
@@ -61,7 +61,7 @@ class LinearSolution:
 
     def gamma_fn(self, t):
         p = self.params
-        t = np.asarray(t, dtype=float)
+        t = as_array(t, "t")
         return float_like(t, p.gamma * np.exp(-p.rho * (p.T - t)))
 
     def _b1(self, t):
@@ -75,48 +75,36 @@ class LinearSolution:
     def _b(self, t):
         return np.where(t <= self.t_split, self._b1(self.t_split), self._b1(t))
 
-    def _require_finite(self, name, out):
+    def _finite(self, name, f, *args):
+        """f(t) or f(t, x) on float arrays (model.as_array); StableRangeError
+        where it is not finite, a float where every argument is a scalar."""
+        args = [as_array(a, n) for a, n in zip(args, ("t", "x"))]
+        # terms that leave the floating-point range are caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = f(*args)
         if not np.all(np.isfinite(out)):
             p = self.params
             raise StableRangeError("linear %s leaves the floating-point range "
                                    "(rho=%g, c=%g, T=%g, m=%g, gamma0=%g)"
                                    % (name, p.rho, p.c, p.T, p.m, p.gamma0))
+        return float(out) if all(a.ndim == 0 for a in args) else out
 
     def b1_fn(self, t):
         """b1(t); StableRangeError where it is not finite."""
-        t = np.asarray(t, dtype=float)
-        # terms that leave the floating-point range are caught below
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._b1(t)
-        self._require_finite("b1_fn", out)
-        return float_like(t, out)
+        return self._finite("b1_fn", self._b1, t)
 
     def b1_prime(self, t):
         """m*(exp(-c*t) - gamma_fn(t)); StableRangeError where it is not finite."""
         p = self.params
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = p.m * (np.exp(-p.c * t) - np.asarray(self.gamma_fn(t)))
-        self._require_finite("b1_prime", out)
-        return float_like(t, out)
+        return self._finite("b1_prime", lambda t: p.m * (np.exp(-p.c * t) - self.gamma_fn(t)), t)
 
     def b_fn(self, t):
         """b1(max(t, t_split)); StableRangeError where it is not finite."""
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._b(t)
-        self._require_finite("b_fn", out)
-        return float_like(t, out)
+        return self._finite("b_fn", self._b, t)
 
     def value(self, t, x):
         """gamma_fn(t)*x + b_fn(t); StableRangeError where it is not finite."""
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(self.gamma_fn(t)) * np.asarray(x, dtype=float) + self._b(t)
-        self._require_finite("value", out)
-        if np.ndim(t) == 0 and np.ndim(x) == 0:
-            return float(out)
-        return out
+        return self._finite("value", lambda t, x: self.gamma_fn(t) * x + self._b(t), t, x)
 
 
 def solve_linear(p: ModelParams) -> LinearSolution:
@@ -168,8 +156,7 @@ def solve_budget(p: ModelParams, M: float) -> BudgetSolution:
     """
     if p.c == 0:
         raise ParamError("c > 0")
-    if not math.isfinite(M):
-        raise ParamError("M finite")
+    M = as_real(M, "M")
     if M <= 0:
         raise ParamError("M > 0")
     if not M <= p.m * float(_span(p.c, p.T)):  # an overflowing bound admits any M

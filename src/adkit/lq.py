@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParamError, PolicyError, SolverError, StableRangeError
-from .model import ControlSet, ModelParams, Policy, as_int, float_like
+from .model import ControlSet, ModelParams, Policy, as_array, as_count, as_real, float_like
 
 # the retained interval of a blow-down instance ends where D has fallen
 # to this fraction of D(T)
@@ -300,13 +300,14 @@ def _underflow(fl: _Flow, horizon: float) -> str:
             "alpha = %g, over a horizon of %g" % (fl.alpha, horizon))
 
 
-def _riccati_input(p: ModelParams, t_lo: float, tol: float, n_nodes: int) -> float:
+def _riccati_input(p: ModelParams, t_lo, tol, n_nodes):
     """The input checks that riccati_integrate and oracles.riccati_oracle
-    share, in this order; returns sigma2^2."""
-    if not (math.isfinite(tol) and tol > 0):
+    share, in this order; returns t_lo, tol, n_nodes and sigma2^2."""
+    tol = as_real(tol, "tol")
+    if not tol > 0:
         raise ParamError("tol > 0 and finite")
-    if as_int(n_nodes, "n_nodes") < 2:
-        raise ParamError("n_nodes >= 2")
+    n_nodes = as_count(n_nodes, "n_nodes", 2)
+    t_lo = as_real(t_lo, "t_lo")
     if not t_lo < p.T:
         raise ParamError("t_lo < T")
     try:
@@ -317,7 +318,7 @@ def _riccati_input(p: ModelParams, t_lo: float, tol: float, n_nodes: int) -> flo
     # a4 = 1 - gamma0*sigma2^2 > 0 is D(T) > 0
     if not 1.0 - p.gamma0 * s2 > 0:
         raise ParamError("1 - gamma0*sigma2^2 > 0")
-    return s2
+    return t_lo, tol, n_nodes, s2
 
 
 def _rhs_coeffs(p: ModelParams):
@@ -432,8 +433,7 @@ class RiccatiSolution:
             raise StableRangeError("P(%g) overflows" % t) from None
 
     def _PD(self, t):
-        """P and D at an array of times, both from one log w."""
-        t = np.asarray(t, dtype=float)
+        """P and D at a float array of times, both from one log w."""
         if np.isnan(t).any():
             raise PolicyError("Riccati solution queried at t = nan")
         t = np.clip(t, self.t[0], self.t[-1])
@@ -446,30 +446,33 @@ class RiccatiSolution:
             raise StableRangeError("P overflows on the queried times")
         return P, D
 
+    def _at(self, t):
+        """(t, P, D) at a query time t: t a float where it is a scalar,
+        else a float array (model.as_array)."""
+        if not isinstance(t, float):
+            t = as_array(t, "t")
+            if t.ndim:
+                return (t,) + self._PD(t)
+        t = float(t)
+        return (t,) + self._PD1(t)
+
     def P_at(self, t):
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._PD1(float(t))[0]
-        return self._PD(t)[0]
+        return self._at(t)[1]
 
     def D_at(self, t):
         """exp(-c*t) + sigma2^2*P, as exp(-c*t)/(1 + sigma2^2*w) > 0."""
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._PD1(float(t))[1]
-        return self._PD(t)[1]
+        return self._at(t)[2]
 
     def gain_at(self, t):
         """-(1 + sigma1*sigma2) P / D from the P and D that P_at and D_at
         return; (1 + sigma1*sigma2)*w to rounding."""
-        one = 1.0 + self.params.sigma1 * self.params.sigma2
-        if isinstance(t, float) or np.ndim(t) == 0:
-            P, D = self._PD1(float(t))
+        t, P, D = self._at(t)
+        if isinstance(t, float):
             if not D > 0:
                 raise StableRangeError("D(%g) underflows to 0" % t)
-            return -one * P / D
-        P, D = self._PD(t)
-        if not np.all(D > 0):
+        elif not np.all(D > 0):
             raise StableRangeError("D underflows to 0 on the queried times")
-        return -one * P / D
+        return -(1.0 + self.params.sigma1 * self.params.sigma2) * P / D
 
     def closed_loop(self, t):
         """Gain G and closed-loop coefficients a = -rho + G and
@@ -484,10 +487,11 @@ class RiccatiSolution:
 def riccati_integrate(
     p: ModelParams, t_lo: float = 0.0, tol: float = 1e-8, n_nodes: int = 2001
 ) -> RiccatiSolution:
-    """The closed-form solution on n_nodes (an integer >= 2, ParamError
-    otherwise) equally spaced nodes of [t_lo, T], or of the retained
-    interval where D has fallen to GUARD_FRAC*D(T) (|exp(c*t)*P| has
-    reached P_CAP for sigma2 = 0) when that happens after t_lo.
+    """The closed-form solution on n_nodes (a count in [2, MAX_SIZE], t_lo
+    and tol finite reals, ParamError otherwise) equally spaced nodes of
+    [t_lo, T], or of the retained interval where D has fallen to
+    GUARD_FRAC*D(T) (|exp(c*t)*P| has reached P_CAP for sigma2 = 0) when
+    that happens after t_lo.
     well_posed means t_lo was reached; otherwise t_blow is the exact
     blow-down time. For sigma2 > 0, classification is the phase-line
     verdict of the same flow over the horizon T - t_lo (see
@@ -504,7 +508,7 @@ def riccati_integrate(
     P_at, D_at and gain_at alike). A P that underflows to 0 or
     overflows raises StableRangeError, since P < 0 must hold on every
     node."""
-    _riccati_input(p, t_lo, tol, n_nodes)
+    t_lo, tol, n_nodes, _ = _riccati_input(p, t_lo, tol, n_nodes)
     fl = _scaled_flow(p)
     a4 = 1.0 - p.gamma0 * fl.s2
 
@@ -610,7 +614,7 @@ def riccati_sigma2_zero(p: ModelParams, t):
     """
     if p.sigma2 != 0:
         raise ParamError("sigma2 = 0")
-    t = np.asarray(t, dtype=float)
+    t = as_array(t, "t")
     if not np.all(np.isfinite(t)):
         raise ParamError("t finite")
     if p.gamma == 0:
@@ -679,7 +683,7 @@ def closed_loop_coeffs(sol: RiccatiSolution, t):
     [t_lo, T]."""
     if not sol.well_posed:
         raise SolverError("Riccati solution not well posed")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = as_array(t, "t")
     lo, hi = float(sol.t[0]), float(sol.params.T)
     if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
         raise PolicyError("closed-loop coefficients queried outside [%g, %g]" % (lo, hi))
@@ -689,15 +693,12 @@ def closed_loop_coeffs(sol: RiccatiSolution, t):
 
 def closed_loop_mean(sol: RiccatiSolution, t_eval=None, x_start=None):
     """E[x_t] of the closed loop via exp of the integrated drift
-    coefficient; trapezoid accumulation on the stored grid. x_start
-    defaults to sol.params.x_init."""
-    if t_eval is None:
-        t_eval = sol.t
-    if x_start is None:
-        x_start = sol.params.x_init
+    coefficient; trapezoid accumulation on the stored grid. x_start, a
+    finite real number, defaults to sol.params.x_init."""
+    t_eval = sol.t if t_eval is None else as_array(t_eval, "t_eval")
+    x_start = sol.params.x_init if x_start is None else as_real(x_start, "x_start")
     a_grid, _ = closed_loop_coeffs(sol, sol.t)
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * (a_grid[1:] + a_grid[:-1]) * np.diff(sol.t)))
     )
-    t_eval = np.asarray(t_eval, dtype=float)
-    return float(x_start) * np.exp(np.interp(t_eval, sol.t, integral))
+    return x_start * np.exp(np.interp(t_eval, sol.t, integral))

@@ -5,7 +5,9 @@ sigma(x, u) = sigma0 + sigma1*|x| + sigma2*u. Payoffs are discounted at
 rate c in absolute time, so the terminal reward weight seen from time 0
 is gamma = gamma0 * exp(-c*T); it is computed once and shared by every
 solver. ModelParams checks its constants when it is built, so the
-solvers take any ModelParams as valid.
+solvers take any ModelParams as valid. This module is the one place
+where an outside number becomes a checked value: as_real, as_count,
+as_int, as_seed, as_array, and check_fields for the dataclasses.
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from .errors import ParamError, PolicyError
 
 # slack used when checking control-set membership of simulated policies
 MEMBERSHIP_TOL = 1e-9
+# largest count (grid size, path count, step count) any entry point takes:
+# numpy cannot allocate arrays near 2^63 elements, and far below that they
+# no longer fit in memory
+MAX_SIZE = 10 ** 7
 _FIELDS = ("rho", "c", "T", "sigma0", "sigma1", "sigma2", "m", "gamma0", "x_init")
 # the fields that must be > 0; the others must be >= 0
 _POSITIVE = ("rho", "T", "m", "gamma0")
 
 
-def _as_real(v):
+def _real(v):
     """v as a float, None unless it is a Python or numpy int or float (a
     bool is not); an int beyond the float range becomes +-inf."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
@@ -36,18 +42,101 @@ def _as_real(v):
         return math.inf if v > 0 else -math.inf
 
 
-def _violations(values: dict) -> list[str]:
-    """Every violated constraint of the fields in values (name -> float,
-    None where the field is not a real number), as plain constraint
-    strings ("rho > 0") that callers can surface verbatim."""
-    real = {name: v for name, v in values.items() if v is not None}
-    out = ["%s must be a real number" % name for name in values if name not in real]
-    for name, v in real.items():
-        strict = name in _POSITIVE
-        if not (v > 0 if strict else v >= 0):
-            out.append("%s %s 0" % (name, ">" if strict else ">="))
-    out += ["%s finite" % name for name, v in real.items() if not math.isfinite(v)]
-    return out
+def as_real(v, name: str) -> float:
+    """v as a finite float. ParamError "<name> must be a real number" unless
+    v is a Python or numpy int or float (a bool is not), "<name> finite"
+    unless it is finite (an int beyond the float range is not)."""
+    x = _real(v)
+    if x is None:
+        raise ParamError("%s must be a real number" % name)
+    if not math.isfinite(x):
+        raise ParamError("%s finite" % name)
+    return x
+
+
+def as_int(v, name: str) -> int:
+    """v as a Python int. ParamError unless v is a Python or numpy
+    integer; a bool is not a count, nor is a float with an integral value."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ParamError("%s must be an integer" % name)
+    return int(v)
+
+
+def as_count(v, name: str, lo: int) -> int:
+    """An integer (as_int) in [lo, MAX_SIZE]; ParamError "<name> >= lo"
+    or "<name> <= MAX_SIZE", naming the bound it breaks."""
+    v = as_int(v, name)
+    if v < lo:
+        raise ParamError("%s >= %d" % (name, lo))
+    if v > MAX_SIZE:
+        raise ParamError("%s <= %d" % (name, MAX_SIZE))
+    return v
+
+
+def as_seed(v, name: str = "seed") -> int:
+    """A Monte Carlo seed: an integer (as_int) in [0, 2**64), the range of
+    the Philox key word it becomes, so no two seeds draw the same normals."""
+    v = as_int(v, name)
+    if not 0 <= v < 1 << 64:
+        raise ParamError("%s in [0, 2**64)" % name)
+    return v
+
+
+def as_array(x, name: str) -> np.ndarray:
+    """x as a float array, 0-d for a scalar; ParamError unless its dtype is
+    an integer or floating one (not bool, complex, string or object). Its
+    entries may be non-finite: each query says what it does with them."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting of lists
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise ParamError("%s must hold real numbers" % name)
+    return a.astype(float, copy=False)
+
+
+def check_fields(obj, reals, rules, counts=()):
+    """Collect-then-raise for a frozen dataclass: store each field named in
+    reals as a float (as_real's type rule, not its finite one) and each
+    (name, lo) of counts as an as_count int. ParamError listing, in order,
+    "<name> must be a real number" for each real field that is not, then
+    rules(values) on the others' floats by name, then as_count's violations."""
+    bad, values = [], {}
+    for name in reals:
+        v = _real(getattr(obj, name))
+        if v is None:
+            bad.append("%s must be a real number" % name)
+        else:
+            values[name] = v
+            object.__setattr__(obj, name, v)
+    bad += rules(values)
+    for name, lo in counts:
+        try:
+            object.__setattr__(obj, name, as_count(getattr(obj, name), name, lo))
+        except ParamError as e:
+            bad += e.violations
+    if bad:
+        raise ParamError(bad)
+
+
+def interval(lo: str, hi: str):
+    """The check_fields rule "<lo>, <hi> finite", else "<lo> < <hi>", of
+    the fields that end an interval, once both are real numbers."""
+    def rule(values):
+        if lo not in values or hi not in values:
+            return []
+        if not (math.isfinite(values[lo]) and math.isfinite(values[hi])):
+            return ["%s, %s finite" % (lo, hi)]
+        return [] if values[lo] < values[hi] else ["%s < %s" % (lo, hi)]
+    return rule
+
+
+def _model_rules(values: dict) -> list[str]:
+    """The sign of each field ("rho > 0"), then "<name> finite" for each
+    field that is not finite."""
+    signs = ["%s %s 0" % (name, ">" if name in _POSITIVE else ">=")
+             for name, v in values.items() if not (v > 0 if name in _POSITIVE else v >= 0)]
+    return signs + ["%s finite" % name for name, v in values.items() if not math.isfinite(v)]
 
 
 @dataclass(frozen=True)
@@ -69,30 +158,8 @@ class ModelParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        values = {name: _as_real(getattr(self, name)) for name in _FIELDS}
-        bad = _violations(values)
-        if bad:
-            raise ParamError(bad)
-        for name, v in values.items():
-            object.__setattr__(self, name, v)
+        check_fields(self, _FIELDS, _model_rules)
         object.__setattr__(self, "gamma", self.gamma0 * math.exp(-self.c * self.T))
-
-
-def as_int(v, name: str) -> int:
-    """v as a Python int. ParamError unless v is a Python or numpy
-    integer; a bool is not a count, nor is a float with an integral value."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ParamError("%s must be an integer" % name)
-    return int(v)
-
-
-def as_seed(v, name: str = "seed") -> int:
-    """A Monte Carlo seed: an integer (as_int) in [0, 2**64), the range of
-    the Philox key word it becomes, so no two seeds draw the same normals."""
-    v = as_int(v, name)
-    if not 0 <= v < 1 << 64:
-        raise ParamError("%s in [0, 2**64)" % name)
-    return v
 
 
 def float_like(x, out):
@@ -114,8 +181,9 @@ class ControlSet:
     upper: float = math.inf
 
     def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ParamError("lower <= upper")
+        # infinite ends are allowed: the default upper is inf
+        check_fields(self, ("lower", "upper"), lambda v: [] if len(v) < 2
+                     or v["lower"] <= v["upper"] else ["lower <= upper"])
 
     @property
     def bounded(self) -> bool:
@@ -161,7 +229,7 @@ class Policy:
     @staticmethod
     def constant(level: float, control_set: Optional[ControlSet] = None) -> "Policy":
         cs = control_set if control_set is not None else ControlSet(0.0, math.inf)
-        lv = float(level)
+        lv = as_real(level, "level")
 
         def fn(t, x):
             return np.full(np.shape(x), lv, dtype=float)
@@ -171,8 +239,8 @@ class Policy:
     @staticmethod
     def bang_bang(t_star: float, m: float, control_set: Optional[ControlSet] = None) -> "Policy":
         # off up to and including t_star, full rate strictly after
-        cs = control_set if control_set is not None else ControlSet(0.0, m)
-        ts, mm = float(t_star), float(m)
+        ts, mm = as_real(t_star, "t_star"), as_real(m, "m")
+        cs = control_set if control_set is not None else ControlSet(0.0, mm)
 
         def fn(t, x):
             level = mm if t > ts else 0.0
@@ -187,9 +255,10 @@ class Policy:
         t_hi: float,
         control_set: Optional[ControlSet] = None,
     ) -> "Policy":
-        """u(t, x) = clip(gain(t) * x into the control set)."""
+        """u(t, x) = clip(gain(t) * x into the control set), on [t_lo, t_hi]."""
         cs = control_set if control_set is not None else ControlSet(0.0, math.inf)
         lower, upper, bounded = cs.lower, cs.upper, cs.bounded
+        t_lo, t_hi = as_real(t_lo, "t_lo"), as_real(t_hi, "t_hi")
 
         def fn(t, x):
             v = float(gain(t)) * np.asarray(x, dtype=float)

@@ -20,7 +20,7 @@ import numpy as np
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
 from .lq import GUARD_FRAC, P_CAP, _rhs_coeffs, _riccati_input, midpoint_residual
-from .model import ModelParams, as_int
+from .model import ModelParams, as_array, as_count, check_fields, interval
 from .stopping import StoppingParams
 
 # right-hand-side evaluations one Riccati integration may make; the
@@ -41,8 +41,8 @@ QVI_CHUNK = 256
 @dataclass(frozen=True)
 class Grid2D:
     """Space-time box for the finite-difference solvers. x_lo < x_hi are
-    finite, n_x and n_t are Python or numpy integers, each at least 16,
-    and dx is finite and > 0 (ParamError otherwise)."""
+    finite floats, n_x and n_t counts in [16, MAX_SIZE], and dx is
+    finite and > 0 (ParamError otherwise)."""
 
     x_lo: float
     x_hi: float
@@ -50,21 +50,10 @@ class Grid2D:
     n_t: int
 
     def __post_init__(self):
-        as_int(self.n_x, "n_x")
-        as_int(self.n_t, "n_t")
-        bad = []
-        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
-            bad.append("x_lo, x_hi finite")
-        elif not self.x_lo < self.x_hi:
-            bad.append("x_lo < x_hi")
-        if self.n_x < 16:
-            bad.append("n_x >= 16")
-        if self.n_t < 16:
-            bad.append("n_t >= 16")
-        if not bad and not (math.isfinite(self.dx) and self.dx > 0):
-            bad.append("dx finite and > 0")
-        if bad:
-            raise ParamError(bad)
+        check_fields(self, ("x_lo", "x_hi"), interval("x_lo", "x_hi"),
+                     [("n_x", 16), ("n_t", 16)])
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ParamError("dx finite and > 0")
 
     @property
     def dx(self) -> float:
@@ -86,10 +75,9 @@ def dp_linear(p: ModelParams, n: int) -> DpLinearResult:
     """Exhaustive search over bang-bang switch times on an (n+1)-node
     grid. The objective for a given switch s is evaluated in closed
     form from the mean dynamics, so the only error is the grid spacing.
-    n is an integer >= 100 (ParamError otherwise).
+    n is a count in [100, MAX_SIZE] (ParamError otherwise).
     """
-    if as_int(n, "n") < 100:
-        raise ParamError("n >= 100")
+    n = as_count(n, "n", 100)
     s = np.linspace(0.0, p.T, n + 1)
     # products that leave the floating-point range are caught by the
     # finite checks below
@@ -157,9 +145,9 @@ def riccati_oracle(
     adaptive error control and constraint monitoring; halts and records
     t_blow if D <= GUARD_FRAC*D(T), P >= 0 or P <= -P_CAP is about to
     occur. well_posed means t_lo was reached. The stored grid is the
-    dense output on n_nodes equally spaced nodes; n_nodes is an integer
-    >= 2 (ParamError otherwise)."""
-    s2 = _riccati_input(p, t_lo, tol, n_nodes)
+    dense output on n_nodes equally spaced nodes. Its inputs are checked
+    as riccati_integrate's are."""
+    t_lo, tol, n_nodes, s2 = _riccati_input(p, t_lo, tol, n_nodes)
     gamma = p.gamma
     D_T = math.exp(-p.c * p.T) - s2 * gamma
 
@@ -246,7 +234,7 @@ class FdHjbResult:
     cap_hit: bool
 
     def value_at(self, x_query) -> float:
-        return float(np.interp(x_query, self.x, self.v0))
+        return float(np.interp(as_array(x_query, "x_query"), self.x, self.v0))
 
 
 def u_max_oracle(p: ModelParams, riccati_sol) -> float:
@@ -260,12 +248,9 @@ def u_max_oracle(p: ModelParams, riccati_sol) -> float:
 
 
 def _controls(u_grid) -> np.ndarray:
-    """u_grid as a flat float array; ParamError unless it is nonempty,
-    finite and nonnegative."""
-    try:
-        u = np.asarray(u_grid, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ParamError("u_grid numeric") from None
+    """u_grid as a flat float array; ParamError unless it is real
+    (model.as_array), nonempty, finite and nonnegative."""
+    u = as_array(u_grid, "u_grid").reshape(-1)
     if u.size < 1 or not np.all(np.isfinite(u)) or np.any(u < 0):
         raise ParamError("u_grid nonempty, finite, nonnegative")
     return u
@@ -419,7 +404,7 @@ class DpQviResult:
     converged: bool
 
     def value_at(self, x_query) -> float:
-        return float(np.interp(x_query, self.x, self.v))
+        return float(np.interp(as_array(x_query, "x_query"), self.x, self.v))
 
 
 def dp_qvi_stopping(sp: StoppingParams, g: Grid2D, u_grid) -> DpQviResult:

@@ -63,7 +63,8 @@ import numpy as np
 
 from ._scipy import ndtri
 from .errors import ParamError, PolicyError, SolverError
-from .model import MEMBERSHIP_TOL, ModelParams, Policy, as_int, as_seed
+from .model import (MEMBERSHIP_TOL, ModelParams, Policy, as_count, as_real, as_seed, check_fields,
+                    interval)
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
@@ -251,26 +252,17 @@ class _Windows:
 @dataclass(frozen=True)
 class PathGrid:
     """Uniform time grid; node k is t0 + k*dt computed from integers.
-    t0 < t_end are finite, n_steps is a Python or numpy integer >= 1 and
-    dt = (t_end - t0)/n_steps is finite and > 0 (ParamError otherwise)."""
+    t0 < t_end are finite floats, n_steps a count in [1, MAX_SIZE] and
+    dt = (t_end - t0)/n_steps finite and > 0 (ParamError otherwise)."""
 
     t0: float
     t_end: float
     n_steps: int
 
     def __post_init__(self):
-        as_int(self.n_steps, "n_steps")
-        bad = []
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
-            bad.append("t0, t_end finite")
-        elif not self.t0 < self.t_end:
-            bad.append("t0 < t_end")
-        if self.n_steps < 1:
-            bad.append("n_steps >= 1")
-        if not bad and not (math.isfinite(self.dt) and self.dt > 0):
-            bad.append("dt finite and > 0")
-        if bad:
-            raise ParamError(bad)
+        check_fields(self, ("t0", "t_end"), interval("t0", "t_end"), [("n_steps", 1)])
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ParamError("dt finite and > 0")
 
     @property
     def dt(self) -> float:
@@ -455,9 +447,9 @@ def simulate_path(
     p: ModelParams, pol: Policy, g: PathGrid, x_start: float, seed: int
 ) -> Trajectory:
     """One Euler-Maruyama path with left-endpoint control evaluation.
-    seed is an integer in [0, 2**64) (ParamError otherwise)."""
-    if not math.isfinite(x_start):
-        raise ParamError("x_start finite")
+    x_start is a finite real number and seed an integer in [0, 2**64)
+    (ParamError otherwise)."""
+    x_start = as_real(x_start, "x_start")
     seed = as_seed(seed)
     t = g.nodes()
     rec = _Recorder(pol.fn, g.n_steps)
@@ -488,15 +480,13 @@ def evaluate_policy(
 
     The cost integral is left-endpoint quadrature on g with exact
     e^{-c t_k} weights. Loss values must be nonnegative. A non-finite
-    sample raises SolverError. n_paths is an integer >= 1 and seed an
-    integer in [0, 2**64), the Philox key word's range; anything else,
-    a float or bool included, raises ParamError.
+    sample raises SolverError. s and x are finite real numbers, n_paths
+    a count in [1, MAX_SIZE] and seed an integer in [0, 2**64), the
+    Philox key word's range; anything else raises ParamError.
     """
-    if as_int(n_paths, "n_paths") < 1:
-        raise ParamError("n_paths >= 1")
+    n_paths = as_count(n_paths, "n_paths", 1)
     seed = as_seed(seed)
-    if not math.isfinite(x):
-        raise ParamError("x finite")
+    s, x = as_real(s, "s"), as_real(x, "x")
     if abs(g.t0 - s) > 1e-12 or abs(g.t_end - p.T) > 1e-12:
         raise ParamError("grid must span [s, T]")
     disc_T = math.exp(-p.c * p.T)
@@ -595,10 +585,9 @@ def simulate_stopped(
     seed: int,
 ) -> StoppedPathResult:
     """One path of dy = (mu - rho*y - u) dt + dw under sol's feedback,
-    stopped at the first grid node with y <= sol.x0. seed is an integer
-    in [0, 2**64) (ParamError otherwise)."""
-    if not math.isfinite(y_start):
-        raise ParamError("y_start finite")
+    stopped at the first grid node with y <= sol.x0. y_start is a finite
+    real number and seed an integer in [0, 2**64) (ParamError otherwise)."""
+    y_start = as_real(y_start, "y_start")
     seed = as_seed(seed)
     x0 = float(sol.x0)
     if y_start <= x0:
@@ -643,8 +632,9 @@ def stopping_cost_report(
     suboptimal controls against the same stopping rule. A control that is
     negative or non-finite raises PolicyError, a non-finite sample
     SolverError. The report's bias_bound documents the O(sqrt(dt))
-    grid-crossing bias. n_paths is an integer >= 1 and seed an integer
-    in [0, 2**64); anything else raises ParamError.
+    grid-crossing bias. y_start is a finite real number, n_paths a count
+    in [1, MAX_SIZE] and seed an integer in [0, 2**64); anything else
+    raises ParamError.
 
     A path's normals are drawn a window at a time, only for the windows
     it reaches, and held in the windowed resident one column per (path,
@@ -653,11 +643,9 @@ def stopping_cost_report(
     steps started at x0 + 1 the optimal control's paths reach 10 of the
     63 windows and the resident holds about 2.2 MB.
     """
-    if as_int(n_paths, "n_paths") < 1:
-        raise ParamError("n_paths >= 1")
+    n_paths = as_count(n_paths, "n_paths", 1)
     seed = as_seed(seed)
-    if not math.isfinite(y_start):
-        raise ParamError("y_start finite")
+    y_start = as_real(y_start, "y_start")
     x0 = float(sol.x0)
     feedback = sol.policy if control is None else control
 

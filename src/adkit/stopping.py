@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from ._scipy import erfc, erfcx
-from .errors import ParamError, SolverError, StableRangeError
-from .model import as_int, float_like
+from .errors import SolverError, StableRangeError
+from .model import as_array, as_count, check_fields, float_like
 
 SQRT_PI = math.sqrt(math.pi)
 # h takes Laplace's continued fraction from CF_FROM on, where its erfcx
@@ -46,7 +46,7 @@ NEWTON_MAXITER = 100
 
 @dataclass(frozen=True)
 class StoppingParams:
-    """Launch-timing problem data; mu = rho*k is derived.
+    """Launch-timing problem data, finite floats; mu = rho*k is derived.
 
     gamma2 must equal 2*rho*gamma1 (checked to 1e-12 relative); the
     general-ratio problem needs a different special-function basis and
@@ -60,23 +60,20 @@ class StoppingParams:
     mu: float = field(init=False)
 
     def __post_init__(self):
-        bad = []
-        for name in ("k", "rho", "gamma1", "gamma2"):
-            if not math.isfinite(getattr(self, name)):
-                bad.append("%s finite" % name)
-        if not bad:
-            if self.rho <= 0:
-                bad.append("rho > 0")
-            if self.gamma1 <= 1:
-                bad.append("gamma1 > 1")
-            if self.k < 0:
-                bad.append("k >= 0")
-            target = 2.0 * self.rho * self.gamma1
-            if abs(self.gamma2 - target) > GAMMA2_RATIO_TOL * max(1.0, abs(self.gamma2)):
-                bad.append("gamma2 = 2*rho*gamma1")
-        if bad:
-            raise ParamError(bad)
+        check_fields(self, ("k", "rho", "gamma1", "gamma2"), _stopping_rules)
         object.__setattr__(self, "mu", self.rho * self.k)
+
+
+def _stopping_rules(v: dict) -> list[str]:
+    """StoppingParams's check_fields rule: "<name> finite" for each field
+    that is not, then, once all four are finite, the signs and the ratio."""
+    bad = ["%s finite" % name for name, x in v.items() if not math.isfinite(x)]
+    if bad or len(v) < 4:
+        return bad
+    k, rho, gamma1, gamma2 = v["k"], v["rho"], v["gamma1"], v["gamma2"]
+    ratio = abs(gamma2 - 2.0 * rho * gamma1) <= GAMMA2_RATIO_TOL * max(1.0, abs(gamma2))
+    return [msg for ok, msg in ((rho > 0, "rho > 0"), (gamma1 > 1, "gamma1 > 1"),
+                                (k >= 0, "k >= 0"), (ratio, "gamma2 = 2*rho*gamma1")) if not ok]
 
 
 def _scaled_arg(x, sp: StoppingParams):
@@ -88,7 +85,7 @@ def u2(x, sp: StoppingParams):
     """Decaying solution of the homogeneous continuation ODE,
     exp(w^2) * integral_x^inf exp(-rho*(s - mu/rho)^2) ds, through erfcx;
     StableRangeError where it overflows, as it does for w below about -26."""
-    w = _scaled_arg(np.asarray(x, dtype=float), sp)
+    w = _scaled_arg(as_array(x, "x"), sp)
     with np.errstate(over="ignore"):
         out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
     if np.isinf(out).any():
@@ -263,7 +260,7 @@ class StoppingSolution:
         above it; on w < 0 the difference is (w - w0)*(w + w0) +
         log(erfc(w)/erfc(w0)), where w^2 and w0^2 may overflow."""
         sp, x0 = self.params, self.x0
-        x_arr = np.asarray(x, dtype=float)
+        x_arr = as_array(x, "x")
         _require_square_finite(x_arr)
         # stop-region queries are clamped to x0, where the where() discards them
         xc = np.maximum(x_arr, x0).reshape(-1)
@@ -285,7 +282,7 @@ class StoppingSolution:
         NaN); 0 at y = +inf. The max with 0 is defensive; it provably never
         binds. Every lane is evaluated at max(y, x0)."""
         sp = self.params
-        y_arr = np.asarray(y, dtype=float)
+        y_arr = as_array(y, "y")
         lanes = y_arr if y_arr.ndim == 1 else y_arr.reshape(-1)
         d = np.maximum(lanes, self.x0)
         d -= sp.mu / sp.rho
@@ -306,7 +303,7 @@ def qvi_residual(sol: StoppingSolution, grid) -> QviReport:
     v' and v'' from u* and its ODE identity, so it checks arithmetic,
     not the solution (see QviReport)."""
     sp = sol.params
-    x = np.asarray(grid, dtype=float)
+    x = as_array(grid, "grid")
     _require_square_finite(x)
     is_stop = x <= sol.x0
     is_cont = x > sol.x0
@@ -339,9 +336,9 @@ def qvi_residual(sol: StoppingSolution, grid) -> QviReport:
 def solve_stopping(sp: StoppingParams, n_grid: int = 2001) -> StoppingSolution:
     """Free boundary, value, and policy, with the QVI report evaluated
     on n_grid points from 0 to x0 + 10/sqrt(rho); qvi_residual checks
-    any other grid. n_grid is an integer >= 2 (ParamError otherwise)."""
-    if as_int(n_grid, "n_grid") < 2:
-        raise ParamError("n_grid >= 2")
+    any other grid. n_grid is a count in [2, MAX_SIZE] (ParamError
+    otherwise)."""
+    n_grid = as_count(n_grid, "n_grid", 2)
     x0, alpha2 = free_boundary(sp)
     sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)
     grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), n_grid)

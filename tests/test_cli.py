@@ -537,7 +537,7 @@ def test_config_error_matrix(tmp_path, capsys):
           "linear": {}}, "rho > 0"),
         # boolean smuggled into a numeric field
         ({"problem": "linear", "model": dict(model, rho=True), "output_dir": out,
-          "linear": {}}, "model.rho must be a number"),
+          "linear": {}}, "model.rho must be a real number"),
         # unknown block key
         ({"problem": "linear", "model": model, "output_dir": out,
           "linear": {"grid": 10}}, "unknown linear keys: grid"),
@@ -559,9 +559,9 @@ def test_config_error_matrix(tmp_path, capsys):
          "problem must be one of linear, budget, lq, stop, simulate, verify"),
         # grid sizes below 2 or past the size limit
         ({"problem": "linear", "model": model, "output_dir": out,
-          "linear": {"n_grid": -1}}, "linear.n_grid in [2, 10000000]"),
+          "linear": {"n_grid": -1}}, "linear.n_grid >= 2"),
         ({"problem": "linear", "model": model, "output_dir": out,
-          "linear": {"n_grid": 10 ** 400}}, "linear.n_grid in [2, 10000000]"),
+          "linear": {"n_grid": 10 ** 400}}, "linear.n_grid <= 10000000"),
         # seeds outside the Philox key word: 2**64 drew seed 0's normals
         ({"problem": "simulate", "model": model, "output_dir": out,
           "simulate": {"policy": "linear", "n_paths": 10, "n_steps": 10, "seed": 2 ** 64}},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adkit import (
+    AdkitError,
     ControlSet,
     Grid2D,
     ModelParams,
@@ -12,6 +13,8 @@ from adkit import (
     Policy,
     PolicyError,
     StoppingParams,
+    closed_loop_coeffs,
+    closed_loop_mean,
     diffusion,
     dp_linear,
     drift,
@@ -20,10 +23,12 @@ from adkit import (
     riccati_oracle,
     simulate_path,
     simulate_stopped,
+    solve_budget,
+    solve_linear,
     solve_stopping,
     stopping_cost_report,
 )
-from adkit.model import MEMBERSHIP_TOL
+from adkit.model import MAX_SIZE, MEMBERSHIP_TOL
 
 
 def test_gamma_is_derived():
@@ -257,6 +262,102 @@ def test_counts_must_be_integers(entry, value):
 def test_seeds_must_be_integers_in_the_philox_key_range(entry, value, message):
     with pytest.raises(ParamError, match="^%s$" % message):
         _SEEDS[entry](value)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, 2 ** 63, MAX_SIZE + 1],
+                         ids=["10**400", "2**63", "MAX_SIZE+1"])
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_counts_are_capped_at_max_size(entry, value):
+    # each of these once raised a raw error or was taken (then allocated)
+    name = entry.split(".")[1]
+    with pytest.raises(ParamError, match="^%s <= %d$" % (name, MAX_SIZE)):
+        _COUNTS[entry](value)
+
+
+def test_count_of_max_size_is_accepted():
+    assert PathGrid(0.0, 1.0, MAX_SIZE).n_steps == MAX_SIZE
+    assert Grid2D(0.0, 1.0, MAX_SIZE, MAX_SIZE).n_x == MAX_SIZE
+
+
+_LIN = ModelParams(rho=0.5, c=0.1, T=1.0, gamma0=1.2)
+_LQ_SOL = riccati_integrate(_LQ, n_nodes=101)
+_STOP_SOL = solve_stopping(_STOP, n_grid=11)
+
+# every public scalar argument (ModelParams's fields have their own test
+# above), and the queries that take a scalar or an array, by name -> call
+# with the value in that place
+_SCALARS = {
+    "StoppingParams.k": lambda v: StoppingParams(k=v, rho=0.5, gamma1=2.0, gamma2=2.0),
+    "PathGrid.t_end": lambda v: PathGrid(0.0, v, 10),
+    "Grid2D.x_lo": lambda v: Grid2D(v, 1.0, 16, 16),
+    "ControlSet.upper": lambda v: ControlSet(0.0, v),
+    "Policy.constant.level": lambda v: Policy.constant(v),
+    "Policy.bang_bang.t_star": lambda v: Policy.bang_bang(v, 1.0),
+    "Policy.bang_bang.m": lambda v: Policy.bang_bang(0.5, v),
+    "Policy.linear_feedback.t_lo": lambda v: Policy.linear_feedback(lambda t: 1.0, v, 1.0),
+    "solve_budget.M": lambda v: solve_budget(_LIN, v),
+    "riccati_integrate.tol": lambda v: riccati_integrate(_LQ, tol=v),
+    "riccati_integrate.t_lo": lambda v: riccati_integrate(_LQ, t_lo=v),
+    "riccati_oracle.t_lo": lambda v: riccati_oracle(_LQ, t_lo=v),
+    "evaluate_policy.s": lambda v: evaluate_policy(
+        _LQ, Policy.constant(0.5), lambda x: x, lambda u: u, v, 1.0, _GRID, 10, 1),
+    "evaluate_policy.x": lambda v: evaluate_policy(
+        _LQ, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, v, _GRID, 10, 1),
+    "simulate_path.x_start": lambda v: simulate_path(_LQ, Policy.constant(0.5), _GRID, v, 1),
+    "simulate_stopped.y_start": lambda v: simulate_stopped(
+        sol=_STOP_SOL, g=_GRID, y_start=v, seed=1, **_STOP_KW),
+    "stopping_cost_report.y_start": lambda v: stopping_cost_report(
+        sol=_STOP_SOL, g=_GRID, y_start=v, n_paths=10, seed=1, **_STOP_KW),
+    "closed_loop_mean.x_start": lambda v: closed_loop_mean(_LQ_SOL, None, v),
+}
+# nan is a query's own business: P_at, D_at and gain_at raise PolicyError
+_QUERIES = {
+    "RiccatiSolution.P_at": _LQ_SOL.P_at,
+    "RiccatiSolution.D_at": _LQ_SOL.D_at,
+    "RiccatiSolution.gain_at": _LQ_SOL.gain_at,
+    "closed_loop_coeffs.t": lambda v: closed_loop_coeffs(_LQ_SOL, v),
+    "closed_loop_mean.t_eval": lambda v: closed_loop_mean(_LQ_SOL, v),
+    "StoppingSolution.value": _STOP_SOL.value,
+    "StoppingSolution.policy": _STOP_SOL.policy,
+    "LinearSolution.value.t": lambda v: solve_linear(_LIN).value(v, 1.0),
+}
+_NOT_REAL = ["a", None, 1j, True, 10 ** 400]
+# valid cells: None asks closed_loop_mean for its default, and every float
+# is below 10**400, so it is the upper end of an unbounded ControlSet
+_VALID = [("ControlSet.upper", 10 ** 400), ("closed_loop_mean.t_eval", None),
+          ("closed_loop_mean.x_start", None)]
+_CELLS = [(e, v) for e in sorted({**_SCALARS, **_QUERIES})
+          for v in _NOT_REAL + ([math.nan] if e in _SCALARS or e.startswith("Riccati") else [])
+          if (e, v) not in _VALID]
+
+
+@pytest.mark.parametrize("entry, value", _CELLS, ids=[
+    "%s-%s" % (e, "10**400" if v == 10 ** 400 else v) for e, v in _CELLS])
+def test_inputs_that_are_not_real_numbers_end_in_adkit_errors(entry, value):
+    # a raw TypeError, ValueError or OverflowError, or a bool taken as 1,
+    # was the answer of most of these cells
+    with pytest.raises(AdkitError):
+        {**_SCALARS, **_QUERIES}[entry](value)
+
+
+def test_scalar_messages_name_the_argument():
+    for v, message in (("a", "x must be a real number"), (True, "x must be a real number"),
+                       (10 ** 400, "x finite"), (math.nan, "x finite")):
+        with pytest.raises(ParamError, match="^%s$" % message):
+            _SCALARS["evaluate_policy.x"](v)
+    with pytest.raises(ParamError, match="^t must hold real numbers$"):
+        _LQ_SOL.gain_at(np.array(["0.5"]))
+    with pytest.raises(ParamError) as err:
+        Grid2D("a", math.inf, 16, 8)
+    assert err.value.violations == ["x_lo must be a real number", "n_t >= 16"]
+    with pytest.raises(PolicyError, match="nan"):
+        _LQ_SOL.gain_at(math.nan)
+
+
+def test_fields_are_stored_as_floats():
+    g, sp, cs = PathGrid(0, 1, np.int64(4)), StoppingParams(1, 1, 2, 4), ControlSet(0, 1)
+    assert (type(g.t0), type(g.n_steps), type(sp.k), type(cs.upper)) == (float, int, float, float)
+    assert ControlSet(0.0, 10 ** 400).upper == math.inf
 
 
 # the largest seed is a Philox key word of its own, not seed 0's
