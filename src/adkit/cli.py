@@ -29,12 +29,10 @@ import numpy as np
 from .errors import ParamError, SolverError, StableRangeError
 from .linear import linear_policy, solve_budget, solve_linear, spend_bound
 from .lq import lq_feedback, riccati_integrate, riccati_sigma2_zero
-# MAX_SIZE is unused here but stays importable from this module
-from .model import _FIELDS as MODEL_KEYS, MAX_SIZE, ModelParams, as_count, as_real, as_seed
+from .model import _FIELDS as MODEL_KEYS, ModelParams, as_count, as_real, as_seed
 from .oracles import Grid2D, dp_linear, dp_qvi_stopping
 from .sde import DEFAULT_BLOCK, PathGrid, _block_width, evaluate_policy, simulate_path
-# free_boundary is unused here but stays importable: perfbench/tracing.py
-# patches it on this module by name
+# free_boundary is unused here: perfbench/tracing.py patches it on this module
 from .stopping import StoppingParams, _fit, free_boundary, solve_stopping  # noqa: F401
 
 log = logging.getLogger("adkit.cli")

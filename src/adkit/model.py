@@ -202,13 +202,24 @@ class ControlSet:
         return np.clip(u, self.lower, self.upper)
 
 
+def _window_rule(values: dict) -> list[str]:
+    """Policy's window: "<name> finite" for each end that is not, else
+    "t_lo <= t_hi" once both are real numbers."""
+    bad = ["%s finite" % name for name, v in values.items() if not math.isfinite(v)]
+    if not bad and len(values) == 2 and values["t_lo"] > values["t_hi"]:
+        bad.append("t_lo <= t_hi")
+    return bad
+
+
 @dataclass(frozen=True)
 class Policy:
     """Feedback rule (t, x) -> control value in the declared control set.
 
     fn must broadcast over x (the simulation engine evaluates whole
     blocks of paths at once). Policies with a finite validity window in
-    t raise PolicyError when queried outside it.
+    t raise PolicyError when queried outside it. The window [t_lo, t_hi]
+    is both ends, finite real numbers stored as floats with t_lo <= t_hi,
+    or neither (ParamError otherwise).
     """
 
     kind: str
@@ -216,6 +227,10 @@ class Policy:
     control_set: ControlSet
     t_lo: Optional[float] = None
     t_hi: Optional[float] = None
+
+    def __post_init__(self):
+        if self.t_lo is not None or self.t_hi is not None:
+            check_fields(self, ("t_lo", "t_hi"), _window_rule)
 
     def __call__(self, t: float, x):
         if self.t_lo is not None:
@@ -258,7 +273,6 @@ class Policy:
         """u(t, x) = clip(gain(t) * x into the control set), on [t_lo, t_hi]."""
         cs = control_set if control_set is not None else ControlSet(0.0, math.inf)
         lower, upper, bounded = cs.lower, cs.upper, cs.bounded
-        t_lo, t_hi = as_real(t_lo, "t_lo"), as_real(t_hi, "t_hi")
 
         def fn(t, x):
             v = float(gain(t)) * np.asarray(x, dtype=float)

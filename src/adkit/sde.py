@@ -19,15 +19,19 @@ setting; a draw of fewer than 2*_THREAD_NORMALS normals stays on the
 calling thread.
 
 Both estimators cut their paths into blocks of
-min(DEFAULT_BLOCK, max(1, 2^23 // n_steps)) paths, so a block holds at
-most 2^23 normals (64 MiB) unless one path alone holds more; the grid
-sets the width and there is no option. Blocks are stored time-major:
+min(DEFAULT_BLOCK, max(1, 2^23 // n_steps)) paths; the grid sets the
+width and there is no option. Blocks are stored time-major:
 block_normals returns its (paths, steps) matrix z as the transpose of a
 C-ordered (steps, paths) array, so z[:, k], the normals of step k across
 the block, is one contiguous row. The step kernels read it that way and
-update their state vectors in place. A stopped path reads its normals
-only until it stops, so the stopping kernel draws them a window of
-_WINDOW steps at a time, for the paths still running. simulate_path and
+update their state vectors in place. evaluate_policy's kernel reads a
+block in windows of at most 2^22 normals (32 MiB), max(1, 2^22 // paths)
+steps each: a block that fits in one window is block_normals' cached
+block, and a longer one is drawn a window at a time into one buffer that
+each window overwrites, so it holds 32 MiB of normals however long the
+grid is, and is never cached. A stopped path reads its normals only
+until it stops, so the stopping kernel draws them a window of _WINDOW
+steps at a time, for the paths still running. simulate_path and
 simulate_stopped run the same kernels on the one-path block [0], with a
 control that records the state and control of every step; they draw its
 normals outside the cache below, so a single path never evicts a block.
@@ -71,6 +75,10 @@ _TWO53 = float(1 << 53)
 DEFAULT_BLOCK = 4096
 # most normals in a block of more than one path: 2^23, 64 MiB
 _BLOCK_NORMALS = 1 << 23
+# most normals evaluate_policy's kernel holds of a block: 2^22, 32 MiB.
+# Shorter windows cost time: each starts every row's Philox substream
+# again, and those restarts hold the GIL.
+_WINDOW_NORMALS = 1 << 22
 # paths drawn row by row into one buffer before it is transposed into the
 # block; small enough to stay in cache at a few thousand steps
 _ROW_CHUNK = 64
@@ -91,9 +99,10 @@ def _cpus() -> int:
 
 
 def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
-          antithetic: bool = False) -> np.ndarray:
+          antithetic: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Time-major (k1 - k0, len(indices)) array of normals k0..k1-1 of
-    each path's substream.
+    each path's substream: out, a C-ordered array of that shape, filled
+    in, or a new array.
 
     The rows are cut into contiguous slices of whole _ROW_CHUNK-row
     chunks, one per thread, at most one thread per _THREAD_NORMALS
@@ -102,7 +111,8 @@ def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
     Every worker is joined before the exception of the first failed
     slice is raised.
     """
-    out = np.empty((k1 - k0, indices.size))
+    if out is None:
+        out = np.empty((k1 - k0, indices.size))
     chunks = -(-indices.size // _ROW_CHUNK)
     parts = max(1, min(_cpus(), chunks, out.size // _THREAD_NORMALS))
     cuts = [min(chunks * i // parts * _ROW_CHUNK, indices.size) for i in range(parts + 1)]
@@ -196,6 +206,29 @@ def block_normals(seed: int, indices, n: int, antithetic: bool = False) -> np.nd
     z = zt.T
     _whole = (key, z)
     return z
+
+
+def _block_windows(seed: int, indices: np.ndarray, n: int, antithetic: bool):
+    """The normals of block (seed, indices, n) for _euler_block: time-major
+    windows of max(1, _WINDOW_NORMALS // len(indices)) steps, in order.
+
+    A block of one window is block_normals' block, cached. A longer one is
+    drawn a window at a time into one buffer, which the next window
+    overwrites, and is not cached. The buffer is always _WINDOW_NORMALS
+    normals: with its header that is past glibc malloc's largest dynamic
+    mmap threshold (32 MiB), so it is always mapped and its free leaves the
+    threshold alone. Freeing a mapped chunk of at most 32 MiB raises the
+    threshold to its size, and later arrays of that size then stay on the
+    heap, which grows.
+    """
+    steps = max(1, _WINDOW_NORMALS // indices.size)
+    if n <= steps:
+        yield block_normals(seed, indices, n, antithetic).T
+        return
+    buf = np.empty(_WINDOW_NORMALS)[: steps * indices.size].reshape(steps, indices.size)
+    for k0 in range(0, n, steps):
+        k1 = min(k0 + steps, n)
+        yield _draw(seed, indices, k0, k1, antithetic, out=buf[: k1 - k0])
 
 
 def _new_store(n: int) -> list:
@@ -373,8 +406,10 @@ class _Recorder:
 
 
 def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: float,
-                 z: np.ndarray):
-    """Step the paths of normal block z (paths, steps) from x over g.
+                 windows):
+    """Step the paths of a normal block from x over g, reading its normals
+    from windows: time-major (steps, paths) arrays that hold the block's
+    g.n_steps steps in order (_block_windows).
 
     Returns (state, j, min_state): the states at t_end, minus the
     discounted left-endpoint integrals of loss(u), and the smallest state
@@ -399,14 +434,18 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
     # and max, and an infinite upper bound admits every finite control
     lower = pol.control_set.lower - MEMBERSHIP_TOL
     upper = pol.control_set.upper + MEMBERSHIP_TOL
-    zt = z.T
-    nb = zt.shape[1]
+    windows = iter(windows)
+    zw = next(windows)
+    nb = zw.shape[1]
     state = np.full(nb, float(x))
     j = np.zeros(nb)
     a = np.empty(nb)
     b = np.empty(nb)
     min_state = float(x)
+    i = 0  # step k's row of the window zw
     for k in range(g.n_steps):
+        if i == zw.shape[0]:
+            zw, i = next(windows), 0
         u = np.asarray(pol(t_nodes[k], state), dtype=float)
         if u.shape != state.shape:
             u = np.broadcast_to(u, state.shape)
@@ -423,7 +462,7 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
         # diffusion before drift and both before state moves: u may be
         # the state array itself
         if additive:
-            np.multiply(zt[k], sigma0_sq, out=b)
+            np.multiply(zw[i], sigma0_sq, out=b)
         else:
             np.abs(state, out=b)
             b *= sigma1
@@ -431,7 +470,7 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
             np.multiply(u, sigma2, out=a)
             b += a
             b *= sq
-            b *= zt[k]
+            b *= zw[i]
         np.multiply(state, rho_n, out=a)
         a += u
         a *= dt
@@ -440,6 +479,7 @@ def _euler_block(p: ModelParams, pol: Policy, loss: Callable, g: PathGrid, x: fl
         mn = state.min()
         if mn < min_state:
             min_state = float(mn)
+        i += 1
     return state, j, min_state
 
 
@@ -457,7 +497,7 @@ def simulate_path(
     # a trajectory carries no running cost: step it with a zero loss
     # drawn outside the normals cache, so one path does not evict a block
     state, _, _ = _euler_block(p, pol, np.zeros_like, g, x_start,
-                               _draw(seed, np.zeros(1, dtype=np.int64), 0, g.n_steps).T)
+                               [_draw(seed, np.zeros(1, dtype=np.int64), 0, g.n_steps)])
     _check_controls(pol, np.asarray(pol(t[-1], state), dtype=float).reshape(1))
     return Trajectory(t=t, x=rec.x, u=rec.u)
 
@@ -492,14 +532,18 @@ def evaluate_policy(
     disc_T = math.exp(-p.c * p.T)
 
     def kernel(idx):
-        # no local keeps the block, so the memo lets it go before the next is drawn
+        # no local keeps a window, so the memo lets its block go before the next is drawn
         state, j, mn = _euler_block(
-            p, pol, loss, g, x, block_normals(seed, idx, g.n_steps, antithetic=antithetic))
+            p, pol, loss, g, x, _block_windows(seed, idx, g.n_steps, antithetic))
         j += disc_T * np.asarray(reward(state), dtype=float)
         return j, mn, 0
 
     return _run_blocks("evaluate_policy", kernel, n_paths, seed, g.n_steps, float(x),
                        keep_samples)
+
+
+# the stopping estimators' model constants, by argument name
+_STOPPING_CONSTANTS = ("mu", "rho", "gamma1", "gamma2")
 
 
 def _stopping_bias_bound(gamma1: float, gamma2: float, x0: float, dt: float) -> float:
@@ -585,8 +629,10 @@ def simulate_stopped(
     seed: int,
 ) -> StoppedPathResult:
     """One path of dy = (mu - rho*y - u) dt + dw under sol's feedback,
-    stopped at the first grid node with y <= sol.x0. y_start is a finite
-    real number and seed an integer in [0, 2**64) (ParamError otherwise)."""
+    stopped at the first grid node with y <= sol.x0. mu, rho, gamma1,
+    gamma2 and y_start are finite real numbers and seed an integer in
+    [0, 2**64) (ParamError otherwise)."""
+    mu, rho, gamma1, gamma2 = map(as_real, (mu, rho, gamma1, gamma2), _STOPPING_CONSTANTS)
     y_start = as_real(y_start, "y_start")
     seed = as_seed(seed)
     x0 = float(sol.x0)
@@ -632,9 +678,9 @@ def stopping_cost_report(
     suboptimal controls against the same stopping rule. A control that is
     negative or non-finite raises PolicyError, a non-finite sample
     SolverError. The report's bias_bound documents the O(sqrt(dt))
-    grid-crossing bias. y_start is a finite real number, n_paths a count
-    in [1, MAX_SIZE] and seed an integer in [0, 2**64); anything else
-    raises ParamError.
+    grid-crossing bias. mu, rho, gamma1, gamma2 and y_start are finite
+    real numbers, n_paths a count in [1, MAX_SIZE] and seed an integer in
+    [0, 2**64); anything else raises ParamError.
 
     A path's normals are drawn a window at a time, only for the windows
     it reaches, and held in the windowed resident one column per (path,
@@ -643,6 +689,7 @@ def stopping_cost_report(
     steps started at x0 + 1 the optimal control's paths reach 10 of the
     63 windows and the resident holds about 2.2 MB.
     """
+    mu, rho, gamma1, gamma2 = map(as_real, (mu, rho, gamma1, gamma2), _STOPPING_CONSTANTS)
     n_paths = as_count(n_paths, "n_paths", 1)
     seed = as_seed(seed)
     y_start = as_real(y_start, "y_start")

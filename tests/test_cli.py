@@ -18,8 +18,9 @@ import adkit.cli
 import adkit.sde
 import adkit.stopping
 from adkit import ModelParams, SolverError, StoppingParams, solve_stopping
-from adkit.cli import (BLOCK_SCHEMAS, CSV_BLOCK, HANDLERS, MAX_SIZE, MAX_WORK, MODEL_KEYS,
-                       build_parser, emit, load_config, main)
+from adkit.cli import (BLOCK_SCHEMAS, CSV_BLOCK, HANDLERS, MAX_WORK, MODEL_KEYS, build_parser,
+                       emit, load_config, main)
+from adkit.model import MAX_SIZE
 from adkit.oracles import dp_linear
 
 BASE_MODEL = {"rho": 0.5, "c": 0.1, "T": 1.0, "gamma0": 1.2}
@@ -679,13 +680,14 @@ def test_simulate_work_past_limit_exit2(tmp_path, monkeypatch, capsys):
     assert "simulation reached" in capsys.readouterr().err
 
 
-def test_simulate_long_grid_draws_at_most_2_23_normals(tmp_path, monkeypatch):
+def test_simulate_long_grid_draws_at_most_2_22_normals(tmp_path, monkeypatch):
     # 4,096 paths x 10^4 steps passes the MAX_WORK check in 5 blocks of
-    # 838 paths; one block of all its paths would be 4.1e7 normals. Each
-    # draw is recorded and failed before anything is allocated.
+    # 838 paths, each streamed in windows of 5,005 steps; one block of all
+    # its paths would be 4.1e7 normals. Each draw is recorded and failed
+    # before it draws.
     shapes = []
 
-    def intercept(seed, indices, k0, k1, antithetic=False):
+    def intercept(seed, indices, k0, k1, antithetic=False, out=None):
         shapes.append((k1 - k0, len(indices)))
         raise _Drawn
 
@@ -696,8 +698,8 @@ def test_simulate_long_grid_draws_at_most_2_23_normals(tmp_path, monkeypatch):
                                "output_dir": str(tmp_path / "out"), "simulate": block})
     with pytest.raises(_Drawn):
         main(["simulate", "--config", cfg, "--quiet"])
-    assert shapes == [(10 ** 4, 838)]
-    assert max(k * n for k, n in shapes) <= 2 ** 23
+    assert shapes == [(5005, 838)]
+    assert max(k * n for k, n in shapes) <= 2 ** 22
 
 
 def test_seed_must_be_integer(tmp_path):

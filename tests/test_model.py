@@ -308,6 +308,14 @@ _SCALARS = {
         sol=_STOP_SOL, g=_GRID, y_start=v, seed=1, **_STOP_KW),
     "stopping_cost_report.y_start": lambda v: stopping_cost_report(
         sol=_STOP_SOL, g=_GRID, y_start=v, n_paths=10, seed=1, **_STOP_KW),
+    **{"simulate_stopped.%s" % k: (lambda v, k=k: simulate_stopped(
+        sol=_STOP_SOL, g=_GRID, y_start=_STOP_SOL.x0 + 1.0, seed=1, **{**_STOP_KW, k: v}))
+       for k in _STOP_KW},
+    **{"stopping_cost_report.%s" % k: (lambda v, k=k: stopping_cost_report(
+        sol=_STOP_SOL, g=_GRID, y_start=_STOP_SOL.x0 + 1.0, n_paths=10, seed=1,
+        **{**_STOP_KW, k: v})) for k in _STOP_KW},
+    "Policy.t_lo": lambda v: Policy("k", lambda t, x: x, ControlSet(), t_lo=v, t_hi=1.0),
+    "Policy.t_hi": lambda v: Policy("k", lambda t, x: x, ControlSet(), t_lo=0.0, t_hi=v),
     "closed_loop_mean.x_start": lambda v: closed_loop_mean(_LQ_SOL, None, v),
 }
 # nan is a query's own business: P_at, D_at and gain_at raise PolicyError
@@ -352,6 +360,19 @@ def test_scalar_messages_name_the_argument():
     assert err.value.violations == ["x_lo must be a real number", "n_t >= 16"]
     with pytest.raises(PolicyError, match="nan"):
         _LQ_SOL.gain_at(math.nan)
+
+
+def test_policy_window_is_both_ends_or_neither():
+    fn = lambda t, x: x
+    assert Policy("k", fn, ControlSet()).t_lo is None
+    pol = Policy("k", fn, ControlSet(), np.int64(0), 1)
+    assert (type(pol.t_lo), type(pol.t_hi)) == (float, float)
+    assert Policy("k", fn, ControlSet(), 0.5, 0.5).t_hi == 0.5
+    with pytest.raises(ParamError, match="^t_lo <= t_hi$"):
+        Policy("k", fn, ControlSet(), 1.0, 0.0)
+    with pytest.raises(ParamError) as err:
+        Policy("k", fn, ControlSet(), "a", None)
+    assert err.value.violations == ["t_lo must be a real number", "t_hi must be a real number"]
 
 
 def test_fields_are_stored_as_floats():

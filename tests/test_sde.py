@@ -714,9 +714,9 @@ def _record_draws(monkeypatch):
     draws = []
     draw = sde._draw
 
-    def recording(seed, indices, k0, k1, antithetic=False):
+    def recording(seed, indices, k0, k1, antithetic=False, out=None):
         draws.append((k0, indices.tolist()))
-        return draw(seed, indices, k0, k1, antithetic)
+        return draw(seed, indices, k0, k1, antithetic, out)
 
     monkeypatch.setattr(sde, "_draw", recording)
     return draws
@@ -951,28 +951,35 @@ class _Drawn(Exception):
     pass
 
 
-def intercept_draws(monkeypatch):
-    """Record the (steps, paths) shape of every _draw request, then fail
-    it before anything is allocated; returns the list of shapes."""
+def intercept_draws(monkeypatch, fill=False):
+    """Record the (steps, paths) shape of every _draw request; returns the
+    list of shapes. Each request fails before it draws, or with fill gives
+    zeros instead of normals."""
     _empty_cache(monkeypatch)
     shapes = []
 
-    def intercept(seed, indices, k0, k1, antithetic=False):
+    def intercept(seed, indices, k0, k1, antithetic=False, out=None):
         shapes.append((k1 - k0, len(indices)))
-        raise _Drawn
+        if not fill:
+            raise _Drawn
+        if out is None:
+            return np.zeros((k1 - k0, len(indices)))
+        out[...] = 0.0
+        return out
 
     monkeypatch.setattr(sde, "_draw", intercept)
     return shapes
 
 
-def test_long_grid_evaluation_draws_at_most_2_23_normals(monkeypatch):
+def test_long_grid_evaluation_draws_at_most_2_22_normals(monkeypatch):
+    # blocks of 8 paths, each streamed in windows of 2^19 steps
     shapes = intercept_draws(monkeypatch)
     g = PathGrid(0.0, 1.0, 10 ** 6)
     with pytest.raises(_Drawn):
         evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0, g,
                         4096, 1)
-    assert shapes == [(10 ** 6, 8)]
-    assert max(k * n for k, n in shapes) <= 2 ** 23
+    assert shapes == [(2 ** 19, 8)]
+    assert max(k * n for k, n in shapes) <= 2 ** 22
 
 
 def test_long_grid_stopping_draws_at_most_2_23_normals(stop_sol, monkeypatch):
@@ -990,13 +997,65 @@ def test_long_grid_stopping_draws_at_most_2_23_normals(stop_sol, monkeypatch):
 
 
 def test_benchmark_shapes_keep_their_blocks(monkeypatch):
-    shapes = intercept_draws(monkeypatch)
-    with pytest.raises(_Drawn):
-        evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
-                        PathGrid(0.0, 1.0, 2000), 4096, 1)
-    assert shapes == [(2000, 4096)]
-    # the paired shapes, 4,000 x 400 and 2,000 stopped paths x 4,000, in one block each
+    # mc_fresh's block of 4,096 paths x 2,000 steps: two windows, not cached
+    shapes = intercept_draws(monkeypatch, fill=True)
+    evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
+                    PathGrid(0.0, 1.0, 2000), 4096, 1)
+    assert shapes == [(1024, 4096), (976, 4096)]
+    assert max(k * n for k, n in shapes) <= 2 ** 22
+    assert sde._whole is None
+    # the paired shapes, 4,000 x 400 and 2,000 stopped paths x 4,000, in
+    # one block each; the evaluation's block is one window, cached
     assert sde._block_width(400) >= 4000 and sde._block_width(4000) >= 2000
+    shapes.clear()
+    evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
+                    PathGrid(0.0, 1.0, 400), 4000, 1)
+    assert shapes == [(400, 4000)]
+    assert sde._whole[1].shape == (4000, 400)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("steps", [5, 7])
+def test_streamed_windows_bit_identical_to_one_window(monkeypatch, steps, antithetic):
+    # 150 paths over 40 steps in blocks of 64, 64 and 22 paths: the 64-path
+    # blocks stream windows of `steps` steps, which start at steps that are
+    # not multiples of 4, and the 22-path block windows of 14 or 20 steps
+    p, pol = POLICIES["lq"]
+    g = PathGrid(0.0, p.T, 40)
+    monkeypatch.setattr(sde, "DEFAULT_BLOCK", 64)
+
+    def run():
+        return evaluate_policy(p, pol, lambda x: x * x, lambda u: u * u, 0.0, 1.0, g, 150, 5,
+                               antithetic=antithetic, keep_samples=True)
+
+    _empty_cache(monkeypatch)
+    whole = run()
+    draws = _record_draws(monkeypatch)
+    _empty_cache(monkeypatch)
+    monkeypatch.setattr(sde, "_WINDOW_NORMALS", steps * 64)
+    streamed = run()
+    assert sde._whole is None
+    assert [k0 for k0, _ in draws] == (list(range(0, 40, steps)) * 2
+                                       + list(range(0, 40, steps * 64 // 22)))
+    np.testing.assert_array_equal(streamed.samples.view(np.uint64),
+                                  whole.samples.view(np.uint64))
+    assert streamed.min_state == whole.min_state
+    assert streamed.mean == whole.mean
+
+
+def test_streamed_evaluation_working_set(monkeypatch):
+    # a block of 4,096 paths x 2,000 steps holds one 32 MiB window of its
+    # normals; the whole block would be 64 MiB
+    _empty_cache(monkeypatch)
+    g = PathGrid(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0, g, 4096,
+                        1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 * 2 ** 20
 
 
 # --- kernel trims against the forms they replaced ---
@@ -1058,7 +1117,7 @@ def test_additive_noise_step_matches_seven_op_form(kind, sigmas):
     else:
         x, g = 1.0, PathGrid(0.0, 1.0, 40)
     z = block_normals(7, np.arange(129), g.n_steps)
-    got = sde._euler_block(p, pol, lambda u: u * u, g, x, z)
+    got = sde._euler_block(p, pol, lambda u: u * u, g, x, [z.T])
     want = _euler_seven_op(p, pol, lambda u: u * u, g, x, z)
     assert np.isfinite(got[0]).all()
     for a, b in zip(got[:2], want[:2]):
@@ -1157,17 +1216,19 @@ def test_stopping_overflowing_cost_is_solver_error(stop_sol):
                              control=lambda y: np.full(np.shape(y), 1e200), **SP_KW)
 
 
-def test_stopping_nan_state_stops_on_its_step(stop_sol):
-    # a NaN drift makes every state NaN after the first step: a NaN
+def test_stopping_nan_state_stops_on_its_step(stop_sol, monkeypatch):
+    # NaN normals make every state NaN after the first step: a NaN
     # minimum counts as a stop, so the path ends there instead of running
     # on to the horizon under the policy's control for NaN
+    _empty_cache(monkeypatch)
+    monkeypatch.setattr(sde, "_draw", lambda seed, indices, k0, k1, antithetic=False:
+                        np.full((k1 - k0, indices.size), math.nan))
     g = PathGrid(0.0, 10.0, 100)
-    kw = dict(SP_KW, mu=math.nan)
-    res = simulate_stopped(sol=stop_sol, g=g, y_start=2.0, seed=0, **kw)
+    res = simulate_stopped(sol=stop_sol, g=g, y_start=2.0, seed=0, **SP_KW)
     assert not res.truncated and res.tau == g.nodes()[1] and res.y_path.size == 2
     assert math.isnan(res.cost)
     with pytest.raises(SolverError, match="non-finite"):
-        stopping_cost_report(sol=stop_sol, g=g, y_start=2.0, n_paths=10, seed=0, **kw)
+        stopping_cost_report(sol=stop_sol, g=g, y_start=2.0, n_paths=10, seed=0, **SP_KW)
 
 
 def test_evaluate_policy_nan_loss_rejected():
