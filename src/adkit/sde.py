@@ -9,14 +9,16 @@ inverse CDF acts element by element, so the normals of steps k0..k1-1 of
 any set of paths, drawn after moving each substream's counter to k0, are
 bit for bit that slice of the full block.
 
-A large draw splits its rows (paths) into contiguous runs of whole
-_ROW_CHUNK-row chunks, one per thread, up to the number of CPUs in the
-process's affinity mask; Philox and ndtri release the GIL, so the
-threads draw in parallel. Each thread has its own generator and buffer
-and writes only its own columns of the one output array, so the bits
-depend on neither the thread count nor the scheduling. There is no
-setting; a draw of fewer than 2*_THREAD_NORMALS normals stays on the
-calling thread.
+A large draw is one pipeline over up to as many threads as there are
+CPUs in the process's affinity mask. The calling thread fills every
+row's (path's) Philox substream, _ROW_CHUNK rows at a time, into a small
+ring of chunk buffers, and the other threads, with the caller whenever
+the ring is full, turn the filled chunks into normals (ndtri, which
+releases the GIL) and write each to its own columns of the one output
+array. So the GIL changes hands about once per chunk, not once per row,
+and the bits depend on neither the thread count nor the scheduling.
+There is no setting; a draw of fewer than 2*_THREAD_NORMALS normals
+stays on the calling thread.
 
 Both estimators cut their paths into blocks of
 min(DEFAULT_BLOCK, max(1, 2^23 // n_steps)) paths; the grid sets the
@@ -25,10 +27,10 @@ block_normals returns its (paths, steps) matrix z as the transpose of a
 C-ordered (steps, paths) array, so z[:, k], the normals of step k across
 the block, is one contiguous row. The step kernels read it that way and
 update their state vectors in place. evaluate_policy's kernel reads a
-block in windows of at most 2^22 normals (32 MiB), max(1, 2^22 // paths)
+block in windows of at most 2^21 normals (16 MiB), max(1, 2^21 // paths)
 steps each: a block that fits in one window is block_normals' cached
 block, and a longer one is drawn a window at a time into one buffer that
-each window overwrites, so it holds 32 MiB of normals however long the
+each window overwrites, so it holds 16 MiB of normals however long the
 grid is, and is never cached. A stopped path reads its normals only
 until it stops, so the stopping kernel draws them a window of _WINDOW
 steps at a time, for the paths still running. simulate_path and
@@ -59,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -75,12 +78,13 @@ _TWO53 = float(1 << 53)
 DEFAULT_BLOCK = 4096
 # most normals in a block of more than one path: 2^23, 64 MiB
 _BLOCK_NORMALS = 1 << 23
-# most normals evaluate_policy's kernel holds of a block: 2^22, 32 MiB.
+# most normals evaluate_policy's kernel holds of a block: 2^21, 16 MiB.
 # Shorter windows cost time: each starts every row's Philox substream
-# again, and those restarts hold the GIL.
-_WINDOW_NORMALS = 1 << 22
-# paths drawn row by row into one buffer before it is transposed into the
-# block; small enough to stay in cache at a few thousand steps
+# again, and 2^20 took 22% longer per mc_fresh op.
+_WINDOW_NORMALS = 1 << 21
+# rows the calling thread fills into one chunk buffer before a thread
+# turns it into normals; small enough to stay in cache at a few thousand
+# steps, and a thread takes the GIL about once per chunk
 _ROW_CHUNK = 64
 # fewest normals a draw gives each thread: about 5 ms of Philox and
 # ndtri, against 0.1 ms to start and join a thread
@@ -102,49 +106,23 @@ def _draw(seed: int, indices: np.ndarray, k0: int, k1: int,
           antithetic: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Time-major (k1 - k0, len(indices)) array of normals k0..k1-1 of
     each path's substream: out, a C-ordered array of that shape, filled
-    in, or a new array.
-
-    The rows are cut into contiguous slices of whole _ROW_CHUNK-row
-    chunks, one per thread, at most one thread per _THREAD_NORMALS
-    normals and per CPU. The calling thread draws the first slice and
-    worker threads the others; each writes only its own columns of out.
-    Every worker is joined before the exception of the first failed
-    slice is raised.
-    """
-    if out is None:
-        out = np.empty((k1 - k0, indices.size))
-    chunks = -(-indices.size // _ROW_CHUNK)
-    parts = max(1, min(_cpus(), chunks, out.size // _THREAD_NORMALS))
-    cuts = [min(chunks * i // parts * _ROW_CHUNK, indices.size) for i in range(parts + 1)]
-    errors = [None] * parts
-
-    def work(i):
-        try:
-            _draw_rows(seed, indices[cuts[i] : cuts[i + 1]], k0, antithetic,
-                       out[:, cuts[i] : cuts[i + 1]])
-        except BaseException as e:  # raised by the caller once all are joined
-            errors[i] = e
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return out
-
-
-def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
-               out: np.ndarray) -> None:
-    """Fill the time-major out with normals k0.. of each path's substream.
+    in, or a new array. antithetic pairs the paths as block_normals does.
 
     Draw k of a substream is word k % 4 of the Philox block at counter
     k // 4 + 1, so each row starts from counter k0 // 4 and drops its
-    first k0 % 4 draws. antithetic pairs the paths as block_normals does.
+    first k0 % 4 draws. The calling thread fills every row, _ROW_CHUNK
+    rows at a time, into a ring of chunk buffers. Up to one worker thread
+    per further CPU, and per _THREAD_NORMALS normals, turns filled chunks
+    into normals and writes them to their own columns of out. The caller
+    turns a filled chunk itself whenever the ring has no free buffer, and
+    the chunks still waiting once every row is filled. Every worker is
+    joined before the draw returns or raises; a worker's exception is
+    raised once all are joined.
     """
+    if out is None:
+        out = np.empty((k1 - k0, indices.size))
+    workers = max(1, min(_cpus(), -(-indices.size // _ROW_CHUNK),
+                         out.size // _THREAD_NORMALS)) - 1
     # one generator whose key word 1 is reset per row: setting a state of
     # Python ints is cheaper than building a Philox or a uint64 key array
     bg = np.random.Philox(key=0)
@@ -154,22 +132,71 @@ def _draw_rows(seed: int, indices: np.ndarray, k0: int, antithetic: bool,
     state["state"] = {"counter": [k0 >> 2, 0, 0, 0], "key": key}
     state["buffer"] = [0, 0, 0, 0]
     skip = k0 & 3
-    buf = np.empty((min(_ROW_CHUNK, indices.size), out.shape[0] + skip))
-    for r0 in range(0, indices.size, _ROW_CHUNK):
+    bases = (indices >> 1 if antithetic else indices).tolist()
+    # the ring: a chunk for each worker to turn and one filled behind it
+    free, filled, errors = queue.SimpleQueue(), queue.SimpleQueue(), []
+    for _ in range(2 * workers + 1):
+        free.put(np.empty((min(_ROW_CHUNK, indices.size), out.shape[0] + skip)))
+
+    def transform(r0, buf):
         rows = indices[r0 : r0 + _ROW_CHUNK]
-        for row, idx in enumerate(rows):
-            base = int(idx) >> 1 if antithetic else int(idx)
-            key[1] = base & _MASK64
-            bg.state = state
-            # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53
-            # for the 53-bit integer k that integers(0, 2^53) would draw
-            gen.random(out=buf[row])
         chunk = buf[: rows.size, skip:]
+        # random() is (raw >> 11) * 2^-53, so this is (k + 0.5) / 2^53
+        # for the 53-bit integer k that integers(0, 2^53) would draw
         chunk += 0.5 / _TWO53
-        ndtri(chunk, out=chunk)
+        ndtri(chunk, out=chunk)  # the module global, looked up per call
         if antithetic:
             chunk[(rows & 1) == 1] *= -1.0
         out[:, r0 : r0 + rows.size] = chunk.T
+
+    def work():
+        for r0, buf in iter(filled.get, None):
+            try:
+                transform(r0, buf)
+            except BaseException as e:  # raised by the caller once all are joined
+                errors.append(e)
+            free.put(buf)
+
+    def take():  # a free buffer, else turn a filled chunk or wait for a worker's
+        try:
+            return free.get_nowait()
+        except queue.Empty:
+            pass
+        try:
+            r0, buf = filled.get_nowait()
+        except queue.Empty:
+            return free.get()  # every buffer is with a worker
+        transform(r0, buf)
+        return buf
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    try:
+        for t in threads:
+            t.start()
+        for r0 in range(0, indices.size, _ROW_CHUNK):
+            if errors:
+                break
+            buf = take()
+            for row, base in enumerate(bases[r0 : r0 + _ROW_CHUNK]):
+                key[1] = base & _MASK64
+                bg.state = state
+                gen.random(out=buf[row])
+            filled.put((r0, buf))
+        while not errors:
+            try:
+                item = filled.get_nowait()
+            except queue.Empty:
+                break
+            transform(*item)
+    finally:
+        for t in threads:
+            filled.put(None)
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 # The two residents of the normals cache. _whole is (key, z) of the last
@@ -213,19 +240,14 @@ def _block_windows(seed: int, indices: np.ndarray, n: int, antithetic: bool):
     windows of max(1, _WINDOW_NORMALS // len(indices)) steps, in order.
 
     A block of one window is block_normals' block, cached. A longer one is
-    drawn a window at a time into one buffer, which the next window
-    overwrites, and is not cached. The buffer is always _WINDOW_NORMALS
-    normals: with its header that is past glibc malloc's largest dynamic
-    mmap threshold (32 MiB), so it is always mapped and its free leaves the
-    threshold alone. Freeing a mapped chunk of at most 32 MiB raises the
-    threshold to its size, and later arrays of that size then stay on the
-    heap, which grows.
+    drawn a window at a time into one buffer of one window, which the next
+    window overwrites, and is not cached.
     """
     steps = max(1, _WINDOW_NORMALS // indices.size)
     if n <= steps:
         yield block_normals(seed, indices, n, antithetic).T
         return
-    buf = np.empty(_WINDOW_NORMALS)[: steps * indices.size].reshape(steps, indices.size)
+    buf = np.empty((steps, indices.size))
     for k0 in range(0, n, steps):
         k1 = min(k0 + steps, n)
         yield _draw(seed, indices, k0, k1, antithetic, out=buf[: k1 - k0])

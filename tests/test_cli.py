@@ -680,9 +680,9 @@ def test_simulate_work_past_limit_exit2(tmp_path, monkeypatch, capsys):
     assert "simulation reached" in capsys.readouterr().err
 
 
-def test_simulate_long_grid_draws_at_most_2_22_normals(tmp_path, monkeypatch):
+def test_simulate_long_grid_draws_at_most_2_21_normals(tmp_path, monkeypatch):
     # 4,096 paths x 10^4 steps passes the MAX_WORK check in 5 blocks of
-    # 838 paths, each streamed in windows of 5,005 steps; one block of all
+    # 838 paths, each streamed in windows of 2,502 steps; one block of all
     # its paths would be 4.1e7 normals. Each draw is recorded and failed
     # before it draws.
     shapes = []
@@ -698,8 +698,8 @@ def test_simulate_long_grid_draws_at_most_2_22_normals(tmp_path, monkeypatch):
                                "output_dir": str(tmp_path / "out"), "simulate": block})
     with pytest.raises(_Drawn):
         main(["simulate", "--config", cfg, "--quiet"])
-    assert shapes == [(5005, 838)]
-    assert max(k * n for k, n in shapes) <= 2 ** 22
+    assert shapes == [(2502, 838)]
+    assert max(k * n for k, n in shapes) <= 2 ** 21
 
 
 def test_seed_must_be_integer(tmp_path):

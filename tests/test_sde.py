@@ -589,19 +589,46 @@ def test_window_equals_slice_of_full_block(indices, n, k0, k1, antithetic):
 # --- draws split across threads ---
 
 
-def _split(monkeypatch, cpus):
-    """Split every draw across up to cpus threads; returns the set of
-    threads that called sde.ndtri."""
+def _ndtri_threads(monkeypatch, cpus, split=True, gate=None):
+    """Draw on up to cpus threads, split wherever a draw has two chunks
+    if split; returns the set of threads that call sde.ndtri, each of
+    which first calls gate(thread) if given."""
     monkeypatch.setattr(sde, "_cpus", lambda: cpus)
-    monkeypatch.setattr(sde, "_THREAD_NORMALS", 1)
+    if split:
+        monkeypatch.setattr(sde, "_THREAD_NORMALS", 1)
     seen = set()
 
     def recording(x, out=None):
         seen.add(threading.current_thread())
+        if gate is not None:
+            gate(threading.current_thread())
         return ndtri(x, out=out)
 
     monkeypatch.setattr(sde, "ndtri", recording)
     return seen
+
+
+def _split(monkeypatch, cpus):
+    """_ndtri_threads, split, where ndtri waits until a second thread has
+    called it. The thread that waits holds its chunk, so another thread
+    turns the next one: a split draw runs ndtri on two threads however
+    they are scheduled."""
+    threads, two_ran = set(), threading.Event()
+
+    def gate(thread):
+        threads.add(thread)
+        if len(threads) > 1:
+            two_ran.set()
+        assert two_ran.wait(timeout=60)
+
+    return _ndtri_threads(monkeypatch, cpus, gate=gate)
+
+
+def _started_by_draw(seen, before):
+    """The threads of seen that _draw started, once none of them is alive:
+    threading.enumerate() is as it was before the draw."""
+    assert set(threading.enumerate()) == set(before)
+    return seen - set(before)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -620,23 +647,62 @@ def _split(monkeypatch, cpus):
 def test_split_draw_bit_identical_to_reference(monkeypatch, cpus, indices, k0, k1, threads,
                                                antithetic):
     seen = _split(monkeypatch, cpus)
+    before = threading.enumerate()
     w = sde._draw(21, np.array(indices, dtype=np.int64), k0, k1, antithetic)
     ref = _reference_normals(21, indices, k1, antithetic)[:, k0:]
     assert w.shape == (k1 - k0, len(indices))
     np.testing.assert_array_equal(w.view(np.uint64), ref.T.view(np.uint64))
-    # every thread looked ndtri up as the module global
-    assert len(seen) == threads
+    # ndtri, looked up as the module global, ran on more than one thread,
+    # and on at most one thread per CPU and per chunk
+    assert 1 < len(seen) <= threads and _started_by_draw(seen, before)
+
+
+@pytest.mark.parametrize("cpus, n", [(1, 2000), (4, 30)])
+def test_draw_below_the_split_threshold_stays_on_the_caller(monkeypatch, cpus, n):
+    # one CPU, or 203 x 30 normals, fewer than 2 * _THREAD_NORMALS
+    seen = _ndtri_threads(monkeypatch, cpus, split=False)
+    idx = np.arange(203, dtype=np.int64)
+    before = threading.enumerate()
+    w = sde._draw(3, idx, 0, n, True)
+    np.testing.assert_array_equal(w.view(np.uint64),
+                                  _reference_normals(3, idx, n, True).T.view(np.uint64))
+    assert seen == {threading.current_thread()}
+    assert not _started_by_draw(seen, before)
+
+
+def test_draw_caller_turns_chunks_when_the_ring_is_full(monkeypatch):
+    # 4 chunks, one worker, a ring of 3 buffers. The worker's ndtri waits
+    # until the caller has run one, which it does when it finds no free
+    # buffer for the fourth chunk.
+    caller = threading.current_thread()
+    caller_ran = threading.Event()
+
+    def gate(thread):
+        if thread is caller:
+            caller_ran.set()
+        elif not caller_ran.wait(timeout=60):
+            caller_ran.set()  # fail once, not once per chunk
+            raise AssertionError("the caller turned no chunk")
+
+    seen = _ndtri_threads(monkeypatch, 2, gate=gate)
+    idx = np.arange(203, dtype=np.int64)
+    before = threading.enumerate()
+    w = sde._draw(5, idx, 2, 70)
+    np.testing.assert_array_equal(w.view(np.uint64),
+                                  _reference_normals(5, idx, 70, False)[:, 2:].T.view(np.uint64))
+    assert len(_started_by_draw(seen, before)) == 1 and caller in seen
 
 
 def test_split_block_normals_bit_identical_and_cached(monkeypatch):
     _empty_cache(monkeypatch)
     seen = _split(monkeypatch, 3)
     idx = np.arange(250)
+    before = threading.enumerate()
     z = block_normals(4, idx, 90, antithetic=True)
     ref = _reference_normals(4, idx, 90, True)
     np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
     assert not z.flags.writeable and z.T.flags.c_contiguous
-    assert len(seen) == 3
+    assert 1 < len(seen) <= 3 and _started_by_draw(seen, before)
     assert block_normals(4, idx, 90, antithetic=True) is z
 
 
@@ -645,6 +711,7 @@ def test_split_draw_under_fast_thread_switching(monkeypatch):
     seen = _split(monkeypatch, 16)
     idx = np.arange(1100, dtype=np.int64)
     result = []
+    before = threading.enumerate()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -656,7 +723,8 @@ def test_split_draw_under_fast_thread_switching(monkeypatch):
     assert not t.is_alive() and len(result) == 1
     ref = _reference_normals(8, idx, 60, False)[:, 3:]
     np.testing.assert_array_equal(result[0].view(np.uint64), ref.T.view(np.uint64))
-    assert len(seen) == 16
+    # 18 chunks: at most the caller and 15 workers
+    assert 1 < len(seen) <= 16 and _started_by_draw(seen, before) - {t}
 
 
 class _WorkerFault(Exception):
@@ -668,31 +736,72 @@ def test_split_draw_worker_error_reaches_caller(monkeypatch):
     _split(monkeypatch, 4)
     caller = threading.current_thread()
     threads = set()
+    worker_ran = threading.Event()
 
     def failing(x, out=None):
         threads.add(threading.current_thread())
         if threading.current_thread() is not caller:
+            worker_ran.set()
             raise _WorkerFault("ndtri failed in a worker")
+        assert worker_ran.wait(timeout=60)
         return ndtri(x, out=out)
 
     monkeypatch.setattr(sde, "ndtri", failing)
     idx = np.arange(256)
+    before = threading.enumerate()
     with pytest.raises(_WorkerFault, match="in a worker"):
         block_normals(6, idx, 40)
     assert sde._whole is None  # the failed block is not a resident
-    # the caller and three workers ran, and every worker was joined
-    assert len(threads) == 4
-    assert not any(t.is_alive() for t in threads if t is not caller)
+    # a worker ran, and every worker was joined
+    assert _started_by_draw(threads, before)
     # a failed window draw records no entry, so no path of the window is
     # taken for drawn
+    worker_ran.clear()
     with pytest.raises(_WorkerFault):
         _resident_windows(6, idx, 200).window(64, np.arange(256))
     assert sde._windowed[1] == [None] * 4
+    assert set(threading.enumerate()) == set(before)
     # the next draw of the same key draws it afresh, bit for bit
     monkeypatch.setattr(sde, "ndtri", ndtri)
     z = block_normals(6, idx, 40)
     np.testing.assert_array_equal(z.view(np.uint64),
                                   _reference_normals(6, idx, 40, False).view(np.uint64))
+
+
+class _CallerFault(Exception):
+    pass
+
+
+def test_split_draw_fill_error_joins_every_worker(monkeypatch):
+    # the caller's fill fails in its third chunk of four, after two filled
+    # chunks went to the workers; a worker left waiting for chunks would
+    # outlive the draw and hold up the interpreter's exit
+    _empty_cache(monkeypatch)
+    seen = _ndtri_threads(monkeypatch, 4)
+    generator = np.random.Generator
+
+    class Failing:
+        def __init__(self, bg):
+            self.gen, self.rows = generator(bg), 0
+
+        def random(self, out):
+            self.rows += 1
+            if self.rows > 2 * sde._ROW_CHUNK:
+                raise _CallerFault("fill failed in the caller")
+            return self.gen.random(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    idx = np.arange(256)
+    before = threading.enumerate()
+    with pytest.raises(_CallerFault):
+        block_normals(7, idx, 40)
+    assert sde._whole is None
+    # the workers turned the two filled chunks, and every one was joined
+    assert _started_by_draw(seen, before)
+    monkeypatch.setattr(np.random, "Generator", generator)
+    z = block_normals(7, idx, 40)
+    np.testing.assert_array_equal(z.view(np.uint64),
+                                  _reference_normals(7, idx, 40, False).view(np.uint64))
 
 
 def _count_ndtri(monkeypatch):
@@ -971,15 +1080,15 @@ def intercept_draws(monkeypatch, fill=False):
     return shapes
 
 
-def test_long_grid_evaluation_draws_at_most_2_22_normals(monkeypatch):
-    # blocks of 8 paths, each streamed in windows of 2^19 steps
+def test_long_grid_evaluation_draws_at_most_2_21_normals(monkeypatch):
+    # blocks of 8 paths, each streamed in windows of 2^18 steps
     shapes = intercept_draws(monkeypatch)
     g = PathGrid(0.0, 1.0, 10 ** 6)
     with pytest.raises(_Drawn):
         evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0, g,
                         4096, 1)
-    assert shapes == [(2 ** 19, 8)]
-    assert max(k * n for k, n in shapes) <= 2 ** 22
+    assert shapes == [(2 ** 18, 8)]
+    assert max(k * n for k, n in shapes) <= 2 ** 21
 
 
 def test_long_grid_stopping_draws_at_most_2_23_normals(stop_sol, monkeypatch):
@@ -997,15 +1106,16 @@ def test_long_grid_stopping_draws_at_most_2_23_normals(stop_sol, monkeypatch):
 
 
 def test_benchmark_shapes_keep_their_blocks(monkeypatch):
-    # mc_fresh's block of 4,096 paths x 2,000 steps: two windows, not cached
+    # mc_fresh's block of 4,096 paths x 2,000 steps: four windows, not cached
     shapes = intercept_draws(monkeypatch, fill=True)
     evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
                     PathGrid(0.0, 1.0, 2000), 4096, 1)
-    assert shapes == [(1024, 4096), (976, 4096)]
-    assert max(k * n for k, n in shapes) <= 2 ** 22
+    assert shapes == [(512, 4096)] * 3 + [(464, 4096)]
+    assert max(k * n for k, n in shapes) <= 2 ** 21
     assert sde._whole is None
     # the paired shapes, 4,000 x 400 and 2,000 stopped paths x 4,000, in
-    # one block each; the evaluation's block is one window, cached
+    # one block each; the evaluation's block, 1.6M <= 2^21 normals, is one
+    # window, cached
     assert sde._block_width(400) >= 4000 and sde._block_width(4000) >= 2000
     shapes.clear()
     evaluate_policy(P, Policy.constant(0.5), lambda x: x, lambda u: u, 0.0, 1.0,
@@ -1044,7 +1154,7 @@ def test_streamed_windows_bit_identical_to_one_window(monkeypatch, steps, antith
 
 
 def test_streamed_evaluation_working_set(monkeypatch):
-    # a block of 4,096 paths x 2,000 steps holds one 32 MiB window of its
+    # a block of 4,096 paths x 2,000 steps holds one 16 MiB window of its
     # normals; the whole block would be 64 MiB
     _empty_cache(monkeypatch)
     g = PathGrid(0.0, 1.0, 2000)
@@ -1055,7 +1165,7 @@ def test_streamed_evaluation_working_set(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 34 * 2 ** 20
+    assert peak <= 18 * 2 ** 20
 
 
 # --- kernel trims against the forms they replaced ---
