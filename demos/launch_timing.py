@@ -17,7 +17,6 @@ sol = solve_stopping(sp)
 
 print("mu = rho*k = %.3f, rest point mu/rho = %.3f" % (sp.mu, sp.mu / sp.rho))
 print("free boundary x0 = %.12f" % sol.x0)
-print("matching constant alpha2 = %.12f" % sol.alpha2)
 print("control at the boundary u*(x0) = %.6f (= x0/gamma1 = %.6f)"
       % (float(sol.policy(sol.x0)), sol.x0 / sp.gamma1))
 

@@ -23,19 +23,14 @@ from .linear import (
     solve_budget,
     solve_linear,
     spend_bound,
-    switch_time,
 )
 from .lq import (
-    RiccatiCoeffs,
     RiccatiSolution,
     WellPosednessReport,
-    closed_loop_coeffs,
     closed_loop_mean,
     lq_feedback,
-    riccati_coeffs,
     riccati_integrate,
     riccati_sigma2_zero,
-    riccati_sigma2_zero_blow,
 )
 from .model import (
     ControlSet,
@@ -73,7 +68,6 @@ from .stopping import (
     free_boundary,
     qvi_residual,
     solve_stopping,
-    u2,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +88,6 @@ __all__ = [
     "Policy",
     "PolicyError",
     "QviReport",
-    "RiccatiCoeffs",
     "RiccatiOracle",
     "RiccatiSolution",
     "SolverError",
@@ -104,7 +97,6 @@ __all__ = [
     "StoppingSolution",
     "Trajectory",
     "WellPosednessReport",
-    "closed_loop_coeffs",
     "closed_loop_mean",
     "diffusion",
     "dp_linear",
@@ -116,11 +108,9 @@ __all__ = [
     "linear_policy",
     "lq_feedback",
     "qvi_residual",
-    "riccati_coeffs",
     "riccati_integrate",
     "riccati_oracle",
     "riccati_sigma2_zero",
-    "riccati_sigma2_zero_blow",
     "simulate_path",
     "simulate_stopped",
     "solve_budget",
@@ -128,7 +118,5 @@ __all__ = [
     "solve_stopping",
     "spend_bound",
     "stopping_cost_report",
-    "switch_time",
-    "u2",
     "u_max_oracle",
 ]

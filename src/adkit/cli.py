@@ -285,7 +285,6 @@ def _run_stop(cfg: RunConfig):
         "gamma2": sp.gamma2,
         "mu": sp.mu,
         "x0": sol.x0,
-        "alpha2": sol.alpha2,
         "u_at_boundary": float(sol.policy(sol.x0)),
         "qvi": {
             "stop_side_max": rep.stop_side_max,
@@ -296,7 +295,7 @@ def _run_stop(cfg: RunConfig):
     }
     tables = {"stopping": (("x", "value", "obstacle", "u_star", "qvi_residual"),
                            (x, sol.value(x), x * x, sol.policy(x), rep.residual))}
-    return payload, tables, "stop: x0=%.12g alpha2=%.12g" % (sol.x0, sol.alpha2)
+    return payload, tables, "stop: x0=%.12g" % sol.x0
 
 
 def _run_simulate(cfg: RunConfig):

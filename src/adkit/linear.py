@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParamError, SolverError, StableRangeError
 from .lq import _h1
-from .model import ModelParams, Policy, as_array, as_real, float_like
+from .model import ModelParams, Policy, as_array, as_real
 
 # tolerance on the budget-binding and multiplier fixed-point identities
 IDENTITY_TOL = 1e-12
@@ -39,16 +39,6 @@ def _span(c: float, s):
                         s * np.divide(e1, x, out=np.ones_like(x), where=x != 0))
 
 
-def switch_time(p: ModelParams) -> float:
-    """t_star = (rho*T - log gamma)/(rho + c), not clamped into [0, T].
-
-    Evaluated as T - log(gamma0)/(rho + c), which is the same quantity
-    with gamma = gamma0*exp(-c*T) substituted in; this form keeps
-    t_star == T exact when gamma0 == 1.
-    """
-    return p.T - math.log(p.gamma0) / (p.rho + p.c)
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     params: ModelParams
@@ -59,10 +49,13 @@ class LinearSolution:
         # piecewise split of b_fn lives inside the horizon
         return min(max(self.t_star, 0.0), self.params.T)
 
-    def gamma_fn(self, t):
+    def _gamma(self, t):
         p = self.params
-        t = as_array(t, "t")
-        return float_like(t, p.gamma * np.exp(-p.rho * (p.T - t)))
+        return p.gamma * np.exp(-p.rho * (p.T - t))
+
+    def gamma_fn(self, t):
+        """gamma*exp(-rho*(T - t)); StableRangeError where it is not finite."""
+        return self._finite("gamma_fn", self._gamma, t)
 
     def _b1(self, t):
         # solves b1' = m*(exp(-c*t) - gamma_fn(t)) with b1(T) = 0,
@@ -76,9 +69,13 @@ class LinearSolution:
         return np.where(t <= self.t_split, self._b1(self.t_split), self._b1(t))
 
     def _finite(self, name, f, *args):
-        """f(t) or f(t, x) on float arrays (model.as_array); StableRangeError
-        where it is not finite, a float where every argument is a scalar."""
+        """f(t) or f(t, x) on float arrays (model.as_array); ParamError "t
+        finite" or "x finite" where an argument is not, StableRangeError
+        where the result is not, a float where every argument is a scalar."""
         args = [as_array(a, n) for a, n in zip(args, ("t", "x"))]
+        for a, n in zip(args, ("t", "x")):
+            if not np.all(np.isfinite(a)):
+                raise ParamError("%s finite" % n)
         # terms that leave the floating-point range are caught below
         with np.errstate(over="ignore", invalid="ignore"):
             out = f(*args)
@@ -96,7 +93,7 @@ class LinearSolution:
     def b1_prime(self, t):
         """m*(exp(-c*t) - gamma_fn(t)); StableRangeError where it is not finite."""
         p = self.params
-        return self._finite("b1_prime", lambda t: p.m * (np.exp(-p.c * t) - self.gamma_fn(t)), t)
+        return self._finite("b1_prime", lambda t: p.m * (np.exp(-p.c * t) - self._gamma(t)), t)
 
     def b_fn(self, t):
         """b1(max(t, t_split)); StableRangeError where it is not finite."""
@@ -104,13 +101,19 @@ class LinearSolution:
 
     def value(self, t, x):
         """gamma_fn(t)*x + b_fn(t); StableRangeError where it is not finite."""
-        return self._finite("value", lambda t, x: self.gamma_fn(t) * x + self._b(t), t, x)
+        return self._finite("value", lambda t, x: self._gamma(t) * x + self._b(t), t, x)
 
 
 def solve_linear(p: ModelParams) -> LinearSolution:
     """The bang-bang solution for any c >= 0; c = 0 is the undiscounted
-    problem, where b1(t) = (m*gamma/rho)*(1 - exp(-rho*(T - t))) - m*(T - t)."""
-    return LinearSolution(params=p, t_star=switch_time(p))
+    problem, where b1(t) = (m*gamma/rho)*(1 - exp(-rho*(T - t))) - m*(T - t).
+
+    t_star = (rho*T - log gamma)/(rho + c), not clamped into [0, T], is
+    evaluated as T - log(gamma0)/(rho + c), which is the same quantity
+    with gamma = gamma0*exp(-c*T) substituted in; this form keeps
+    t_star == T exact when gamma0 == 1.
+    """
+    return LinearSolution(params=p, t_star=p.T - math.log(p.gamma0) / (p.rho + p.c))
 
 
 def linear_policy(sol: LinearSolution) -> Policy:

@@ -19,7 +19,7 @@ which solves
 
     w' = w*(alpha - q*w)*(1 + s2*w),    w(T) = gamma0/a4,
 
-with a4 = 1 - gamma0*s2 as riccati_coeffs computes it. Then
+with a4 = 1 - gamma0*s2, the paper's reduced coefficient. Then
 
     P = -exp(-c*t)*w/(1 + s2*w),   D = exp(-c*t)/(1 + s2*w),
     gain = (1 + sigma1*sigma2)*w,
@@ -41,8 +41,8 @@ sigma2 > 0 and P -> -inf for sigma2 = 0.
 riccati_integrate classifies the phase line of this flow, so its verdict
 and T_max are exact for every c >= 0: case i where A_T = alpha - q*w_T
 >= 0, case ii where A_T < 0, and case iii at alpha = 0, with
-T_max = T - t_blow. The paper's reduced coefficients a1..a4
-(riccati_coeffs) of the scaled problem, rho + c/2 in place of rho and
+T_max = T - t_blow. The paper's reduced coefficients a1..a4 (kept in
+tests/paper_forms.py) of the scaled problem, rho + c/2 in place of rho and
 c = 0, give the same cases: their quadratic -(x - 1)*(beta*x - q)/s2
 has the roots 1 and q/beta, its discriminant zeta is alpha^2, and case i
 is a4 >= q/beta. Since a4 < 1 <= max(1, q/beta), the paper's printed
@@ -77,51 +77,11 @@ _EPS = float(np.finfo(float).eps)
 _LOG_TINY = math.log(5e-324) - 1.0
 
 
-@dataclass(frozen=True)
-class RiccatiCoeffs:
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    zeta: float
-
-
 def _sigma2_sq(p: ModelParams) -> float:
     try:
         return p.sigma2 ** 2
     except OverflowError:
         raise StableRangeError("sigma2^2 overflows (sigma2=%g)" % p.sigma2) from None
-
-
-def riccati_coeffs(p: ModelParams) -> RiccatiCoeffs:
-    """The paper's reduced coefficients a1..a4 in 1/sigma2 and the
-    discriminant zeta = a2^2 - 4*a1*a3 of a1*x^2 + a2*x + a3, which is
-    (2*rho - sigma1^2)^2 identically; the quadratic factors as
-    -(x - 1)*(beta*x - q)/sigma2^2. The discount rate does not enter.
-    These coefficients cancel as sigma2 shrinks and overflow below sigma2
-    of about 1e-77, so riccati_integrate does not use them: it classifies
-    from the scaled flow, whose alpha^2 is zeta of the scaled problem
-    (rho + c/2 in place of rho, c = 0).
-    """
-    if p.sigma2 <= 0:
-        raise ParamError("sigma2 > 0")
-    a4 = 1.0 - p.gamma0 * _sigma2_sq(p)
-    if not a4 > 0:
-        raise ParamError("1 - gamma0*sigma2^2 > 0")
-    inv = 1.0 / p.sigma2
-    try:
-        a1 = -2.0 * p.rho - 2.0 * p.sigma1 * inv - inv * inv
-        a2 = 2.0 * p.rho + p.sigma1 ** 2 + 2.0 * inv * inv + 4.0 * p.sigma1 * inv
-        a3 = -((p.sigma1 + inv) ** 2)
-        zeta = a2 * a2 - 4.0 * a1 * a3
-    except OverflowError:
-        zeta = math.inf
-    if not math.isfinite(zeta):
-        raise StableRangeError(
-            "Riccati coefficients overflow (rho=%g, sigma1=%g, sigma2=%g)"
-            % (p.rho, p.sigma1, p.sigma2)
-        )
-    return RiccatiCoeffs(a1, a2, a3, a4, zeta)
 
 
 @dataclass(frozen=True)
@@ -636,33 +596,6 @@ def riccati_sigma2_zero(p: ModelParams, t):
     return float_like(t, out)
 
 
-def riccati_sigma2_zero_blow(p: ModelParams) -> Optional[float]:
-    """Time where the sigma2 = 0 closed form diverges (Q crosses 0),
-    or None if P stays finite on all of (-inf, T). Raises
-    StableRangeError when that time leaves the float range."""
-    if p.sigma2 != 0:
-        raise ParamError("sigma2 = 0")
-    a, _ = _rhs_coeffs(p)
-    k = a + p.c
-    try:
-        if k == 0:
-            t_blow = p.T - math.exp(a * p.T) / p.gamma
-        else:
-            val = math.exp(k * p.T) - k * math.exp(a * p.T) / p.gamma
-            # k > 0: exp(k t) is increasing, so a root below T needs 0 < val;
-            # k < 0: val > exp(k T) always holds, so the root always sits below T
-            if k > 0 and val <= 0:
-                return None
-            t_blow = math.log(val) / k
-    except (OverflowError, ZeroDivisionError, ValueError):
-        t_blow = math.nan
-    if not math.isfinite(t_blow):
-        raise StableRangeError(
-            "sigma2 = 0 blow-up time out of float range (rho=%g, c=%g, T=%g, sigma1=%g)"
-            % (p.rho, p.c, p.T, p.sigma1))
-    return t_blow
-
-
 def lq_feedback(sol: RiccatiSolution, p: ModelParams) -> Policy:
     """Markov policy u(t, x) = max(G(t) x, 0) with the closed-form gain
     G = -(1 + sigma1*sigma2) P / D >= 0 of sol. p must be sol.params
@@ -676,28 +609,21 @@ def lq_feedback(sol: RiccatiSolution, p: ModelParams) -> Policy:
     )
 
 
-def closed_loop_coeffs(sol: RiccatiSolution, t):
-    """Drift and diffusion coefficients of the optimally controlled state:
-    dx = a(t) x dt + c_coef(t) x dw (sigma0 = 0 closed loop), from
-    RiccatiSolution.closed_loop on a well-posed solution within
-    [t_lo, T]."""
-    if not sol.well_posed:
-        raise SolverError("Riccati solution not well posed")
-    t_arr = as_array(t, "t")
-    lo, hi = float(sol.t[0]), float(sol.params.T)
-    if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
-        raise PolicyError("closed-loop coefficients queried outside [%g, %g]" % (lo, hi))
-    _, a_t, c_t = sol.closed_loop(t_arr)
-    return float_like(t, a_t), float_like(t, c_t)
-
-
 def closed_loop_mean(sol: RiccatiSolution, t_eval=None, x_start=None):
-    """E[x_t] of the closed loop via exp of the integrated drift
-    coefficient; trapezoid accumulation on the stored grid. x_start, a
+    """E[x_t] of the closed loop dx = a(t) x dt + c_coef(t) x dw
+    (RiccatiSolution.closed_loop) via exp of the integrated drift
+    coefficient; trapezoid accumulation on the stored grid. sol must be
+    well posed (SolverError otherwise), and t_eval, the grid by default,
+    within [t_lo, T] (PolicyError outside it and at NaN). x_start, a
     finite real number, defaults to sol.params.x_init."""
     t_eval = sol.t if t_eval is None else as_array(t_eval, "t_eval")
     x_start = sol.params.x_init if x_start is None else as_real(x_start, "x_start")
-    a_grid, _ = closed_loop_coeffs(sol, sol.t)
+    if not sol.well_posed:
+        raise SolverError("Riccati solution not well posed")
+    lo, hi = float(sol.t[0]), float(sol.params.T)
+    if not np.all((t_eval >= lo - 1e-12) & (t_eval <= hi + 1e-12)):
+        raise PolicyError("closed-loop mean queried outside [%g, %g] or at t = nan" % (lo, hi))
+    _, a_grid, _ = sol.closed_loop(sol.t)
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * (a_grid[1:] + a_grid[:-1]) * np.diff(sol.t)))
     )

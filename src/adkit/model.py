@@ -217,9 +217,9 @@ class Policy:
 
     fn must broadcast over x (the simulation engine evaluates whole
     blocks of paths at once). Policies with a finite validity window in
-    t raise PolicyError when queried outside it. The window [t_lo, t_hi]
-    is both ends, finite real numbers stored as floats with t_lo <= t_hi,
-    or neither (ParamError otherwise).
+    t raise PolicyError when queried outside it, and every policy at a
+    NaN time. The window [t_lo, t_hi] is both ends, finite real numbers
+    stored as floats with t_lo <= t_hi, or neither (ParamError otherwise).
     """
 
     kind: str
@@ -233,12 +233,14 @@ class Policy:
             check_fields(self, ("t_lo", "t_hi"), _window_rule)
 
     def __call__(self, t: float, x):
-        if self.t_lo is not None:
-            if t < self.t_lo - 1e-12 or t > self.t_hi + 1e-12:
-                raise PolicyError(
-                    "policy %r queried at t=%g outside [%g, %g]"
-                    % (self.kind, t, self.t_lo, self.t_hi)
-                )
+        if self.t_lo is None:
+            if t != t:
+                raise PolicyError("policy %r queried at t=nan" % self.kind)
+        elif not self.t_lo - 1e-12 <= t <= self.t_hi + 1e-12:  # False at nan
+            raise PolicyError(
+                "policy %r queried at t=%g outside [%g, %g]"
+                % (self.kind, t, self.t_lo, self.t_hi)
+            )
         return self.fn(t, x)
 
     @staticmethod

@@ -20,7 +20,7 @@ import numpy as np
 from ._scipy import get_lapack_funcs, solve_ivp
 from .errors import ParamError, SolverError, StableRangeError
 from .lq import GUARD_FRAC, P_CAP, _rhs_coeffs, _riccati_input, midpoint_residual
-from .model import ModelParams, as_array, as_count, check_fields, interval
+from .model import ModelParams, as_array, as_count, as_real, check_fields, interval
 from .stopping import StoppingParams
 
 # right-hand-side evaluations one Riccati integration may make; the
@@ -225,6 +225,15 @@ def riccati_oracle(
     )
 
 
+def _value_at(x: np.ndarray, v: np.ndarray, x_query) -> float:
+    """v linearly interpolated at x_query, a real number in [x[0], x[-1]];
+    ParamError "x_query finite" or "x_query in [lo, hi]" otherwise."""
+    xq = as_real(x_query, "x_query")
+    if not x[0] <= xq <= x[-1]:
+        raise ParamError("x_query in [%g, %g]" % (x[0], x[-1]))
+    return float(np.interp(xq, x, v))
+
+
 @dataclass(frozen=True)
 class FdHjbResult:
     x: np.ndarray
@@ -234,7 +243,7 @@ class FdHjbResult:
     cap_hit: bool
 
     def value_at(self, x_query) -> float:
-        return float(np.interp(as_array(x_query, "x_query"), self.x, self.v0))
+        return _value_at(self.x, self.v0, x_query)
 
 
 def u_max_oracle(p: ModelParams, riccati_sol) -> float:
@@ -404,7 +413,7 @@ class DpQviResult:
     converged: bool
 
     def value_at(self, x_query) -> float:
-        return float(np.interp(as_array(x_query, "x_query"), self.x, self.v))
+        return _value_at(self.x, self.v, x_query)
 
 
 def dp_qvi_stopping(sp: StoppingParams, g: Grid2D, u_grid) -> DpQviResult:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ._scipy import erfc, erfcx
-from .errors import SolverError, StableRangeError
+from .errors import ParamError, SolverError, StableRangeError
 from .model import as_array, as_count, check_fields, float_like
 
 SQRT_PI = math.sqrt(math.pi)
@@ -81,19 +81,6 @@ def _scaled_arg(x, sp: StoppingParams):
     return math.sqrt(sp.rho) * (x - sp.mu / sp.rho)
 
 
-def u2(x, sp: StoppingParams):
-    """Decaying solution of the homogeneous continuation ODE,
-    exp(w^2) * integral_x^inf exp(-rho*(s - mu/rho)^2) ds, through erfcx;
-    StableRangeError where it overflows, as it does for w below about -26."""
-    w = _scaled_arg(as_array(x, "x"), sp)
-    with np.errstate(over="ignore"):
-        out = (SQRT_PI / (2.0 * math.sqrt(sp.rho))) * erfcx(w)
-    if np.isinf(out).any():
-        raise StableRangeError("u2 overflows: some w = sqrt(rho)*(x - mu/rho) is as low as %g"
-                               % np.nanmin(w))
-    return float_like(x, out)
-
-
 def _h_fraction(w):
     """h and h' on w >= CF_FROM from Laplace's continued fraction
     (Abramowitz and Stegun 7.1.14): h = (1/2)/(w + t), with
@@ -111,7 +98,9 @@ def _h_fraction(w):
 def _control(d, sp: StoppingParams, derivative: bool = False):
     """u* = 2*sqrt(rho)*h(w), w = sqrt(rho)*d, for a 1-d float array
     d = x - mu/rho (overwritten); with derivative also
-    du*/dx = 2*rho*h' = r*u* - 2*rho, r = 1/u2 = 2*sqrt(rho)*(h + w).
+    du*/dx = 2*rho*h' = r*u* - 2*rho, r = 1/u2 = 2*sqrt(rho)*(h + w), where
+    u2 = sqrt(pi)/(2*sqrt(rho))*erfcx(w) is the decaying solution of the
+    homogeneous continuation ODE.
     The erfcx form u* = r - 2*rho*d covers w < CF_FROM: on w < 0 both its
     terms are positive, and where u2 overflows (w below about -26.6, or
     sooner for tiny rho) r = 0 leaves -2*rho*d, which is u* to rounding.
@@ -155,9 +144,8 @@ def _fit(x: float, sp: StoppingParams):
     return x / sp.gamma1 - float(u[0]), 1.0 / sp.gamma1 - float(du[0])
 
 
-def free_boundary(sp: StoppingParams):
-    """(x0, alpha2): the root of the fit function f, and the constant of
-    the log form v = -2*gamma1*log(alpha2*u2).
+def free_boundary(sp: StoppingParams) -> float:
+    """x0, the root of the fit function f.
 
     f is concave and increasing, so Newton's method from a point where
     f <= 0 climbs to the root from the left. The start is x1, one float
@@ -171,10 +159,6 @@ def free_boundary(sp: StoppingParams):
     the smaller |f|, or at lo itself where rounding makes f(lo) >= 0 (the
     root is then within a few ulps of lo). StableRangeError on a
     non-finite lo or f; SolverError past NEWTON_MAXITER steps.
-
-    alpha2 = exp(-x0^2/(2*gamma1))*g(x0), g = 1/u2 = 2*sqrt(rho)*(w + h),
-    is taken through log(g) so that no factor overflows; nothing reads
-    it, and it may round to 0.
     """
     lo = 2.0 * sp.mu / (2.0 * sp.rho + 1.0 / sp.gamma1)
     if not math.isfinite(lo):
@@ -212,12 +196,14 @@ def free_boundary(sp: StoppingParams):
     else:
         raise SolverError("free boundary: Newton's method did not converge in %d steps"
                           % NEWTON_MAXITER)
-    log_g = math.log(2.0 * math.sqrt(sp.rho) / SQRT_PI) - _log_erfcx(_scaled_arg(x, sp))
-    return float(x), math.exp(log_g - x * x / (2.0 * sp.gamma1))
+    return float(x)
 
 
-def _require_square_finite(x):
-    """StableRangeError where some |x| > X_MAX, whose x^2 overflows."""
+def _require_square_finite(x, name: str):
+    """ParamError "<name> finite" where some x is not; StableRangeError
+    where some |x| > X_MAX, whose x^2 overflows."""
+    if not np.all(np.isfinite(x)):
+        raise ParamError("%s finite" % name)
     if np.any(np.abs(x) > X_MAX):
         raise StableRangeError("stopping: some |x| > %g, where the obstacle x^2 overflows"
                                % X_MAX)
@@ -252,7 +238,6 @@ class StoppingSolution:
 
     params: StoppingParams
     x0: float
-    alpha2: float
     residual_report: Optional[QviReport] = None
 
     def value(self, x):
@@ -261,7 +246,7 @@ class StoppingSolution:
         log(erfc(w)/erfc(w0)), where w^2 and w0^2 may overflow."""
         sp, x0 = self.params, self.x0
         x_arr = as_array(x, "x")
-        _require_square_finite(x_arr)
+        _require_square_finite(x_arr, "x")
         # stop-region queries are clamped to x0, where the where() discards them
         xc = np.maximum(x_arr, x0).reshape(-1)
         w = _scaled_arg(xc, sp)
@@ -304,7 +289,7 @@ def qvi_residual(sol: StoppingSolution, grid) -> QviReport:
     not the solution (see QviReport)."""
     sp = sol.params
     x = as_array(grid, "grid")
-    _require_square_finite(x)
+    _require_square_finite(x, "grid")
     is_stop = x <= sol.x0
     is_cont = x > sol.x0
     stop = x[is_stop]
@@ -339,7 +324,7 @@ def solve_stopping(sp: StoppingParams, n_grid: int = 2001) -> StoppingSolution:
     any other grid. n_grid is a count in [2, MAX_SIZE] (ParamError
     otherwise)."""
     n_grid = as_count(n_grid, "n_grid", 2)
-    x0, alpha2 = free_boundary(sp)
-    sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)
+    x0 = free_boundary(sp)
+    sol = StoppingSolution(params=sp, x0=x0)
     grid = np.linspace(0.0, x0 + 10.0 / math.sqrt(sp.rho), n_grid)
     return dataclasses.replace(sol, residual_report=qvi_residual(sol, grid))

@@ -28,7 +28,6 @@ from adkit import (
     linear_policy,
     lq_feedback,
     qvi_residual,
-    riccati_coeffs,
     riccati_integrate,
     riccati_oracle,
     riccati_sigma2_zero,
@@ -37,11 +36,11 @@ from adkit import (
     solve_stopping,
     spend_bound,
     stopping_cost_report,
-    u2,
     u_max_oracle,
 )
 from adkit.cli import main as cli_main
 from adkit.model import ControlSet
+from paper_forms import riccati_coeffs, u2
 
 ART_DIR = os.path.join(os.path.dirname(__file__), "..", "test_artifacts")
 

@@ -140,6 +140,25 @@ def test_first_call_matches_and_loads_its_submodules(expr, submodules, absent):
     assert not absent & set(loaded)
 
 
+def test_public_names_are_pinned():
+    # the paper's reduced forms live in tests/paper_forms.py, and each
+    # quantity has one public route
+    import adkit
+
+    assert sorted(adkit.__all__) == [
+        "AdkitError", "BudgetSolution", "ControlSet", "DpLinearResult", "DpQviResult",
+        "EvalReport", "FdHjbResult", "Grid2D", "LinearSolution", "ModelParams",
+        "ParamError", "PathGrid", "Policy", "PolicyError", "QviReport", "RiccatiOracle",
+        "RiccatiSolution", "SolverError", "StableRangeError", "StoppedPathResult",
+        "StoppingParams", "StoppingSolution", "Trajectory", "WellPosednessReport",
+        "closed_loop_mean", "diffusion", "dp_linear", "dp_qvi_stopping", "drift",
+        "evaluate_policy", "fd_hjb_lq", "free_boundary", "linear_policy", "lq_feedback",
+        "qvi_residual", "riccati_integrate", "riccati_oracle", "riccati_sigma2_zero",
+        "simulate_path", "simulate_stopped", "solve_budget", "solve_linear",
+        "solve_stopping", "spend_bound", "stopping_cost_report", "u_max_oracle",
+    ]
+
+
 def test_only_the_scipy_shim_imports_scipy():
     # every scipy import goes through _scipy.py, which loads each
     # submodule on its first call

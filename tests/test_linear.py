@@ -15,7 +15,6 @@ from adkit import (
     solve_budget,
     solve_linear,
     spend_bound,
-    switch_time,
 )
 
 # reference instance used throughout; switch falls inside the horizon
@@ -26,19 +25,19 @@ VALUE_0 = 0.6855020600225101
 
 
 def test_switch_time_reference():
-    assert switch_time(P) == pytest.approx(T_STAR, abs=1e-15)
+    assert solve_linear(P).t_star == pytest.approx(T_STAR, abs=1e-15)
 
 
 def test_switch_time_gamma0_one_is_exactly_T():
     p = ModelParams(rho=0.5, c=0.1, T=1.0)
-    assert switch_time(p) == p.T
+    assert solve_linear(p).t_star == p.T
 
 
 def test_switch_time_not_clamped():
     # strong terminal weight pushes the switch before time zero
     p = ModelParams(rho=0.5, c=0.1, T=1.0, gamma0=50.0)
-    assert switch_time(p) < 0.0
     sol = solve_linear(p)
+    assert sol.t_star < 0.0
     assert sol.t_split == 0.0
 
 

@@ -16,7 +16,6 @@ from adkit import (
     solve_linear,
     solve_stopping,
     spend_bound,
-    switch_time,
 )
 from adkit.oracles import dp_linear
 
@@ -72,7 +71,7 @@ def _stopping(sp_kwargs):
     sp = StoppingParams(**sp_kwargs)
     sol = solve_stopping(sp, n_grid=65)
     rep = sol.residual_report
-    return (sol.x0, sol.alpha2, rep.stop_side_max, rep.pde_residual_max,
+    return (sol.x0, rep.stop_side_max, rep.pde_residual_max,
             rep.obstacle_gap_min, rep.residual)
 
 
@@ -91,7 +90,7 @@ def test_linear_and_budget_entry_points_end_cleanly(kwargs, f):
         p = ModelParams(**kwargs)
     except AdkitError:
         return
-    _ends_cleanly(switch_time, p)
+    _ends_cleanly(lambda q: solve_linear(q).t_star, p)
     _ends_cleanly(spend_bound, p)
     _ends_cleanly(_budget, p, f)
     _ends_cleanly(_dp_linear, p)

@@ -15,16 +15,14 @@ from adkit import (
     PolicyError,
     SolverError,
     StableRangeError,
-    closed_loop_coeffs,
     closed_loop_mean,
     lq_feedback,
-    riccati_coeffs,
     riccati_integrate,
     riccati_oracle,
     riccati_sigma2_zero,
-    riccati_sigma2_zero_blow,
     u_max_oracle,
 )
+from paper_forms import riccati_coeffs, riccati_sigma2_zero_blow
 
 # well-posed reference instance
 P5 = ModelParams(rho=0.5, c=0.1, T=1.0, sigma1=0.2, sigma2=0.5, gamma0=0.5)
@@ -238,26 +236,24 @@ def test_feedback_refused_when_ill_posed():
     with pytest.raises(SolverError):
         lq_feedback(sol, P_ILL)
     with pytest.raises(SolverError):
-        closed_loop_coeffs(sol, 0.95)
+        closed_loop_mean(sol, 0.95)
 
 
-def test_closed_loop_coeffs_identity():
+def test_closed_loop_identity():
     sol = riccati_integrate(P5)
-    a0, c0 = closed_loop_coeffs(sol, 0.0)
-    g0 = float(sol.gain_at(0.0))
+    g0, a0, c0 = sol.closed_loop(0.0)
+    assert g0 == float(sol.gain_at(0.0))
     # a - gain = -rho exactly, and the noise loading follows the same gain
     assert a0 - g0 == -P5.rho
     assert c0 == pytest.approx(0.2 + 0.5 * g0, abs=1e-14)
     with pytest.raises(PolicyError):
-        closed_loop_coeffs(sol, -0.5)
+        closed_loop_mean(sol, -0.5)
 
 
 def test_closed_loop_one_formula():
     sol = riccati_integrate(P5)
     G, a, c = sol.closed_loop(sol.t)
     assert np.array_equal(G, sol.gain_at(sol.t))
-    a_t, c_t = closed_loop_coeffs(sol, sol.t)
-    assert np.array_equal(a, a_t) and np.array_equal(c, c_t)
     # an ill-posed instance keeps its coefficients on the retained grid
     ill = riccati_integrate(P_ILL)
     G, a, c = ill.closed_loop(ill.t)
@@ -282,7 +278,7 @@ def test_closed_loop_mean_matches_euler():
     dt = t[1] - t[0]
     x = 1.0
     for k in range(n):
-        a_k, _ = closed_loop_coeffs(sol, float(t[k]))
+        _, a_k, _ = sol.closed_loop(float(t[k]))
         x *= 1.0 + a_k * dt
     assert closed_loop_mean(sol, 1.0) == pytest.approx(x, abs=5e-5)
 
@@ -369,7 +365,7 @@ def test_queries_outside_the_grid_take_the_nearer_end():
             with pytest.raises(PolicyError, match="nan"):
                 fn(t)
     with pytest.raises(PolicyError, match="outside"):
-        closed_loop_coeffs(sol, 0.4)
+        closed_loop_mean(sol, 0.4)
     # P has no value before the blow-down; the retained grid starts after it
     ill = riccati_integrate(P_ILL)
     assert ill.P_at(0.0) == ill.P_at(float(ill.t[0])) == ill.P[0]

@@ -13,12 +13,14 @@ from adkit import (
     Policy,
     PolicyError,
     StoppingParams,
-    closed_loop_coeffs,
     closed_loop_mean,
     diffusion,
     dp_linear,
+    dp_qvi_stopping,
     drift,
     evaluate_policy,
+    fd_hjb_lq,
+    qvi_residual,
     riccati_integrate,
     riccati_oracle,
     simulate_path,
@@ -318,24 +320,43 @@ _SCALARS = {
     "Policy.t_hi": lambda v: Policy("k", lambda t, x: x, ControlSet(), t_lo=0.0, t_hi=v),
     "closed_loop_mean.x_start": lambda v: closed_loop_mean(_LQ_SOL, None, v),
 }
-# nan is a query's own business: P_at, D_at and gain_at raise PolicyError
+_FD = fd_hjb_lq(_LQ, Grid2D(0.0, 4.0, 16, 16), [0.0, 1.0])
+_QVI = dp_qvi_stopping(_STOP, Grid2D(0.0, 4.0, 16, 16), [0.0, 1.0])
+_WINDOWED = Policy("k", lambda t, x: x, ControlSet(), t_lo=0.0, t_hi=1.0)
+# nan is a query's own business: every query but StoppingSolution.policy,
+# which maps it to 0, raises an AdkitError (P_at, D_at, gain_at, the
+# closed-loop mean and a policy call a PolicyError, the others a ParamError)
 _QUERIES = {
     "RiccatiSolution.P_at": _LQ_SOL.P_at,
     "RiccatiSolution.D_at": _LQ_SOL.D_at,
     "RiccatiSolution.gain_at": _LQ_SOL.gain_at,
-    "closed_loop_coeffs.t": lambda v: closed_loop_coeffs(_LQ_SOL, v),
     "closed_loop_mean.t_eval": lambda v: closed_loop_mean(_LQ_SOL, v),
     "StoppingSolution.value": _STOP_SOL.value,
     "StoppingSolution.policy": _STOP_SOL.policy,
+    "qvi_residual.grid": lambda v: qvi_residual(_STOP_SOL, v),
     "LinearSolution.value.t": lambda v: solve_linear(_LIN).value(v, 1.0),
+    "LinearSolution.gamma_fn": solve_linear(_LIN).gamma_fn,
+    "FdHjbResult.value_at": _FD.value_at,
+    "DpQviResult.value_at": _QVI.value_at,
 }
+# a policy call takes the step loop's float time unconverted, so it is
+# checked for nan and its window only
+_CALLS = {
+    "Policy.__call__.t": lambda v: _WINDOWED(v, 1.0),
+    "Policy.bang_bang.__call__.t": lambda v: Policy.bang_bang(0.5, 1.0)(v, 1.0),
+}
+# a query with a range, and a point just outside it
+_OUTSIDE = {"closed_loop_mean.t_eval": 5.0, "FdHjbResult.value_at": 10.0,
+            "DpQviResult.value_at": -1.0, "Policy.__call__.t": 1.5}
 _NOT_REAL = ["a", None, 1j, True, 10 ** 400]
 # valid cells: None asks closed_loop_mean for its default, and every float
 # is below 10**400, so it is the upper end of an unbounded ControlSet
 _VALID = [("ControlSet.upper", 10 ** 400), ("closed_loop_mean.t_eval", None),
           ("closed_loop_mean.x_start", None)]
-_CELLS = [(e, v) for e in sorted({**_SCALARS, **_QUERIES})
-          for v in _NOT_REAL + ([math.nan] if e in _SCALARS or e.startswith("Riccati") else [])
+_CELLS = [(e, v) for e in sorted({**_SCALARS, **_QUERIES, **_CALLS})
+          for v in ([] if e in _CALLS else _NOT_REAL)
+          + ([] if e == "StoppingSolution.policy" else [math.nan])
+          + ([_OUTSIDE[e]] if e in _OUTSIDE else [])
           if (e, v) not in _VALID]
 
 
@@ -345,7 +366,7 @@ def test_inputs_that_are_not_real_numbers_end_in_adkit_errors(entry, value):
     # a raw TypeError, ValueError or OverflowError, or a bool taken as 1,
     # was the answer of most of these cells
     with pytest.raises(AdkitError):
-        {**_SCALARS, **_QUERIES}[entry](value)
+        {**_SCALARS, **_QUERIES, **_CALLS}[entry](value)
 
 
 def test_scalar_messages_name_the_argument():
@@ -360,6 +381,27 @@ def test_scalar_messages_name_the_argument():
     assert err.value.violations == ["x_lo must be a real number", "n_t >= 16"]
     with pytest.raises(PolicyError, match="nan"):
         _LQ_SOL.gain_at(math.nan)
+
+
+def test_nan_and_range_cells_name_their_error():
+    # each of these returned nan, inf or a clamped value
+    for call, message in ((lambda: _FD.value_at(math.nan), "x_query finite"),
+                          (lambda: _QVI.value_at(10.0), r"x_query in \[0, 4\]"),
+                          (lambda: solve_linear(_LIN).gamma_fn(math.inf), "t finite"),
+                          (lambda: solve_linear(_LIN).value(0.0, math.nan), "x finite"),
+                          (lambda: _STOP_SOL.value(math.nan), "x finite"),
+                          (lambda: qvi_residual(_STOP_SOL, [math.nan, 1.0]), "grid finite")):
+        with pytest.raises(ParamError, match="^%s$" % message):
+            call()
+    for call in (lambda: closed_loop_mean(_LQ_SOL, math.nan),
+                 lambda: closed_loop_mean(_LQ_SOL, [0.5, 5.0]),
+                 lambda: _WINDOWED(math.nan, 1.0),
+                 lambda: Policy.constant(0.5)(math.nan, 1.0)):
+        with pytest.raises(PolicyError):
+            call()
+    # inside the grid, value_at is np.interp bit for bit
+    assert _FD.value_at(1.0) == float(np.interp(1.0, _FD.x, _FD.v0))
+    assert _QVI.value_at(4.0) == _QVI.v[-1]
 
 
 def test_policy_window_is_both_ends_or_neither():

@@ -29,7 +29,7 @@ from adkit import (
 from adkit import sde
 from adkit.model import ControlSet, diffusion, drift
 from adkit.sde import block_normals
-from adkit.stopping import u2
+from paper_forms import u2
 
 P = ModelParams(rho=0.5, c=0.1, T=1.0, sigma0=0.2, gamma0=1.2)
 

@@ -19,13 +19,12 @@ from adkit import (
     free_boundary,
     qvi_residual,
     solve_stopping,
-    u2,
 )
+from paper_forms import u2
 
 SP = StoppingParams(k=1.0, rho=0.5, gamma1=2.0, gamma2=2.0)
 
 X0 = 1.3603866416114931
-ALPHA2 = 0.6551541419723372
 
 
 def test_params_derive_mu():
@@ -127,13 +126,11 @@ def test_u2_overflow_is_stable_range_error():
 
 
 def test_free_boundary_reference():
-    x0, alpha2 = free_boundary(SP)
-    assert x0 == pytest.approx(X0, abs=1e-13)
-    assert alpha2 == pytest.approx(ALPHA2, abs=1e-13)
+    assert free_boundary(SP) == pytest.approx(X0, abs=1e-13)
 
 
 def test_free_boundary_fit_residual():
-    x0, _ = free_boundary(SP)
+    x0 = free_boundary(SP)
     slope = 2.0 * SP.rho + 1.0 / SP.gamma1
     assert abs((slope * x0 - 2.0 * SP.mu) * u2(x0, SP) - 1.0) <= 1e-12
 
@@ -146,9 +143,7 @@ def test_free_boundary_above_drift_rest_point():
         gamma1 = rng.uniform(1.1, 4.0)
         sp = StoppingParams(k=rng.uniform(0.0, 2.0), rho=rho, gamma1=gamma1,
                             gamma2=2.0 * rho * gamma1)
-        x0, alpha2 = free_boundary(sp)
-        assert x0 > sp.mu / sp.rho
-        assert alpha2 > 0
+        assert free_boundary(sp) > sp.mu / sp.rho
 
 
 def test_value_matches_obstacle_below_boundary():
@@ -333,7 +328,7 @@ def _fit_visits(sp, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(stopping, "_fit", recording_fit)
-        x0, _ = free_boundary(sp)
+        x0 = free_boundary(sp)
     return xs, x0
 
 
@@ -341,7 +336,7 @@ def test_free_boundary_root_is_best_float():
     # every one of these draws solves
     rng = np.random.default_rng(20)
     for sp in _params(np.exp(rng.uniform(-4.0, 3.0, 3)) for _ in range(1003)):
-        _assert_certified(sp, free_boundary(sp)[0])
+        _assert_certified(sp, free_boundary(sp))
 
 
 def test_free_boundary_log_uniform_sweep():
@@ -349,9 +344,9 @@ def test_free_boundary_log_uniform_sweep():
     # and the value is finite to the right of the boundary
     rng = np.random.default_rng(1)
     for sp in _params(10.0 ** rng.uniform(-3.0, 3.0, 3) for _ in range(1500)):
-        x0, _ = free_boundary(sp)
+        x0 = free_boundary(sp)
         _assert_certified(sp, x0)
-        sol = StoppingSolution(params=sp, x0=x0, alpha2=math.nan)
+        sol = StoppingSolution(params=sp, x0=x0)
         x = x0 + np.array([0.0, 0.1, 1.0, 10.0]) / math.sqrt(sp.rho)
         assert np.isfinite(sol.value(x)).all(), sp
 
@@ -368,11 +363,10 @@ def test_free_boundary_against_reference_roots(row):
     # 50-digit roots of the exact problem, from tests/make_refs.py
     rho, gamma1 = row["rho"], row["gamma1"]
     sp = StoppingParams(k=row["k"], rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
-    x0, alpha2 = free_boundary(sp)
+    x0 = free_boundary(sp)
     ref = Fraction(row["x0"])
     ulps = abs(Fraction(x0) - ref) / Fraction(math.ulp(float(ref)))
     assert ulps <= ROOT_ULPS, (row, x0, float(ulps))
-    assert 0.0 <= alpha2 < math.inf
 
 
 def _asymptote_root(sp):
@@ -444,10 +438,10 @@ def test_tiny_rho_solves_where_u2_overflows(rho):
     # u2's scale sqrt(pi)/(2*sqrt(rho)) ~ 1e161 times erfcx(-26) ~ 1e294
     # overflows; the solver never forms it
     sp = StoppingParams(k=1.0, rho=rho, gamma1=2.0, gamma2=4.0 * rho)
-    x0, alpha2 = free_boundary(sp)
+    x0 = free_boundary(sp)
     # x0 ~ 2*gamma1*sqrt(rho)/sqrt(pi) with w0 ~ -sqrt(rho)*k ~ 0
     assert x0 == pytest.approx(4.0 * math.sqrt(rho) / math.sqrt(math.pi), rel=1e-9)
-    sol = StoppingSolution(params=sp, x0=x0, alpha2=alpha2)
+    sol = StoppingSolution(params=sp, x0=x0)
     assert float(sol.policy(x0)) == pytest.approx(x0 / 2.0, rel=1e-12)
     assert np.isfinite(sol.value(np.array([2.0 * x0, 1.0, 1e100]))).all()
     with pytest.raises(StableRangeError, match="u2 overflows"):
@@ -460,7 +454,7 @@ def test_tiny_rho_verification_grid_is_stable_range_error(k, rho, gamma1):
     # the boundary solves, but the verification grid reaches
     # x0 + 10/sqrt(rho) > 1e155, whose x^2 overflows
     sp = StoppingParams(k=k, rho=rho, gamma1=gamma1, gamma2=2.0 * rho * gamma1)
-    assert 0.0 < free_boundary(sp)[0] < 1e-150
+    assert 0.0 < free_boundary(sp) < 1e-150
     with pytest.raises(StableRangeError, match="x\\^2 overflows"):
         solve_stopping(sp, n_grid=65)
 
@@ -483,12 +477,11 @@ def test_qvi_residual_overflow_is_stable_range_error():
         solve_stopping(sp, n_grid=65)
 
 
-def test_alpha2_underflow_solves():
-    # exp(-x0^2/(2*gamma1)) underflows to 0 with x0 ~ 770 and gamma1 = 8:
-    # alpha2 rounds to 0, and the value, which no longer reads it, is finite
+def test_gaussian_factor_underflow_solves():
+    # exp(-x0^2/(2*gamma1)) underflows to 0 with x0 ~ 770 and gamma1 = 8;
+    # the log-of-Gaussian-tail value never forms it, and is finite
     sp = StoppingParams(k=770.0, rho=5e4, gamma1=8.0, gamma2=2.0 * 5e4 * 8.0)
     sol = solve_stopping(sp, n_grid=65)
-    assert sol.alpha2 == 0.0
     rep = sol.residual_report
     assert rep.u_clamp_hits == 0 and rep.obstacle_gap_min >= 0
     assert rep.pde_residual_max <= 1e-9 * sp.gamma2
